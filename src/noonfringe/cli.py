@@ -160,9 +160,12 @@ def read_fringe_csv(path: str):
             raise CliInputError(f"{path}:{lineno}: expected {len(header)} "
                                 f"columns, got {len(cells)}")
         try:
-            rows.append([float(c) for c in cells])
+            values = [float(c) for c in cells]
         except ValueError as exc:
             raise CliInputError(f"{path}:{lineno}: {exc}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise CliInputError(f"{path}:{lineno}: non-finite value in {text!r}")
+        rows.append(values)
     if header is None:
         raise CliInputError(f"{path}: no header line found")
     if not rows:
@@ -308,22 +311,27 @@ def _validation_block(config: ExperimentConfig) -> dict:
     """Filter-density approximation quality at the configured filter order.
 
     Widths are reported on the dimensionless sum-frequency axis, where one
-    filter width corresponds to unit FWHM.
+    filter width corresponds to unit FWHM. Where the divergence from the
+    moment-matched Gaussian is undefined, both directions are None and
+    kl_undefined gives the reason.
     """
     filt = config.filter_profile()
     nu = default_nu_grid()
     numeric = sum_frequency_density_numeric(filt, nu)
     fit = gaussian_approximation(numeric)
-    gauss = moment_matched_gaussian(numeric)
-    kl = kl_divergence(numeric, gauss)
     block = {
         "filter_order": config.filter_order,
         "gaussian_fit_fwhm_nu": fit.fwhm,
         "direct_fwhm_nu": fit.direct_fwhm,
         "gaussian_fit_rms_residual": fit.rms_residual,
-        "kl_forward": kl.forward,
-        "kl_reverse": kl.reverse,
     }
+    try:
+        kl = kl_divergence(numeric, moment_matched_gaussian(numeric))
+        block.update(kl_forward=kl.forward, kl_reverse=kl.reverse)
+    except ValueError as exc:
+        # steep filters underflow to exact zero inside the grid, leaving the
+        # reverse divergence undefined; orders 2 and 4 never get here
+        block.update(kl_forward=None, kl_reverse=None, kl_undefined=str(exc))
     if config.filter_order == 4:
         exact = sum_frequency_density_exact(nu)
         ratio = exact / numeric.density
@@ -334,6 +342,12 @@ def _validation_block(config: ExperimentConfig) -> dict:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    if args.calibration_visibility is not None \
+            and not 0.0 < args.calibration_visibility <= 1.0:
+        raise CliInputError("--calibration-visibility must lie in (0, 1]")
+    if args.phi_prime_cal is not None \
+            and not (math.isfinite(args.phi_prime_cal) and args.phi_prime_cal):
+        raise CliInputError("--phi-prime-cal must be finite and nonzero")
     warnings: list[str] = []
     fit = None
     scan = None
@@ -448,51 +462,47 @@ def _validate_rows(config: ExperimentConfig) -> list[dict]:
         rows.append({"check": name, "value": value, "target": target,
                      "status": "pass" if ok else "FAIL"})
 
-    nu = default_nu_grid()
-    numeric = sum_frequency_density_numeric(filt, nu)
-    fit = gaussian_approximation(numeric)
-    gauss = moment_matched_gaussian(numeric)
-    try:
-        kl = kl_divergence(numeric, gauss)
-        nu_fine = default_nu_grid(points=2 * nu.size - 1)
-        numeric_fine = sum_frequency_density_numeric(filt, nu_fine)
+    checks = _validation_block(config)
+    fwhm = checks["gaussian_fit_fwhm_nu"]
+    rms = checks["gaussian_fit_rms_residual"]
+    kl_forward, kl_reverse = checks["kl_forward"], checks["kl_reverse"]
+    kl_reason = checks.get("kl_undefined")
+    if kl_reason is None:
+        # the default grid with its spacing halved: its end points, where F
+        # underflows first, are the default grid's, so the divergence that
+        # is defined there stays defined here
+        numeric_fine = sum_frequency_density_numeric(
+            filt, default_nu_grid(points=8001))
         kl_fine = kl_divergence(numeric_fine,
                                 moment_matched_gaussian(numeric_fine))
-        kl_drift = max(abs(kl.forward - kl_fine.forward),
-                       abs(kl.reverse - kl_fine.reverse))
-    except ValueError as exc:
-        # steep filters underflow to exact zero inside the grid, leaving the
-        # reverse divergence undefined; orders 2 and 4 never get here
-        kl, kl_reason = None, str(exc)
+        kl_drift = max(abs(kl_forward - kl_fine.forward),
+                       abs(kl_reverse - kl_fine.reverse))
 
     if config.filter_order == 4:
-        exact = sum_frequency_density_exact(nu)
-        ratio = exact / numeric.density
-        spread = float(np.std(ratio) / np.mean(ratio))
+        spread = checks["exact_numeric_ratio_rel_stdev"]
         row("exact/numeric ratio constancy (rel stdev)", spread,
             spread <= 1e-6, "<= 1e-6")
-        row("Gaussian-fit FWHM (units of the filter width)", fit.fwhm,
-            abs(fit.fwhm - 1.0) <= 0.03, "1 +- 3%")
-        in_band = (0.0051 <= kl.forward <= 0.0081
-                   or 0.0051 <= kl.reverse <= 0.0081)
-        row("KL(F || gauss)", kl.forward, in_band,
+        row("Gaussian-fit FWHM (units of the filter width)", fwhm,
+            abs(fwhm - 1.0) <= 0.03, "1 +- 3%")
+        in_band = (0.0051 <= kl_forward <= 0.0081
+                   or 0.0051 <= kl_reverse <= 0.0081)
+        row("KL(F || gauss)", kl_forward, in_band,
             "0.0066 +- 0.0015 in at least one direction")
-        row("KL(gauss || F)", kl.reverse, in_band, "(same band)")
+        row("KL(gauss || F)", kl_reverse, in_band, "(same band)")
     elif config.filter_order == 2:
-        row("KL(F || gauss), Gaussian filters", kl.forward,
-            kl.forward <= 1e-9, "<= 1e-9 (convolution of Gaussians)")
-        row("KL(gauss || F), Gaussian filters", kl.reverse,
-            kl.reverse <= 1e-9, "<= 1e-9")
-        row("Gaussian-fit rms residual", fit.rms_residual,
-            fit.rms_residual <= 1e-9, "<= 1e-9")
-    elif kl is not None:
-        row("KL(F || gauss)", kl.forward, True, "reported")
-        row("KL(gauss || F)", kl.reverse, True, "reported")
+        row("KL(F || gauss), Gaussian filters", kl_forward,
+            kl_forward <= 1e-9, "<= 1e-9 (convolution of Gaussians)")
+        row("KL(gauss || F), Gaussian filters", kl_reverse,
+            kl_reverse <= 1e-9, "<= 1e-9")
+        row("Gaussian-fit rms residual", rms, rms <= 1e-9, "<= 1e-9")
+    elif kl_reason is None:
+        row("KL(F || gauss)", kl_forward, True, "reported")
+        row("KL(gauss || F)", kl_reverse, True, "reported")
     else:
         row("KL vs moment-matched Gaussian", kl_reason, True,
             "reported (undefined at this order)")
 
-    if kl is not None:
+    if kl_reason is None:
         row("KL drift under grid doubling", kl_drift, kl_drift < 1e-4, "< 1e-4")
 
     phi_prime = config.medium_phi_prime_effective()

@@ -61,6 +61,11 @@ class ExperimentConfig:
         if self.schema != SCHEMA_VERSION:
             raise ConfigError("schema", f"unsupported version {self.schema}; "
                               f"this build reads schema {SCHEMA_VERSION}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # the range checks below compare, and NaN passes every comparison
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f.name, f"must be finite, got {value}")
         for key in ("pump_wavelength_nm", "filter_center_nm", "filter_fwhm_nm",
                     "mean_counts"):
             if getattr(self, key) <= 0:

@@ -21,10 +21,12 @@ exact-vs-numeric ratio-constancy test is the arbiter of the convention.
 
 The closed form is defined up to an overall factor; comparisons against the
 numeric convolution therefore test constancy of the ratio, not its value.
+Its Bessel factor is scipy's ``kve``, through ``besselk``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +34,7 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.special import roots_legendre
 
-from .besselk import bessel_k_quarter, bessel_k_quarter_scaled
+from .besselk import bessel_k_quarter_scaled
 from .spectral import (FilterProfile, FrequencyGrid, JointSpectrum,
                        DispersiveMedium, QuadratureAccuracyError, medium_phase)
 
@@ -105,14 +107,23 @@ def default_nu_grid(points: int = 4001, half_range: float = 4.0) -> np.ndarray:
 # numeric convolution and closed form
 # --------------------------------------------------------------------------
 
-def _self_convolution(order: int, x: np.ndarray, inner_nodes: int) -> np.ndarray:
-    """0.5 * integral ds 2^(-[(x+s)^order + (x-s)^order]) on a Legendre rule."""
+@functools.lru_cache(maxsize=8)
+def _self_convolution(order: int, x_bytes: bytes, inner_nodes: int) -> np.ndarray:
+    """0.5 * integral ds 2^(-[(x+s)^order + (x-s)^order]) on a Legendre rule.
+
+    Memoised on (order, float64 abscissa bytes, nodes): the density checks and
+    the phase moments ask for the same tabulation, which is therefore shared
+    and read-only.
+    """
+    x = np.frombuffer(x_bytes)
     span = max(3.0, 1.3 * 49.8 ** (1.0 / order))
     s, w = roots_legendre(inner_nodes)
     s = s * span
     w = w * span
     ex = (x[:, None] + s[None, :]) ** order + (x[:, None] - s[None, :]) ** order
-    return 0.5 * (np.exp2(-ex) * w[None, :]).sum(axis=1)
+    out = 0.5 * (np.exp2(-ex) * w[None, :]).sum(axis=1)
+    out.flags.writeable = False
+    return out
 
 
 def sum_frequency_density_numeric(filt: FilterProfile, nu: np.ndarray | None = None,
@@ -122,11 +133,13 @@ def sum_frequency_density_numeric(filt: FilterProfile, nu: np.ndarray | None = N
 
     Works for any even filter order. The inner integral is re-evaluated with
     doubled nodes; a relative shift above 1e-8 raises QuadratureAccuracyError.
+    Both tabulations are memoised, so a repeat call costs no convolution; with
+    normalized=False the density is the shared read-only table.
     """
     grid = default_nu_grid() if nu is None else np.asarray(nu, dtype=float)
     if grid.max() < 3.0:
         raise ValueError("nu grid must extend to at least +-3")
-    x = grid / NU_SCALE
+    x = (grid / NU_SCALE).tobytes()
     f = _self_convolution(filt.order, x, inner_nodes)
     f2 = _self_convolution(filt.order, x, 2 * inner_nodes)
     err = float(np.abs(f - f2).max() / f2.max())
@@ -305,7 +318,7 @@ def phase_distribution_moments(jsa: JointSpectrum, filt: FilterProfile,
         x = nu / NU_SCALE                                    # (omega_p - 2*center)/fwhm
         omega_p = 2.0 * filt.center + x * filt.fwhm
         pump = np.exp2(-4.0 * (omega_p - jsa.pump_center) ** 2 / jsa.pump_fwhm ** 2)
-        f = _self_convolution(filt.order, x, 400)
+        f = _self_convolution(filt.order, x.tobytes(), 400)
         w = pump * f
         w /= np.trapezoid(w, x)
         delta = 2.0 * medium_phase(medium, omega_p / 2.0)    # total fringe phase

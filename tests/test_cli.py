@@ -185,6 +185,16 @@ class TestFit:
         assert code == EXIT_INPUT
         assert f"{csv}:3" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_the_line(self, tmp_path, capsys, cell):
+        csv = tmp_path / "bad.csv"
+        rows = ["theta_deg,counts"] + [f"{t},100" for t in range(0, 100, 2)]
+        rows[5] = f"8.0,{cell}"
+        csv.write_text("\n".join(rows) + "\n")
+        code, _, err = run(capsys, ["fit", str(csv)])
+        assert code == EXIT_INPUT
+        assert f"{csv}:6" in err and "non-finite" in err
+
     def test_too_few_rows(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text("theta_deg,counts\n" + "".join(
@@ -207,6 +217,8 @@ class TestEstimate:
         assert report["calibration"]["source"] == "self-consistent"
         assert report["kappa_uncertainty"] is None
         assert report["validation"]["filter_order"] == 4
+        assert report["validation"]["kl_forward"] > 0
+        assert "kl_undefined" not in report["validation"]
 
     def test_reference_visibility_recovers_the_reference_kappa(self, capsys):
         code, out, _ = run(capsys, ["estimate", "--visibility", "0.568"])
@@ -295,6 +307,32 @@ class TestEstimate:
         assert code == EXIT_INPUT
         assert "(0, 1]" in err
 
+    @pytest.mark.parametrize("value", ["0", "nan", "inf", "1.5", "-0.5"])
+    def test_calibration_visibility_domain(self, capsys, value):
+        code, _, err = run(capsys, ["estimate", "--visibility", "0.549",
+                                    "--normalize-calibration",
+                                    "--calibration-visibility", value])
+        assert code == EXIT_INPUT
+        assert "--calibration-visibility" in err and "(0, 1]" in err
+
+    @pytest.mark.parametrize("value", ["0", "nan", "inf"])
+    def test_user_slope_must_be_finite_and_nonzero(self, capsys, value):
+        code, _, err = run(capsys, ["estimate", "--visibility", "0.568",
+                                    "--calibration", "user",
+                                    "--phi-prime-cal", value])
+        assert code == EXIT_INPUT
+        assert "--phi-prime-cal" in err
+
+    def test_steep_order_reports_the_divergence_as_undefined(self, capsys):
+        code, out, _ = run(capsys, ["estimate", "--visibility", "0.5",
+                                    "--filter-order", "6"])
+        assert code == EXIT_OK
+        validation = json.loads(out)["validation"]
+        assert validation["filter_order"] == 6
+        assert validation["kl_forward"] is None
+        assert validation["kl_reverse"] is None
+        assert "support violation" in validation["kl_undefined"]
+
     def test_needs_data_or_visibility(self, capsys):
         code, _, err = run(capsys, ["estimate"])
         assert code == EXIT_INPUT
@@ -367,6 +405,25 @@ class TestValidate:
         assert code == EXIT_VALIDATION
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("order,tabulations", [("4", 4), ("6", 3)])
+    def test_each_convolution_is_computed_once(self, capsys, monkeypatch,
+                                               order, tabulations):
+        # one Gauss-Legendre rule per distinct (grid, inner nodes) tabulation:
+        # the density and the phase moments share the 400-node ones
+        calls = []
+        original = noonfringe.sumfreq.roots_legendre
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        noonfringe.sumfreq._self_convolution.cache_clear()
+        monkeypatch.setattr(noonfringe.sumfreq, "roots_legendre", counting)
+        code, _, _ = run(capsys, ["validate", "--json",
+                                  "--filter-order", order])
+        assert code == EXIT_OK
+        assert len(calls) == tabulations
+
 
 class TestConfigPlumbing:
     def test_env_var_supplies_the_config(self, tmp_path, capsys, monkeypatch):
@@ -408,6 +465,13 @@ class TestConfigPlumbing:
         code, _, err = run(capsys, ["simulate", "--points", "5"])
         assert code == EXIT_INPUT
         assert "points" in err
+
+    @pytest.mark.parametrize("flag", ["--kappa", "--mean-counts",
+                                      "--filter-fwhm-nm"])
+    def test_non_finite_flag_value(self, capsys, flag):
+        code, _, err = run(capsys, ["simulate", flag, "nan"])
+        assert code == EXIT_INPUT
+        assert flag[2:].replace("-", "_") in err and "finite" in err
 
     def test_csv_headers_round_trip_the_config(self, tmp_path, capsys):
         target = tmp_path / "curve.csv"

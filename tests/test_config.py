@@ -148,6 +148,30 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("key,value", [
+        ("kappa", math.nan),
+        ("kappa", math.inf),
+        ("mean_counts", math.nan),
+        ("filter_fwhm_nm", math.inf),
+        ("pump_wavelength_nm", math.nan),
+        ("medium_phi_prime", -math.inf),
+        ("medium_phi_double_prime", math.nan),
+        ("theta_start_deg", -math.inf),
+        ("fix_harmonic", math.nan),
+        ("pump_fwhm", math.inf),
+    ])
+    def test_non_finite_fields_rejected(self, key, value):
+        kwargs = {key: value}
+        if key == "pump_fwhm":
+            kwargs["kappa"] = None
+        with pytest.raises(ConfigError, match="finite") as info:
+            ExperimentConfig(**kwargs)
+        assert info.value.key == key
+
+    def test_non_finite_file_value_names_the_field(self):
+        with pytest.raises(ConfigError, match="mean_counts"):
+            merge_config(parse_config_text("mean_counts = nan"))
+
 
 class TestDerivedObjects:
     def test_filter_width_matches_the_unit_conversion(self):

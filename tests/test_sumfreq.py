@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import noonfringe.sumfreq
 from noonfringe import (
     DensityCurve,
     F_EXACT_AT_ZERO,
@@ -159,6 +160,20 @@ class TestNumericConvolution:
         var = 1.0 / (4.0 * math.sqrt(LN2))
         gauss = np.exp(-nu ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
         assert np.abs(num.density - gauss).max() < 1e-9
+
+    def test_repeat_tabulation_is_memoised_and_read_only(self, ref_filter, nu,
+                                                          monkeypatch):
+        first = sum_frequency_density_numeric(ref_filter, nu, normalized=False)
+        calls = []
+        original = noonfringe.sumfreq.roots_legendre
+        monkeypatch.setattr(noonfringe.sumfreq, "roots_legendre",
+                            lambda n: calls.append(n) or original(n))
+        again = sum_frequency_density_numeric(ref_filter, nu, normalized=False)
+        assert calls == []
+        assert np.array_equal(again.density, first.density)
+        assert not again.density.flags.writeable
+        with pytest.raises(ValueError):
+            again.density[0] = 0.0
 
     def test_order_four_moments(self, curve, nu):
         var = float(np.trapezoid(nu ** 2 * curve.density, nu))
