@@ -84,6 +84,9 @@ class FringeScan:
         object.__setattr__(self, "counts", c)
         if th.ndim != 1 or th.shape != c.shape:
             raise ValueError("thetas and counts must be matching 1-d arrays")
+        for name, arr in (("thetas", th), ("counts", c)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if th.size < 8:
             raise ValueError("need at least 8 scan points")
         if float(th.max() - th.min()) < FRINGE_PERIOD:

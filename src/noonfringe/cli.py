@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 
@@ -340,6 +341,11 @@ def _validation_block(config: ExperimentConfig) -> dict:
     return block
 
 
+def _infeasibility_block(exc: InfeasibleVisibilityError) -> dict:
+    return {"reason": str(exc), "visibility": exc.visibility,
+            "visibility_floor": exc.floor}
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     if args.calibration_visibility is not None \
@@ -400,11 +406,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                                          calibration["phi_prime_s"],
                                          calibration["delta_omega_rad_per_s"])
     except InfeasibleVisibilityError as exc:
-        report["infeasibility"] = {
-            "reason": str(exc),
-            "visibility": exc.visibility,
-            "visibility_floor": exc.floor,
-        }
+        report["infeasibility"] = _infeasibility_block(exc)
         report["kappa_bar"] = None
         report["sigma_phi_sq_rad2"] = sigma_phi_from_visibility(visibility_used)
         _emit_report(report, args.output)
@@ -439,13 +441,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     if args.calibration == "sellmeier":
         alt = _calibration_block(config, "self-consistent", None)
-        alt_est = kappa_from_visibility(visibility_used, alt["phi_prime_s"],
-                                        alt["delta_omega_rad_per_s"])
+        alt_entry = {"phi_prime_s": alt["phi_prime_s"]}
+        try:
+            alt_entry["kappa_bar"] = kappa_from_visibility(
+                visibility_used, alt["phi_prime_s"],
+                alt["delta_omega_rad_per_s"]).kappa_bar
+        except InfeasibleVisibilityError as exc:
+            alt_entry.update(kappa_bar=None,
+                             infeasibility=_infeasibility_block(exc))
         report["calibration_comparison"] = {
             "sellmeier": {"phi_prime_s": calibration["phi_prime_s"],
                           "kappa_bar": estimate.kappa_bar},
-            "self-consistent": {"phi_prime_s": alt["phi_prime_s"],
-                                "kappa_bar": alt_est.kappa_bar},
+            "self-consistent": alt_entry,
         }
 
     report["validation"] = _validation_block(config)
@@ -562,8 +569,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # argument parser
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a dash-led number in exponent notation,
+    such as the negative group-delay slope -3e-13, as a value, not a flag.
+
+    No option of this program looks like a number, so nothing is shadowed.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noonfringe",
         description="Two-photon fringe simulation and correlation-bound "
                     "estimation")

@@ -11,6 +11,11 @@ spectrum. Two independent formulas are implemented:
 * the symmetric reduction, |Phi|^2 T T cos^2(theta_1 + theta_2), evaluated
   through its fringe-harmonic components so the visibility comes out exactly.
 
+The general form is a trigonometric polynomial in theta with harmonics 0,
+4 theta and 8 theta only, so a scan of any spectrum costs one quadrature of
+three fringe components, not one per angle; the direct per-angle formula
+stays as the independent reference.
+
 Both integrate in rotated coordinates (sum and difference frequency) on a
 Gauss-Legendre mesh whose sum-frequency half-range adapts to the narrower of
 the pump and filter widths — the pump ridge is the only sharp feature.
@@ -70,6 +75,9 @@ class ProbabilityCurve:
         object.__setattr__(self, "values", v)
         if th.shape != v.shape or th.ndim != 1:
             raise ValueError("thetas and values must be matching 1-d arrays")
+        for name, arr in (("thetas", th), ("values", v)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         # quadrature leaves O(eps)-negative dust at perfect fringe nulls
         tiny = 1e-12 * float(np.max(np.abs(v), initial=0.0))
         if np.any(v < -tiny):
@@ -134,6 +142,23 @@ def _mix_angles(medium: DispersiveMedium, omega1, omega2, theta: float):
 # probability paths
 # --------------------------------------------------------------------------
 
+def _thinned(grid: FrequencyGrid) -> int:
+    """Node count of the thinned rule that estimates the quadrature error."""
+    return max(16, (3 * grid.nodes_per_axis) // 4)
+
+
+def _check_shift(shift: float, flux: float, grid: FrequencyGrid, n_thin: int,
+                 accuracy_tol: float) -> None:
+    """Refuse a probability that thinning the nodes moves by more than
+    accuracy_tol of the pair flux."""
+    err = shift / max(flux, 1e-300)
+    if err > accuracy_tol:
+        raise QuadratureAccuracyError(
+            f"grid too coarse: {grid.nodes_per_axis} vs {n_thin} nodes move "
+            f"P(theta) by {err:.2e} of the pair flux "
+            f"(tolerance {accuracy_tol:.1e})")
+
+
 def _general_value(jsa, filt, medium, theta, grid, n=None):
     o1, o2, w = _rotated_mesh(jsa, filt, grid, n)
     tt = filter_transmission(filt, o1) * filter_transmission(filt, o2)
@@ -164,14 +189,59 @@ def coincidence_probability_general(jsa: JointSpectrum, filt: FilterProfile,
     """
     p, flux = _general_value(jsa, filt, medium, theta, grid)
     if check:
-        n_thin = max(16, (3 * grid.nodes_per_axis) // 4)
+        n_thin = _thinned(grid)
         p_thin, _ = _general_value(jsa, filt, medium, theta, grid, n_thin)
-        err = abs(p - p_thin) / max(flux, 1e-300)
-        if err > accuracy_tol:
-            raise QuadratureAccuracyError(
-                f"grid too coarse: {grid.nodes_per_axis} vs {n_thin} nodes move "
-                f"P(theta) by {err:.2e} of the pair flux "
-                f"(tolerance {accuracy_tol:.1e})")
+        _check_shift(abs(p - p_thin), flux, grid, n_thin, accuracy_tol)
+    return p
+
+
+def _general_harmonics(jsa, filt, medium, grid, n=None):
+    """Fringe components of the general bilinear form in one mesh pass.
+
+    With theta_i = 2 theta + phi_i/2, g_i = e^{i phi_i}, A = |a12|^2,
+    B = |a21|^2 and C = 2 Re(a12 a21*), the bilinear form integrates to
+    P(theta) = A0 + Re(Z4 e^{4i theta}) + Re(Z8 e^{8i theta}), where
+    A0 = sum w T T [(A+B)/4 + (A+B-C) Re(g1 g2*)/8],
+    Z4 = sum w T T (A-B)(g1+g2)/4 and Z8 = sum w T T (A+B+C) g1 g2/8.
+    Returns (A0, Z4, Z8, pair flux). Z4 vanishes to rounding here: both
+    photons pass the same filter and medium, and A-B is odd under their
+    exchange; it is kept so the components are the form itself.
+    """
+    o1, o2, w = _rotated_mesh(jsa, filt, grid, n)
+    wtt = w * filter_transmission(filt, o1) * filter_transmission(filt, o2)
+    a12 = np.asarray(jsa_amplitude(jsa, o1, o2))
+    a21 = np.asarray(jsa_amplitude(jsa, o2, o1))
+    direct = np.abs(a12) ** 2
+    swapped = np.abs(a21) ** 2
+    cross = 2.0 * np.real(a12 * np.conj(a21))
+    both = direct + swapped
+    g1 = np.exp(1j * medium_phase(medium, o1))
+    g2 = np.exp(1j * medium_phase(medium, o2))
+    beat = g1.real * g2.real + g1.imag * g2.imag      # Re(g1 g2*)
+    a0 = float(np.sum(wtt * (2.0 * both + (both - cross) * beat))) / 8.0
+    z4 = complex(np.sum(wtt * (direct - swapped) * (g1 + g2))) / 4.0
+    z8 = complex(np.sum(wtt * (both + cross) * (g1 * g2))) / 8.0
+    return a0, z4, z8, float(np.sum(wtt * both)) / 2.0
+
+
+def _general_scan(jsa, filt, medium, thetas, grid) -> np.ndarray:
+    """General-form probabilities at every angle from one harmonic pass.
+
+    The node-thinning check is coincidence_probability_general's, taken at
+    each of the same angles.
+    """
+    c4, s4 = np.cos(4.0 * thetas), np.sin(4.0 * thetas)
+    c8, s8 = np.cos(8.0 * thetas), np.sin(8.0 * thetas)
+
+    def values(n=None):
+        a0, z4, z8, flux = _general_harmonics(jsa, filt, medium, grid, n)
+        return a0 + z4.real * c4 - z4.imag * s4 + z8.real * c8 - z8.imag * s8, flux
+
+    p, flux = values()
+    n_thin = _thinned(grid)
+    p_thin, _ = values(n_thin)
+    _check_shift(float(np.max(np.abs(p - p_thin))), flux, grid, n_thin,
+                 ACCURACY_TOL)
     return p
 
 
@@ -223,7 +293,7 @@ def fringe_harmonics(jsa: JointSpectrum, filt: FilterProfile,
         raise ValueError("the symmetric reduction requires a symmetric spectrum")
     h = _harmonics_value(jsa, filt, medium, grid)
     if check:
-        n_thin = max(16, (3 * grid.nodes_per_axis) // 4)
+        n_thin = _thinned(grid)
         h_thin = _harmonics_value(jsa, filt, medium, grid, n_thin)
         err = max(abs(h.offset - h_thin.offset),
                   abs(h.amplitude - h_thin.amplitude)) / h.offset
@@ -257,8 +327,10 @@ def simulate_fringe_scan(jsa: JointSpectrum, filt: FilterProfile,
                          grid: FrequencyGrid | None = None) -> ProbabilityCurve:
     """Evaluate the fringe over a list of analyzer angles.
 
-    Symmetric spectra go through the harmonic shortcut (one quadrature for the
-    whole scan); general spectra fall back to per-angle integration.
+    One quadrature serves the whole scan: symmetric spectra through their
+    constant and 8-theta components, general spectra through the 0, 4-theta
+    and 8-theta components of the bilinear form, each checked against a
+    thinned node set at every requested angle.
     """
     th = np.asarray(thetas, dtype=float)
     if th.size == 0:
@@ -268,8 +340,7 @@ def simulate_fringe_scan(jsa: JointSpectrum, filt: FilterProfile,
     if jsa.symmetric:
         values = fringe_harmonics(jsa, filt, medium, grid).at(th)
     else:
-        values = np.array([coincidence_probability_general(jsa, filt, medium, t, grid)
-                           for t in th])
+        values = _general_scan(jsa, filt, medium, th, grid)
     if normalization == "mean-one":
         mean = values.mean()
         if mean <= 0:
@@ -345,7 +416,7 @@ def single_photon_visibility(filt: FilterProfile, medium: DispersiveMedium,
         return abs(np.sum(t * np.exp(1j * phi))) / np.sum(t)
 
     v = value()
-    v_thin = value(max(16, (3 * grid.nodes_per_axis) // 4))
+    v_thin = value(_thinned(grid))
     if abs(v - v_thin) > accuracy_tol:
         raise QuadratureAccuracyError(
             f"grid too coarse for the single-photon integral "

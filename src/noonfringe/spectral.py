@@ -8,6 +8,7 @@ and a birefringent medium whose phase slope drives the fringe dephasing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -47,6 +48,18 @@ class QuadratureAccuracyError(RuntimeError):
 # quadrature grid
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
+def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per m.
+
+    The arrays are shared between callers, so they are read-only.
+    """
+    x, w = roots_legendre(m)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Quadrature specification for frequency integrals.
@@ -73,7 +86,7 @@ class FrequencyGrid:
         b = self.half_range * scale
         m = self.nodes_per_axis if n is None else n
         if self.scheme == "gauss-legendre":
-            x, w = roots_legendre(m)
+            x, w = _legendre_rule(m)
             return x * b, w * b
         x = np.linspace(-b, b, m)
         w = np.full(m, x[1] - x[0])

@@ -64,6 +64,14 @@ class TestFringeScan:
         with pytest.raises(ValueError, match="matching"):
             FringeScan(np.linspace(0, 1, 20), np.ones(19))
 
+    @pytest.mark.parametrize("field", ["thetas", "counts"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_names_the_field(self, field, bad):
+        arrays = {"thetas": np.linspace(0, 1, 20), "counts": np.ones(20)}
+        arrays[field][5] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FringeScan(**arrays)
+
     def test_nonpositive_exposure_rejected(self):
         with pytest.raises(ValueError, match="exposure"):
             FringeScan(np.linspace(0, 1, 20), np.ones(20), exposure=0.0)

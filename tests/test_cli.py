@@ -268,6 +268,33 @@ class TestEstimate:
             0.14, rel=1e-6)
         assert comparison["sellmeier"]["kappa_bar"] == report["kappa_bar"]
 
+    def test_comparison_below_the_self_consistent_floor(self, capsys):
+        # feasible under the Sellmeier slope, below the self-consistent floor
+        code, out, _ = run(capsys, ["estimate", "--visibility", "0.005",
+                                    "--calibration", "sellmeier"])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["kappa_bar"] > 0.0
+        comparison = report["calibration_comparison"]
+        assert comparison["sellmeier"]["kappa_bar"] == report["kappa_bar"]
+        alt = comparison["self-consistent"]
+        assert alt["kappa_bar"] is None
+        assert alt["infeasibility"]["visibility"] == 0.005
+        assert alt["infeasibility"]["visibility_floor"] > 0.005
+        assert "below the filter-limited minimum" in alt["infeasibility"]["reason"]
+
+    @pytest.mark.parametrize("flag,calibration", [
+        ("--phi-prime-cal", "user"), ("--phi-prime", "config-medium")])
+    def test_negative_exponent_slope_parses_in_both_spellings(
+            self, capsys, flag, calibration):
+        base = ["estimate", "--visibility", "0.3", "--calibration", calibration]
+        code, spaced, _ = run(capsys, base + [flag, "-3e-13"])
+        assert code == EXIT_OK
+        code, joined, _ = run(capsys, base + [f"{flag}=-3e-13"])
+        assert code == EXIT_OK
+        assert spaced == joined
+        assert json.loads(spaced)["calibration"]["phi_prime_s"] == -3e-13
+
     def test_config_medium_calibration(self, capsys):
         code, out, _ = run(capsys, ["estimate", "--visibility", "0.568",
                                     "--calibration", "config-medium",

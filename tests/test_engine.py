@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from noonfringe import spectral
 from noonfringe import (
     FilterProfile,
     FrequencyGrid,
@@ -79,6 +80,14 @@ class TestProbabilityCurve:
         with pytest.raises(ValueError, match="average"):
             ProbabilityCurve(np.linspace(0, 1, 3), np.array([1.0, 2.0, 3.0]),
                              "mean-one")
+
+    @pytest.mark.parametrize("field", ["thetas", "values"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_names_the_field(self, field, bad):
+        arrays = {"thetas": np.linspace(0, 1, 5), "values": np.ones(5)}
+        arrays[field][2] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ProbabilityCurve(**arrays)
 
 
 class TestVisibilityLaw:
@@ -295,6 +304,129 @@ class TestSimulateScan:
         assert single_fit.harmonic == pytest.approx(4.0, abs=1e-6)
         assert pair_fit.harmonic / single_fit.harmonic == pytest.approx(2.0,
                                                                         rel=1e-6)
+
+
+def chirped_pair(omega0, delta_omega, kappa, phasematch, slope, chirp):
+    """Asymmetric pair: finite phase matching and a spectral phase linear
+    plus quadratic in the difference frequency (in filter widths)."""
+    def phase(omega1, omega2):
+        d = (omega1 - omega2) / delta_omega
+        return slope * d + chirp * d * d
+    return JointSpectrum(pump_center=2.0 * omega0,
+                         pump_fwhm=math.sqrt(kappa) * delta_omega,
+                         phasematch_fwhm=phasematch * delta_omega,
+                         symmetric=False, spectral_phase=phase)
+
+
+def pair_flux(jsa, filt, grid, omega0):
+    """(|a12|^2 + |a21|^2)/2 integrated: with no medium phase the general
+    form is the direct term at theta = 0 and the swapped one at pi/4."""
+    bare = TaylorMedium(reference=omega0)
+    return 0.5 * sum(coincidence_probability_general(jsa, filt, bare, theta, grid)
+                     for theta in (0.0, math.pi / 4.0))
+
+
+def refuses(fn):
+    try:
+        fn()
+    except QuadratureAccuracyError as exc:
+        return str(exc)
+    return None
+
+
+class TestGeneralScan:
+    """simulate_fringe_scan on asymmetric spectra against the per-angle form."""
+
+    @pytest.mark.parametrize("medium,nodes,kappa,phasematch,slope,chirp", [
+        ("taylor", 128, 0.3, 3.0, 0.7, -0.4),
+        ("taylor", 192, 2.0, 2.0, -1.0, 0.8),
+        ("curved", 128, 0.1, 4.0, 0.2, 0.5),
+        ("bbo", 192, 0.5, 3.0, 0.9, -1.0),
+        ("bbo", 256, 0.2, 2.5, -0.6, 0.3),
+    ])
+    def test_matches_the_per_angle_form(self, ref_filter, omega0, delta_omega,
+                                        medium, nodes, kappa, phasematch,
+                                        slope, chirp):
+        media = {"taylor": make_medium(omega0, delta_omega, 3.0, phi0=0.4),
+                 "curved": TaylorMedium(reference=omega0, phi0=1.3,
+                                        phi_prime=-2.0 / delta_omega,
+                                        phi_double_prime=1.5 / delta_omega ** 2),
+                 "bbo": bbo_crystal(0.0027 if nodes == 256 else 0.0012)}
+        jsa = chirped_pair(omega0, delta_omega, kappa, phasematch, slope, chirp)
+        grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
+        thetas = np.linspace(0.0, math.pi, 37)
+        scan = simulate_fringe_scan(jsa, ref_filter, media[medium], thetas,
+                                    grid=grid)
+        direct = [coincidence_probability_general(jsa, ref_filter, media[medium],
+                                                  theta, grid)
+                  for theta in thetas]
+        flux = pair_flux(jsa, ref_filter, grid, omega0)
+        assert np.max(np.abs(scan.values - direct)) / flux < 1e-12
+        # a pi/4 turn flips the 4-theta component, which vanishes: both
+        # photons pass the same filter and medium, and |a12|^2 - |a21|^2 is
+        # odd under their exchange
+        shifted = simulate_fringe_scan(jsa, ref_filter, media[medium],
+                                       thetas + math.pi / 4.0, grid=grid)
+        assert np.max(np.abs(shifted.values - scan.values)) / flux < 1e-12
+
+    @pytest.mark.parametrize("nodes", [20, 68])
+    def test_refuses_exactly_where_the_per_angle_check_does(
+            self, ref_filter, omega0, delta_omega, nodes):
+        # at 68 nodes the per-angle check passes at angles 1 and 5 only
+        jsa = chirped_pair(omega0, delta_omega, 2.0, 2.0, 0.3, 0.0)
+        medium = make_medium(omega0, delta_omega, 3.0, phi0=0.4)
+        grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
+        thetas = np.linspace(0.0, math.pi / 4.0, 9)
+        per_angle = [refuses(lambda t=t: coincidence_probability_general(
+            jsa, ref_filter, medium, t, grid)) for t in thetas]
+        passing = [i for i, msg in enumerate(per_angle) if msg is None]
+        assert passing == ([] if nodes == 20 else [1, 5])
+        subsets = [[i] for i in range(len(thetas))] + [list(range(len(thetas))),
+                                                       passing, passing + [0]]
+        for subset in filter(None, subsets):
+            scan = refuses(lambda: simulate_fringe_scan(
+                jsa, ref_filter, medium, thetas[subset], grid=grid))
+            refused = any(per_angle[i] is not None for i in subset)
+            assert (scan is not None) == refused
+            assert scan is None or "grid too coarse" in scan
+        if nodes == 20:
+            # every angle refuses; the scan reports the largest shift
+            shifts = [float(msg.split(" by ")[1].split()[0]) for msg in per_angle]
+            scan = refuses(lambda: simulate_fringe_scan(jsa, ref_filter, medium,
+                                                        thetas, grid=grid))
+            assert float(scan.split(" by ")[1].split()[0]) == max(shifts)
+
+
+class TestNodeMemo:
+    def test_rules_are_generated_once_per_node_count(self, monkeypatch, omega0,
+                                                     delta_omega):
+        calls = []
+        real = spectral.roots_legendre
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+        monkeypatch.setattr(spectral, "roots_legendre", counting)
+        spectral._legendre_rule.cache_clear()
+        narrow = FrequencyGrid(center=omega0)
+        wide = FrequencyGrid(center=omega0, half_range=6.0, nodes_per_axis=48)
+        for _ in range(3):
+            for scale in (delta_omega, 2.0 * delta_omega):
+                narrow.axis(scale, 40)
+                narrow.axis(scale)
+                wide.axis(scale)
+        assert sorted(calls) == [40, 48, 128]
+
+        x, w = narrow.axis(delta_omega, 40)
+        nodes, weights = real(40)
+        b = narrow.half_range * delta_omega
+        assert np.array_equal(x, nodes * b) and np.array_equal(w, weights * b)
+        x[0] = w[0] = 0.0              # callers get their own arrays
+        cached_x, cached_w = spectral._legendre_rule(40)
+        assert not cached_x.flags.writeable and not cached_w.flags.writeable
+        with pytest.raises(ValueError):
+            cached_x[0] = 0.0
+        assert np.array_equal(narrow.axis(delta_omega, 40)[0], nodes * b)
 
 
 class TestSinglePhoton:
