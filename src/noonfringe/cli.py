@@ -248,7 +248,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     thetas, values, harmonics = _model_curve(config)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.seed]))
-    counts = rng.poisson(config.mean_counts * values)
+    try:
+        counts = rng.poisson(config.mean_counts * values)
+    except ValueError as exc:    # numpy caps the Poisson mean near 9.2e18
+        raise CliInputError(f"mean_counts {config.mean_counts!r} is too large "
+                            f"to sample: {exc}") from exc
     lines = _config_header_lines(config, "synth")
     lines.append(f"# visibility_raw = {harmonics.visibility!r}")
     lines.append(f"# fringe_phase_rad = {harmonics.phase!r}")
@@ -643,10 +647,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ConfigError as exc:
+    except (CliInputError, ConfigError, QuadratureAccuracyError) as exc:
+        # a quadrature that cannot meet its tolerance is reported like bad
+        # input: the configuration asks for more than the fixed rules resolve
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -83,8 +83,8 @@ class ExperimentConfig:
         if (self.kappa is None) == (self.pump_fwhm is None):
             raise ConfigError("kappa", "exactly one of kappa / pump_fwhm "
                               "must be given")
-        if self.kappa is not None and self.kappa < 0:
-            raise ConfigError("kappa", "must be nonnegative")
+        if self.kappa is not None and self.kappa <= 0:
+            raise ConfigError("kappa", "must be positive")
         if self.pump_fwhm is not None and self.pump_fwhm <= 0:
             raise ConfigError("pump_fwhm", "must be positive")
         if self.points < 8:

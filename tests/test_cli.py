@@ -118,6 +118,14 @@ class TestSynth:
         assert fit["phase0_rad"] == pytest.approx(0.244, abs=5e-3)
         assert fit["harmonic"] == pytest.approx(8.0, abs=1e-2)
 
+    def test_oversized_mean_counts_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, ["synth", "--mean-counts", "1e30"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "mean_counts" in err
+        # the noiseless curve has no sampling limit
+        assert run(capsys, ["simulate", "--mean-counts", "1e30"])[0] == EXIT_OK
+
 
 class TestFit:
     def test_bundled_calibration_sample(self, capsys):
@@ -499,6 +507,27 @@ class TestConfigPlumbing:
         code, _, err = run(capsys, ["simulate", flag, "nan"])
         assert code == EXIT_INPUT
         assert flag[2:].replace("-", "_") in err and "finite" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "synth", "validate"])
+    def test_zero_kappa_is_an_input_error(self, capsys, command):
+        code, _, err = run(capsys, [command, "--kappa", "0"])
+        assert code == EXIT_INPUT
+        assert "'kappa'" in err and "must be positive" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--filter-order", "40"], "grid too coarse"),
+        (["synth", "--filter-order", "40"], "grid too coarse"),
+        (["simulate", "--medium", "bbo", "--length-mm", "1e9"],
+         "grid too coarse"),
+        (["estimate", "--visibility", "0.5", "--filter-order", "40"],
+         "convolution unconverged"),
+    ])
+    def test_unconverged_quadrature_is_an_input_error(self, capsys, argv,
+                                                      message):
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_csv_headers_round_trip_the_config(self, tmp_path, capsys):
         target = tmp_path / "curve.csv"

@@ -140,6 +140,7 @@ class TestValidation:
         {"phi_prime_fractional_uncertainty": -0.1},
         {"fix_harmonic": 0.0},
         {"kappa": -0.1},
+        {"kappa": 0.0},
         {"kappa": None, "pump_fwhm": -1.0},
         {"mean_counts": 0.0},
         {"filter_fwhm_nm": 0.0},

@@ -8,7 +8,7 @@ from noonfringe import (BBO_EXTRAORDINARY, BBO_ORDINARY, FilterProfile,
                         bbo_crystal, filter_transmission, jsa_amplitude,
                         linearize_phase, medium_phase,
                         wavelength_nm_to_angular)
-from noonfringe.spectral import LinearizedPhase, SellmeierMedium
+from noonfringe.spectral import LinearizedPhase, SellmeierMedium, _even_power
 
 C = 299792458.0
 
@@ -79,6 +79,39 @@ class TestFilter:
     def test_order_must_be_positive_even(self, omega0, delta_omega, order):
         with pytest.raises(ValueError):
             FilterProfile(center=omega0, fwhm=delta_omega, order=order)
+
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    def test_matches_the_pow_form_on_a_mesh(self, omega0, delta_omega, order):
+        filt = FilterProfile(center=omega0, fwhm=delta_omega, order=order)
+        # the rotated mesh the engine integrates over, out to 4 filter widths
+        d = np.linspace(-4.0, 4.0, 257) * delta_omega
+        omega = omega0 + d[:, None] + 0.37 * d[None, :]
+        x = 2.0 * (omega - omega0) / delta_omega
+        expected = np.exp2(-(x ** order))
+        got = filter_transmission(filt, omega)
+        assert got.shape == omega.shape
+        # relative to the peak transmission, which is 1
+        assert np.abs(got - expected).max() <= 1e-14 * expected.max()
+        assert np.array_equal(got == 0, expected == 0)
+
+
+class TestEvenPower:
+    # any multiplication chain for a**n errs by at most ~(n - 1)/2 eps relative
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_pow_to_a_few_ulp(self, n):
+        a = np.random.default_rng(n).uniform(-5.0, 5.0, 4001)
+        a = np.concatenate([a, [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-3, -7.25]])
+        got = _even_power(a, n)
+        np.testing.assert_array_max_ulp(got, a ** n, maxulp=n)
+        assert np.array_equal(np.signbit(got), np.signbit(a ** n))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_overflow_gives_the_same_infinity(self, n):
+        a = np.array([1e160, -1e160, 1e300, -1e300])
+        with np.errstate(over="ignore"):
+            got, expected = _even_power(a, n), a ** n
+        assert np.all(np.isinf(expected))
+        assert np.array_equal(got, expected)
 
 
 # --------------------------------------------------------------------------

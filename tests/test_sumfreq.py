@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 import noonfringe.sumfreq
 from noonfringe import (
@@ -57,6 +58,15 @@ VARIANCE_RATIO = {0.05: 1.008222, 0.14: 1.026023, 1.0: 1.121581, 5.0: 1.139436}
 BBO_VARIANCE = 15.352015068
 BBO_SKEWNESS = -1.664026e-4
 BBO_EXCESS_KURTOSIS = 0.010847
+
+
+def _unfolded_convolution(order, x, inner_nodes):
+    """The self-convolution on the whole symmetric rule, powers by ``**``."""
+    span = max(3.0, 1.3 * 49.8 ** (1.0 / order))
+    s, w = roots_legendre(inner_nodes)
+    s, w = s * span, w * span
+    ex = (x[:, None] + s[None, :]) ** order + (x[:, None] - s[None, :]) ** order
+    return 0.5 * (np.exp2(-ex) * w[None, :]).sum(axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +184,25 @@ class TestNumericConvolution:
         assert not again.density.flags.writeable
         with pytest.raises(ValueError):
             again.density[0] = 0.0
+
+    @pytest.mark.parametrize("inner_nodes", [16, 17, 400, 401])
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_folded_rule_matches_the_full_rule(self, nu, order, inner_nodes):
+        x = nu / NU_SCALE
+        full = _unfolded_convolution(order, x, inner_nodes)
+        folded = noonfringe.sumfreq._self_convolution.__wrapped__(
+            order, x.tobytes(), inner_nodes)
+        assert np.abs(folded - full).max() <= 1e-15 * full.max()
+
+    @pytest.mark.parametrize("inner_nodes", [400, 800])
+    def test_order_six_underflows_where_the_full_rule_does(self, nu,
+                                                           inner_nodes):
+        x = nu / NU_SCALE
+        full = _unfolded_convolution(6, x, inner_nodes)
+        folded = noonfringe.sumfreq._self_convolution.__wrapped__(
+            6, x.tobytes(), inner_nodes)
+        assert np.count_nonzero(full == 0) == 1402
+        assert np.array_equal(folded == 0, full == 0)
 
     def test_order_four_moments(self, curve, nu):
         var = float(np.trapezoid(nu ** 2 * curve.density, nu))
