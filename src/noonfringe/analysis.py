@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 LN2 = math.log(2.0)
 
@@ -166,6 +165,13 @@ class CorrelationEstimate:
 # --------------------------------------------------------------------------
 # fringe fitting
 # --------------------------------------------------------------------------
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on first call: the import costs
+    a process ~0.3 s that only commands fitting a fringe should pay."""
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
+
 
 def _dominant_harmonic(thetas, residual, m_lo=0.5, m_hi=24.0):
     """Frequency of the strongest Fourier component of the de-meaned data."""

@@ -98,7 +98,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     try:
         file_values = load_config_file(path) if path else None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read config {path}: {exc}") from exc
     override_keys = {f.name for f in fields(ExperimentConfig)}
     overrides = {k: getattr(args, k) for k in override_keys if hasattr(args, k)}
@@ -139,7 +139,7 @@ def read_fringe_csv(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
 
     header = None
@@ -223,7 +223,11 @@ def _model_curve(config: ExperimentConfig):
                                  _default_grid(config))
     thetas = config.thetas_rad()
     values = harmonics.at(thetas)
-    return thetas, values / values.mean(), harmonics
+    values = values / values.mean()
+    if not np.all(np.isfinite(values)):
+        raise CliInputError("the configuration gives no finite fringe: the "
+                            "model curve is not finite at every angle")
+    return thetas, values, harmonics
 
 
 def _default_grid(config: ExperimentConfig) -> FrequencyGrid:
@@ -655,6 +659,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ArithmeticError as exc:
+        # last resort: a value that overflows, underflows to a zero divisor
+        # or otherwise leaves floating point, past every boundary check
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -318,4 +318,7 @@ def linearize_phase(medium: DispersiveMedium, omega0: float) -> LinearizedPhase:
         dng = (medium.extraordinary.group_index(lam_um)
                - medium.ordinary.group_index(lam_um))
         slope = dng * medium.length / SPEED_OF_LIGHT
-    return LinearizedPhase(float(np.mod(phi0, TWO_PI)), float(slope), float(omega0))
+    phi0 = float(np.mod(phi0, TWO_PI))
+    if phi0 >= TWO_PI:        # a hair-negative phase rounds up to 2*pi
+        phi0 = 0.0
+    return LinearizedPhase(phi0, float(slope), float(omega0))

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import roots_legendre
 
 from .besselk import bessel_k_quarter_scaled
@@ -108,6 +107,10 @@ def default_nu_grid(points: int = 4001, half_range: float = 4.0) -> np.ndarray:
 # numeric convolution and closed form
 # --------------------------------------------------------------------------
 
+#: abscissae per block of the convolution; keeps each temporary cache-sized
+_CONV_BLOCK = 128
+
+
 @functools.lru_cache(maxsize=8)
 def _self_convolution(order: int, x_bytes: bytes, inner_nodes: int) -> np.ndarray:
     """0.5 * integral ds 2^(-[(x+s)^order + (x-s)^order]) on a Legendre rule.
@@ -116,7 +119,8 @@ def _self_convolution(order: int, x_bytes: bytes, inner_nodes: int) -> np.ndarra
     symmetric, so the rule is folded onto s >= 0: each node s > 0 carries its
     weight once (its mirror's share and the 0.5 cancel) and a node at s = 0,
     present for an odd node count, carries half its weight. This halves the
-    mesh without changing the rule.
+    mesh without changing the rule. The abscissae are taken in blocks of
+    _CONV_BLOCK, so each (block x nodes) temporary stays cache-sized.
 
     Memoised on (order, float64 abscissa bytes, nodes): the density checks and
     the phase moments ask for the same tabulation, which is therefore shared
@@ -130,9 +134,11 @@ def _self_convolution(order: int, x_bytes: bytes, inner_nodes: int) -> np.ndarra
     w = w[half:] * span
     if inner_nodes % 2:
         w[0] *= 0.5
-    ex = (_even_power(x[:, None] + s[None, :], order)
-          + _even_power(x[:, None] - s[None, :], order))
-    out = np.exp2(-ex) @ w
+    out = np.empty(x.size)
+    for i in range(0, x.size, _CONV_BLOCK):
+        xb = x[i:i + _CONV_BLOCK, None]
+        ex = _even_power(xb + s, order) + _even_power(xb - s, order)
+        out[i:i + _CONV_BLOCK] = np.exp2(-ex) @ w
     out.flags.writeable = False
     return out
 
@@ -229,22 +235,50 @@ def gaussian_approximation(curve: DensityCurve) -> GaussianApproximation:
 
     mean = float(np.trapezoid(nu * rho, nu))
     var = float(np.trapezoid((nu - mean) ** 2 * rho, nu))
-
-    def resid(p):
-        a, c, s = p
-        return a * np.exp(-0.5 * ((nu - c) / s) ** 2) - rho
-
-    sol = least_squares(resid, x0=[peak, mean, math.sqrt(var)], method="lm")
-    if not sol.success:
-        raise ValueError(f"Gaussian fit failed: {sol.message}")
-    a, c, s = sol.x
+    (_, c, s), resid = _fit_gaussian(nu, rho, (peak, mean, math.sqrt(var)))
     s = abs(s)
     return GaussianApproximation(
         center=float(c),
         fwhm=float(s * math.sqrt(8.0 * LN2)),
-        rms_residual=float(np.sqrt(np.mean(sol.fun ** 2))),
+        rms_residual=float(np.sqrt(np.mean(resid ** 2))),
         direct_fwhm=_direct_fwhm(nu, rho),
     )
+
+
+def _fit_gaussian(nu: np.ndarray, rho: np.ndarray, start):
+    """Gauss-Newton least squares of a*exp(-((nu-c)/s)^2/2) to rho.
+
+    Each step solves the linearized problem on the 3-column Jacobian; a step
+    that would raise the residual sum of squares is halved until it does not.
+    Returns the parameters (a, c, s) and the residual once a step is at most
+    1e-15 of the parameters; ValueError if that takes over 100 steps.
+    """
+    def residual(p):
+        a, c, s = p
+        z = (nu - c) / s
+        g = np.exp(-0.5 * z * z)
+        return a * g - rho, g, z
+
+    p = np.array(start, dtype=float)
+    r, g, z = residual(p)
+    cost = float(r @ r)
+    for _ in range(100):
+        a, _, s = p
+        jac = np.column_stack([g, a * g * z / s, a * g * z * z / s])
+        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        tol = 1e-15 * np.linalg.norm(p)
+        while np.linalg.norm(step) > tol:
+            trial = residual(p + step)
+            trial_cost = float(trial[0] @ trial[0])
+            if trial_cost <= cost:
+                break
+            step *= 0.5
+        else:
+            return p, r
+        p = p + step
+        r, g, z = trial
+        cost = trial_cost
+    raise ValueError("Gaussian fit failed: no convergence in 100 Gauss-Newton steps")
 
 
 def moment_matched_gaussian(curve: DensityCurve) -> DensityCurve:

@@ -8,6 +8,8 @@ their # cfg: headers), so their fits are exactly reproducible.
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -202,6 +204,15 @@ class TestFit:
         code, _, err = run(capsys, ["fit", str(csv)])
         assert code == EXIT_INPUT
         assert f"{csv}:6" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("command", ["fit", "estimate"])
+    def test_non_utf8_file_names_the_path(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes(b"theta_deg,counts\n0.0,\xff\n")
+        code, out, err = run(capsys, [command, str(bad)])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and "latin.csv" in err
 
     def test_too_few_rows(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
@@ -496,6 +507,21 @@ class TestConfigPlumbing:
         assert code == EXIT_INPUT
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("route", ["flag", "env"])
+    def test_non_utf8_config_names_the_path(self, tmp_path, capsys,
+                                            monkeypatch, route):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"points = 64\n# caf\xe9\n")
+        argv = ["simulate"]
+        if route == "flag":
+            argv += ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: cannot read config") and "latin.cfg" in err
+
     def test_invalid_flag_value(self, capsys):
         code, _, err = run(capsys, ["simulate", "--points", "5"])
         assert code == EXIT_INPUT
@@ -529,6 +555,31 @@ class TestConfigPlumbing:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--kappa", "1e300"],
+        ["validate", "--kappa", "1e300"],
+        ["simulate", "--pump-wavelength-nm", "1e300"],
+        ["simulate", "--filter-center-nm", "1e-300"],
+        ["estimate", "--visibility", "0.5", "--calibration", "user",
+         "--phi-prime-cal", "1e-300"],
+        ["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
+         "--length-mm", "1e-300"],
+    ], ids=["simulate-kappa", "validate-kappa", "pump-wavelength",
+            "filter-center", "user-slope", "sellmeier-length"])
+    def test_numeric_failure_is_an_input_error(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: numeric failure: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "synth"])
+    def test_non_finite_model_curve_is_an_input_error(self, capsys, command):
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, [command, "--filter-fwhm-nm", "1e-300"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "no finite fringe" in err and "mean_counts" not in err
+
     def test_csv_headers_round_trip_the_config(self, tmp_path, capsys):
         target = tmp_path / "curve.csv"
         run(capsys, ["synth", "--kappa", "0.2", "--seed", "3",
@@ -551,3 +602,36 @@ class TestIoErrors:
         code, _, err = run(capsys, ["estimate", "--visibility", "0.9",
                                     "-o", str(target)])
         assert code == EXIT_IO
+
+
+_OPTIMIZE_PROBE = """
+import contextlib, io, json, sys
+from noonfringe.cli import main
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(main(argv))
+    before_fit = "scipy.optimize" in sys.modules
+    codes.append(main(["fit", sys.argv[2]]))
+print(json.dumps([codes, before_fit, "scipy.optimize" in sys.modules]))
+"""
+
+
+def test_only_fringe_fits_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(noonfringe.__file__))
+    argvs = []
+    for order in ("2", "4", "6"):
+        argvs.append(["estimate", "--visibility", "0.568",
+                      "--filter-order", order])
+        argvs.append(["validate", "--json", "--filter-order", order])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop(CONFIG_ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _OPTIMIZE_PROBE, json.dumps(argvs),
+         WITHCRYSTAL_CSV], capture_output=True, text=True, env=env,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, before_fit, after_fit = json.loads(proc.stdout)
+    assert codes == [EXIT_OK] * 7
+    assert not before_fit
+    assert after_fit

@@ -236,6 +236,12 @@ class TestSellmeier:
         assert lin.phi_prime == 0.0
         assert lin.phi0_mod2pi == 0.0
 
+    def test_hair_negative_phase_folds_to_zero(self, omega0):
+        # phi0 of a 1e-300 m crystal is about -9e-295 rad, which np.mod
+        # rounds up to exactly 2*pi
+        lin = linearize_phase(bbo_crystal(1e-300), omega0)
+        assert 0.0 <= lin.phi0_mod2pi < 2.0 * math.pi
+
     def test_wavelength_window_enforced(self):
         crystal = bbo_crystal(0.003)
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 from scipy.special import roots_legendre
 
 import noonfringe.sumfreq
@@ -194,6 +195,18 @@ class TestNumericConvolution:
             order, x.tobytes(), inner_nodes)
         assert np.abs(folded - full).max() <= 1e-15 * full.max()
 
+    @pytest.mark.parametrize("points", [9, 8001])
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_row_blocks_match_the_full_rule(self, order, points):
+        # 9 points is less than one block; 8001 ends in a partial one, as
+        # the default 4001-point grid of the test above does
+        x = default_nu_grid(points) / NU_SCALE
+        full = _unfolded_convolution(order, x, 401)
+        blocked = noonfringe.sumfreq._self_convolution.__wrapped__(
+            order, x.tobytes(), 401)
+        assert blocked.shape == full.shape
+        assert np.abs(blocked - full).max() <= 1e-15 * full.max()
+
     @pytest.mark.parametrize("inner_nodes", [400, 800])
     def test_order_six_underflows_where_the_full_rule_does(self, nu,
                                                            inner_nodes):
@@ -230,6 +243,44 @@ class TestGaussianApproximation:
         # the headline statement: the surrogate width matches the curve's
         # natural unit to better than 3 percent
         assert abs(fit.fwhm - 1.0) < 0.03
+
+    @pytest.mark.parametrize("points", [4001, 8001])
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    def test_is_the_least_squares_minimum(self, omega0, delta_omega, order,
+                                          points):
+        grid = default_nu_grid(points)
+        filt = FilterProfile(center=omega0, fwhm=delta_omega, order=order)
+        curve = sum_frequency_density_numeric(filt, grid)
+        fit = gaussian_approximation(curve)
+        f = curve.density
+
+        # reference: MINPACK Levenberg-Marquardt, tolerances at rounding level
+        mean = float(np.trapezoid(grid * f, grid))
+        var = float(np.trapezoid((grid - mean) ** 2 * f, grid))
+        ref = least_squares(
+            lambda p: p[0] * np.exp(-0.5 * ((grid - p[1]) / p[2]) ** 2) - f,
+            [f.max(), mean, math.sqrt(var)], method="lm",
+            xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        ref_fwhm = abs(ref.x[2]) * math.sqrt(8.0 * LN2)
+        ref_rms = math.sqrt(np.mean(ref.fun ** 2))
+        assert fit.fwhm == pytest.approx(ref_fwhm, rel=1e-8)
+        assert fit.rms_residual == pytest.approx(ref_rms, rel=1e-10, abs=1e-15)
+
+        # first-order optimality at the reported centre and width, with the
+        # amplitude that minimizes the residual there
+        s = fit.fwhm / math.sqrt(8.0 * LN2)
+        z = (grid - fit.center) / s
+        g = np.exp(-0.5 * z * z)
+        a = float(g @ f) / float(g @ g)
+        r = a * g - f
+        jac = np.column_stack([g, a * g * z / s, a * g * z * z / s])
+        if order == 2:
+            # F is itself Gaussian: the residual is rounding and has no
+            # direction left to be orthogonal to
+            assert fit.rms_residual < 1e-15
+        else:
+            assert (np.linalg.norm(jac.T @ r)
+                    <= 1e-10 * np.linalg.norm(jac) * np.linalg.norm(r))
 
     def test_requires_a_normalized_curve(self, nu):
         raw = DensityCurve(nu, np.exp(-nu ** 2), normalized=False)
