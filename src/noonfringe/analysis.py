@@ -173,14 +173,77 @@ def least_squares(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def _dominant_harmonic(thetas, residual, m_lo=0.5, m_hi=24.0):
-    """Frequency of the strongest Fourier component of the de-meaned data."""
-    coarse = np.linspace(m_lo, m_hi, 512)
-    proj = np.abs(np.exp(-1j * np.outer(coarse, thetas)) @ residual)
-    best = coarse[int(np.argmax(proj))]
-    fine = np.linspace(best - 0.1, best + 0.1, 101)
-    proj = np.abs(np.exp(-1j * np.outer(fine, thetas)) @ residual)
-    return float(fine[int(np.argmax(proj))])
+#: the box the bounded fit searches, in parameter order
+#: (offset, visibility, phase0, harmonic)
+_LOWER = np.array([1e-300, 0.0, -2.0 * math.pi, 0.05])
+_UPPER = np.array([np.inf, 1.0, 4.0 * math.pi, 64.0])
+
+#: harmonic start-point scan: coarse frequencies, taken in blocks, then fine
+#: offsets around the best coarse one
+_COARSE_HARMONICS = np.linspace(0.5, 24.0, 512)
+_HARMONIC_BLOCK = 64
+_FINE_OFFSETS = np.linspace(-0.1, 0.1, 101)
+
+
+def _residuals_and_jacobian(params, thetas, counts, sigma, harmonic=None):
+    """Weighted residuals (R, n) and their Jacobian (R, n, p) for a stack of
+    parameter rows (offset, v, phase0[, m]) of offset*(1 + v*cos(m*theta +
+    phase0)); a fixed harmonic is given as `harmonic` and has no column."""
+    off, v, ph = params[:, 0:1], params[:, 1:2], params[:, 2:3]
+    m = params[:, 3:4] if harmonic is None else harmonic
+    arg = m * thetas + ph
+    cos = np.cos(arg)
+    residuals = (off * (1.0 + v * cos) - counts) / sigma
+    jac = np.empty(residuals.shape + (params.shape[1],))
+    jac[..., 0] = (1.0 + v * cos) / sigma
+    jac[..., 1] = off * cos / sigma
+    jac[..., 2] = -off * v * np.sin(arg) / sigma
+    if harmonic is None:
+        jac[..., 3] = jac[..., 2] * thetas
+    return residuals, jac
+
+
+def _start_points(thetas, counts, harmonic=None):
+    """Fit start rows (offset, v, phase0[, m]) for a stack of scans (R, n).
+
+    A free harmonic starts at the strongest Fourier component of the
+    de-meaned data: a coarse scan over [0.5, 24], then +-0.1 around its best
+    frequency b through exp(-i(b+d)theta) = exp(-i d theta)*exp(-i b theta),
+    so every row shares one fine matrix. Visibility and phase come from the
+    Fourier component at the start harmonic.
+    """
+    n = thetas.size
+    mean = counts.mean(axis=1)
+    resid = counts - mean[:, None]
+    if harmonic is None:
+        rows = np.arange(len(counts))
+        best = np.zeros(len(counts))
+        peak = np.full(len(counts), -np.inf)
+        for lo in range(0, _COARSE_HARMONICS.size, _HARMONIC_BLOCK):
+            freqs = _COARSE_HARMONICS[lo:lo + _HARMONIC_BLOCK]
+            proj = np.abs(resid @ np.exp(-1j * np.outer(thetas, freqs)))
+            k = np.argmax(proj, axis=1)
+            top = proj[rows, k]
+            better = top > peak                  # ties keep the lower frequency
+            peak = np.where(better, top, peak)
+            best = np.where(better, freqs[k], best)
+        shifted = resid * np.exp(-1j * best[:, None] * thetas)
+        proj = np.abs(shifted @ np.exp(-1j * np.outer(thetas, _FINE_OFFSETS)))
+        m0 = best + _FINE_OFFSETS[np.argmax(proj, axis=1)]
+    else:
+        m0 = np.full(len(counts), float(harmonic))
+    c = np.sum(resid * np.exp(-1j * m0[:, None] * thetas), axis=1)
+    y0 = np.maximum(mean, 1e-300)
+    columns = [y0, np.clip(2.0 * np.abs(c) / (n * y0), 1e-3, 1.0), np.angle(c)]
+    if harmonic is None:
+        columns.append(m0)
+    return np.stack(columns, axis=1)
+
+
+def _weights(counts, normalized):
+    """Residual scale: Poisson (counts floored at one) or unit for normalized data."""
+    return np.ones_like(counts) if normalized \
+        else np.sqrt(np.maximum(counts, 1.0))
 
 
 def fit_fringe(scan: FringeScan, fix_harmonic: float | None = None) -> FitResult:
@@ -196,55 +259,39 @@ def fit_fringe(scan: FringeScan, fix_harmonic: float | None = None) -> FitResult
     if fix_harmonic is not None and fix_harmonic <= 0:
         raise ValueError("fix_harmonic must be positive")
     th = scan.thetas
-    y = scan.counts
+    y = scan.counts[None, :]
     n = y.size
-    sigma = np.ones(n) if scan.normalized else np.sqrt(np.maximum(y, 1.0))
+    sigma = _weights(y, scan.normalized)
+    harmonic = None if fix_harmonic is None else float(fix_harmonic)
+    x0 = _start_points(th, y, harmonic)[0]
+    p = x0.size
 
-    y0 = max(float(y.mean()), 1e-300)
-    m0 = float(fix_harmonic) if fix_harmonic is not None \
-        else _dominant_harmonic(th, y - y.mean())
-    c = np.sum((y - y.mean()) * np.exp(-1j * m0 * th))
-    v0 = min(max(2.0 * abs(c) / (n * y0), 1e-3), 1.0)
-    p0 = float(np.angle(c))
+    def residuals(params):
+        return _residuals_and_jacobian(params[None], th, y, sigma, harmonic)[0][0]
 
-    free_m = fix_harmonic is None
+    def jacobian(params):
+        return _residuals_and_jacobian(params[None], th, y, sigma, harmonic)[1][0]
 
-    def residuals(p):
-        off, v, ph = p[0], p[1], p[2]
-        m = p[3] if free_m else m0
-        return (off * (1.0 + v * np.cos(m * th + ph)) - y) / sigma
-
-    if free_m:
-        x0 = [y0, v0, p0, m0]
-        lo = [1e-300, 0.0, -2.0 * math.pi, 0.05]
-        hi = [np.inf, 1.0, 4.0 * math.pi, 64.0]
-    else:
-        x0 = [y0, v0, p0]
-        lo = [1e-300, 0.0, -2.0 * math.pi]
-        hi = [np.inf, 1.0, 4.0 * math.pi]
-
-    res = least_squares(residuals, x0, bounds=(lo, hi),
+    res = least_squares(residuals, x0, jac=jacobian,
+                        bounds=(_LOWER[:p], _UPPER[:p]),
                         xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
 
     off, v, ph = res.x[0], res.x[1], res.x[2]
-    m = res.x[3] if free_m else m0
+    m = res.x[3] if harmonic is None else harmonic
     ph = ph % (2.0 * math.pi)
     if ph >= 2.0 * math.pi:       # a hair-negative phase rounds up to 2*pi
         ph = 0.0
 
     jtj = res.jac.T @ res.jac
     cov_free = np.linalg.pinv(jtj)
-    if scan.normalized and n > len(res.x):
-        cov_free = cov_free * (2.0 * res.cost / (n - len(res.x)))
+    if scan.normalized and n > p:
+        cov_free = cov_free * (2.0 * res.cost / (n - p))
     cov = np.zeros((4, 4))
-    if free_m:
-        cov[:, :] = cov_free
-    else:
-        cov[:3, :3] = cov_free
+    cov[:p, :p] = cov_free
     cov = (cov + cov.T) / 2.0
 
     model = off * (1.0 + v * np.cos(m * th + ph))
-    rms = float(np.sqrt(np.mean((model - y) ** 2)))
+    rms = float(np.sqrt(np.mean((model - scan.counts) ** 2)))
     v_se = math.sqrt(max(cov[1, 1], 0.0))
     result = FitResult(offset=float(off), visibility=float(v), phase0=float(ph),
                        harmonic=float(m), covariance=cov, residual_rms=rms,
@@ -254,6 +301,66 @@ def fit_fringe(scan: FringeScan, fix_harmonic: float | None = None) -> FitResult
             f"fringe fit did not converge within {res.nfev} evaluations",
             best=result)
     return result
+
+
+#: batched Levenberg-Marquardt: iteration cap, step tolerance relative to
+#: each parameter, and the damping at which a row counts as run away
+_LM_MAX_ITER = 100
+_LM_XTOL = 1e-13
+_LM_MAX_DAMPING = 1e16
+
+
+def _fit_stack(thetas, counts, normalized, harmonic=None):
+    """Fit a stack of scans (R, n) at once by Levenberg-Marquardt.
+
+    Unbounded damped Gauss-Newton (More, LNM 630, 1978) on the analytic
+    Jacobian: each iteration solves (J'J + lam*diag J'J) d = -J'r for every
+    active row in one call; a row takes its step if its cost does not rise
+    (lam *= 0.3) and otherwise keeps its point (lam *= 10). A row converges
+    when an accepted step is at most _LM_XTOL of every parameter; where the
+    cost no longer resolves a Gauss-Newton step, rejections raise lam until
+    the step is that small. A row that runs out of iterations, or whose lam
+    runs away, is unconverged. Returns the parameter rows (R, p) and a mask
+    of the rows that converged strictly inside the bounded fit's box; for
+    those the bounded fit reaches the same interior minimum.
+    """
+    x = _start_points(thetas, counts, harmonic)
+    rows, p = x.shape
+    sigma = _weights(counts, normalized)
+    r, jac = _residuals_and_jacobian(x, thetas, counts, sigma, harmonic)
+    cost = np.einsum("kn,kn->k", r, r)
+    lam = np.full(rows, 1e-3)
+    converged = np.zeros(rows, dtype=bool)
+    failed = np.zeros(rows, dtype=bool)
+    eye = np.eye(p)
+    for _ in range(_LM_MAX_ITER):
+        act = np.flatnonzero(~converged & ~failed)
+        if act.size == 0:
+            break
+        j = jac[act]
+        jtj = j.transpose(0, 2, 1) @ j
+        diag = np.diagonal(jtj, axis1=1, axis2=2)
+        # a zero column leaves the damped normal equations singular
+        solvable = np.all(diag > 0.0, axis=1)
+        failed[act[~solvable]] = True
+        act, j, jtj, diag = act[solvable], j[solvable], jtj[solvable], diag[solvable]
+        grad = np.einsum("knp,kn->kp", j, r[act])
+        damped = jtj + lam[act, None, None] * diag[:, :, None] * eye
+        step = np.linalg.solve(damped, -grad[:, :, None])[:, :, 0]
+        trial = x[act] + step
+        r_t, jac_t = _residuals_and_jacobian(trial, thetas, counts[act],
+                                             sigma[act], harmonic)
+        cost_t = np.einsum("kn,kn->k", r_t, r_t)
+        accept = cost_t <= cost[act]             # NaN never passes
+        small = np.all(np.abs(step) <= _LM_XTOL * np.abs(trial), axis=1)
+        converged[act] = accept & small
+        took = act[accept]
+        x[took], r[took], jac[took], cost[took] = (
+            trial[accept], r_t[accept], jac_t[accept], cost_t[accept])
+        lam[act] = np.where(accept, lam[act] * 0.3, lam[act] * 10.0)
+        failed |= lam > _LM_MAX_DAMPING
+    inside = np.all((x > _LOWER[:p]) & (x < _UPPER[:p]), axis=1)
+    return x, converged & inside
 
 
 # --------------------------------------------------------------------------
@@ -343,6 +450,10 @@ class BootstrapResult:
     flagged_unreliable: bool
 
 
+#: resamples drawn and fitted together
+_BOOTSTRAP_BLOCK = 50
+
+
 def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
                                 phi_prime_uncertainty: float,
                                 delta_omega: float, n_resamples: int = 200,
@@ -353,10 +464,13 @@ def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
     Each resample redraws the counts around the fitted model — Poisson for
     count data, normal with the fitted residual rms for normalized data — and
     redraws phi_prime from a normal law with the stated placement uncertainty,
-    then reruns the full fit-and-invert pipeline. Resamples that land in the
-    infeasible region (or whose fit fails) are counted; a failure fraction
-    above 10% flags the spread as unreliable. Deterministic for a fixed seed:
-    each resample uses its own generator derived from (seed, index).
+    then reruns the full fit-and-invert pipeline. The resamples are fitted
+    in blocks by one batched Levenberg-Marquardt solve; a resample that does
+    not converge there strictly inside the fit box goes through fit_fringe
+    instead. Resamples that land in the infeasible region (or whose fit
+    fails) are counted; a failure fraction above 10% flags the spread as
+    unreliable. Deterministic for a fixed seed: each resample uses its own
+    generator derived from (seed, index).
     """
     if n_resamples < 100:
         raise ValueError("need at least 100 resamples")
@@ -365,27 +479,40 @@ def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
 
     base = fit_fringe(scan, fix_harmonic=fix_harmonic)
     model = base.model(scan.thetas)
+    harmonic = None if fix_harmonic is None else float(fix_harmonic)
 
     kappas = []
     failures = 0
-    for i in range(n_resamples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, i]))
-        if scan.normalized:
-            counts = np.maximum(rng.normal(model, base.residual_rms), 0.0)
-        else:
-            counts = rng.poisson(model).astype(float)
-        pp = rng.normal(phi_prime, phi_prime_uncertainty)
-        try:
-            resampled = FringeScan(scan.thetas, counts, exposure=scan.exposure,
-                                   normalized=scan.normalized)
-            fit = fit_fringe(resampled, fix_harmonic=fix_harmonic)
-            if fit.visibility <= 0 or pp == 0:
-                raise InfeasibleVisibilityError(fit.visibility, 0.0)
-            est = kappa_from_visibility(fit.visibility, pp, delta_omega)
-        except (InfeasibleVisibilityError, FitConvergenceError, ValueError):
-            failures += 1
-            continue
-        kappas.append(est.kappa_bar)
+    for first in range(0, n_resamples, _BOOTSTRAP_BLOCK):
+        block = range(first, min(first + _BOOTSTRAP_BLOCK, n_resamples))
+        counts = np.empty((len(block), scan.thetas.size))
+        pps = []
+        for row, i in enumerate(block):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, i]))
+            if scan.normalized:
+                counts[row] = np.maximum(rng.normal(model, base.residual_rms), 0.0)
+            else:
+                counts[row] = rng.poisson(model)
+            pps.append(rng.normal(phi_prime, phi_prime_uncertainty))
+        params, fitted = _fit_stack(scan.thetas, counts, scan.normalized,
+                                    harmonic)
+        for row, pp in enumerate(pps):
+            try:
+                if fitted[row]:
+                    visibility = float(params[row, 1])
+                else:
+                    resampled = FringeScan(scan.thetas, counts[row],
+                                           exposure=scan.exposure,
+                                           normalized=scan.normalized)
+                    visibility = fit_fringe(resampled,
+                                            fix_harmonic=fix_harmonic).visibility
+                if visibility <= 0 or pp == 0:
+                    raise InfeasibleVisibilityError(visibility, 0.0)
+                est = kappa_from_visibility(visibility, pp, delta_omega)
+            except (InfeasibleVisibilityError, FitConvergenceError, ValueError):
+                failures += 1
+                continue
+            kappas.append(est.kappa_bar)
 
     frac = failures / n_resamples
     if not kappas:

@@ -22,6 +22,9 @@ from .units import bandwidth_nm_to_angular, wavelength_nm_to_angular
 
 SCHEMA_VERSION = 1
 
+#: largest scan a config may ask for
+MAX_POINTS = 1_000_000
+
 __all__ = ["ExperimentConfig", "ConfigError", "SCHEMA_VERSION",
            "parse_config_text", "load_config_file", "merge_config"]
 
@@ -70,6 +73,15 @@ class ExperimentConfig:
                     "mean_counts"):
             if getattr(self, key) <= 0:
                 raise ConfigError(key, "must be positive")
+        try:
+            finite_bandwidth = math.isfinite(self.delta_omega())
+        except ZeroDivisionError:
+            # a center whose square underflows fails where the filter is
+            # built, as a numeric failure
+            finite_bandwidth = True
+        if not finite_bandwidth:
+            raise ConfigError("filter_fwhm_nm",
+                              "gives no finite angular bandwidth")
         if self.filter_order <= 0 or self.filter_order % 2:
             raise ConfigError("filter_order", "must be a positive even integer")
         if self.medium_variant not in ("taylor", "bbo", "none"):
@@ -89,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError("pump_fwhm", "must be positive")
         if self.points < 8:
             raise ConfigError("points", "need at least 8 scan points")
+        if self.points > MAX_POINTS:
+            raise ConfigError("points", f"at most {MAX_POINTS} scan points")
         if self.theta_stop_deg <= self.theta_start_deg:
             raise ConfigError("theta_stop_deg",
                               "must exceed theta_start_deg")

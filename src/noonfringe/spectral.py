@@ -178,7 +178,10 @@ def jsa_amplitude(jsa: JointSpectrum, omega1, omega2):
     w1 = np.asarray(omega1, dtype=float)
     w2 = np.asarray(omega2, dtype=float)
     up = w1 + w2 - jsa.pump_center
-    amp = np.exp2(-2.0 * up * up / jsa.pump_fwhm ** 2)
+    # a pump width whose square underflows gives 0 or NaN here, which the
+    # callers' finite checks refuse; keep numpy's warning off stderr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp = np.exp2(-2.0 * up * up / jsa.pump_fwhm ** 2)
     if math.isfinite(jsa.phasematch_fwhm):
         um = w1 - w2
         amp = amp * np.exp2(-2.0 * um * um / jsa.phasematch_fwhm ** 2)

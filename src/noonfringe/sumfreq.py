@@ -362,7 +362,9 @@ def phase_distribution_moments(jsa: JointSpectrum, filt: FilterProfile,
         nu = default_nu_grid(n_points, half)
         x = nu / NU_SCALE                                    # (omega_p - 2*center)/fwhm
         omega_p = 2.0 * filt.center + x * filt.fwhm
-        pump = np.exp2(-4.0 * (omega_p - jsa.pump_center) ** 2 / jsa.pump_fwhm ** 2)
+        with np.errstate(divide="ignore", invalid="ignore"):  # see jsa_amplitude
+            pump = np.exp2(-4.0 * (omega_p - jsa.pump_center) ** 2
+                           / jsa.pump_fwhm ** 2)
         f = _self_convolution(filt.order, x.tobytes(), 400)
         w = pump * f
         w /= np.trapezoid(w, x)

@@ -6,11 +6,13 @@ from the interference engine.
 """
 
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import noonfringe
 import noonfringe.analysis
 from noonfringe import (
     BootstrapResult,
@@ -25,8 +27,12 @@ from noonfringe import (
     self_consistent_calibration,
     sigma_phi_from_visibility,
 )
+from noonfringe.analysis import _residuals_and_jacobian, _start_points
+from noonfringe.cli import read_fringe_csv
 
 LN2 = math.log(2.0)
+
+DATA_DIR = os.path.join(os.path.dirname(noonfringe.__file__), "data")
 
 THETAS = np.linspace(0.0, math.pi, 100)
 
@@ -353,3 +359,149 @@ class TestBootstrap:
                                           fix_harmonic=8.0)
         assert out.failure_fraction > 0.10
         assert out.flagged_unreliable
+
+
+def reference_bootstrap(scan, phi_prime, phi_prime_uncertainty, delta_omega,
+                        n_resamples, seed, fix_harmonic):
+    """The bootstrap as a plain loop of fit_fringe over the per-index draws."""
+    base = fit_fringe(scan, fix_harmonic=fix_harmonic)
+    model = base.model(scan.thetas)
+    kappas, failures = [], 0
+    for i in range(n_resamples):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, i]))
+        if scan.normalized:
+            counts = np.maximum(rng.normal(model, base.residual_rms), 0.0)
+        else:
+            counts = rng.poisson(model).astype(float)
+        pp = rng.normal(phi_prime, phi_prime_uncertainty)
+        try:
+            fit = fit_fringe(FringeScan(scan.thetas, counts,
+                                        normalized=scan.normalized),
+                             fix_harmonic=fix_harmonic)
+            if fit.visibility <= 0 or pp == 0:
+                raise InfeasibleVisibilityError(fit.visibility, 0.0)
+            kappas.append(kappa_from_visibility(fit.visibility, pp,
+                                                delta_omega).kappa_bar)
+        except (InfeasibleVisibilityError, FitConvergenceError, ValueError):
+            failures += 1
+    arr = np.asarray(kappas)
+    return arr.std(ddof=1), arr.mean(), failures / n_resamples
+
+
+def bundled_scan(name, normalized):
+    theta_deg, counts, _ = read_fringe_csv(os.path.join(DATA_DIR, name))
+    return FringeScan(np.radians(theta_deg), counts, normalized=normalized)
+
+
+def full_visibility_scan():
+    """A v = 1 fringe: most resamples fit to v > 1 and take the bounded fit."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[7]))
+    return FringeScan(THETAS, rng.poisson(model_counts(v=1.0)).astype(float))
+
+
+def near_floor_scan(calibration, delta_omega):
+    floor = math.exp(-(calibration * delta_omega) ** 2 / (16.0 * LN2))
+    truth = 300.0 * (1.0 + 1.05 * floor * np.cos(8.0 * THETAS + 0.244))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[5]))
+    return FringeScan(THETAS, rng.poisson(truth).astype(float))
+
+
+def assert_matches_reference(scan, calibration, delta_omega, uncertainty,
+                             seed, fix_harmonic, rel):
+    want = reference_bootstrap(scan, calibration, uncertainty, delta_omega,
+                               100, seed, fix_harmonic)
+    got = bootstrap_kappa_uncertainty(scan, calibration, uncertainty,
+                                      delta_omega, n_resamples=100, seed=seed,
+                                      fix_harmonic=fix_harmonic)
+    assert got.kappa_std == pytest.approx(want[0], rel=rel)
+    assert got.kappa_mean == pytest.approx(want[1], rel=rel)
+    assert got.failure_fraction == want[2]
+
+
+class TestBatchedBootstrap:
+    @pytest.mark.parametrize("normalized", [False, True],
+                             ids=["counts", "normalized"])
+    @pytest.mark.parametrize("fix_harmonic", [None, 8.0],
+                             ids=["free", "fixed"])
+    @pytest.mark.parametrize("name", ["withcrystal.csv", "calibration.csv"])
+    def test_matches_the_fit_loop_on_bundled_scans(self, name, fix_harmonic,
+                                                   normalized, calibration,
+                                                   delta_omega):
+        assert_matches_reference(bundled_scan(name, normalized), calibration,
+                                 delta_omega, 0.063 * calibration, 42,
+                                 fix_harmonic, rel=1e-8)
+
+    @pytest.mark.parametrize("fix_harmonic", [None, 8.0],
+                             ids=["free", "fixed"])
+    def test_matches_the_fit_loop_at_full_visibility(self, fix_harmonic,
+                                                     calibration, delta_omega):
+        assert_matches_reference(full_visibility_scan(), calibration,
+                                 delta_omega, 0.063 * calibration, 0,
+                                 fix_harmonic, rel=1e-6)
+
+    def test_matches_the_fit_loop_near_the_floor(self, calibration,
+                                                 delta_omega):
+        assert_matches_reference(near_floor_scan(calibration, delta_omega),
+                                 calibration, delta_omega, 0.0, 2, 8.0,
+                                 rel=1e-6)
+
+    @pytest.mark.parametrize("harmonic", [None, 8.0], ids=["free", "fixed"])
+    def test_jacobian_matches_central_differences(self, harmonic):
+        rng = np.random.default_rng(4)
+        counts = rng.poisson(model_counts(), (3, THETAS.size)).astype(float)
+        sigma = np.sqrt(np.maximum(counts, 1.0))
+        params = np.array([[990.0, 0.55, 0.3, 7.9], [1010.0, 0.6, 5.5, 8.05],
+                           [1000.0, 0.2, -1.0, 8.0]])
+        if harmonic is not None:
+            params = params[:, :3]
+        _, jac = _residuals_and_jacobian(params, THETAS, counts, sigma,
+                                         harmonic)
+        for k in range(params.shape[1]):
+            h = 1e-6 * np.maximum(np.abs(params[:, k:k + 1]), 1.0)
+            up, down = params.copy(), params.copy()
+            up[:, k:k + 1] += h
+            down[:, k:k + 1] -= h
+            central = (_residuals_and_jacobian(up, THETAS, counts, sigma,
+                                               harmonic)[0]
+                       - _residuals_and_jacobian(down, THETAS, counts, sigma,
+                                                 harmonic)[0]) / (2.0 * h)
+            np.testing.assert_allclose(
+                jac[..., k], central, rtol=1e-6,
+                atol=1e-6 * np.max(np.abs(central)))
+
+    @pytest.mark.parametrize("harmonic", [None, 8.0], ids=["free", "fixed"])
+    def test_start_point_of_a_row_does_not_depend_on_the_stack(self,
+                                                               harmonic):
+        rng = np.random.default_rng(9)
+        counts = rng.poisson(model_counts(), (37, THETAS.size)).astype(float)
+        stacked = _start_points(THETAS, counts, harmonic)
+        for row in (0, 17, 36):
+            single = _start_points(THETAS, counts[row:row + 1], harmonic)
+            np.testing.assert_array_equal(single[0], stacked[row])
+
+    def test_fit_fringe_runs_once_unless_a_row_falls_back(self, monkeypatch,
+                                                          calibration,
+                                                          delta_omega):
+        calls = {"fit_fringe": 0, "least_squares": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(noonfringe.analysis, name,
+                                counted(name, getattr(noonfringe.analysis,
+                                                      name)))
+        scan = bundled_scan("withcrystal.csv", False)
+        bootstrap_kappa_uncertainty(scan, calibration, 0.063 * calibration,
+                                    delta_omega, n_resamples=200, seed=42)
+        assert calls == {"fit_fringe": 1, "least_squares": 1}
+
+        calls.update(fit_fringe=0, least_squares=0)
+        bootstrap_kappa_uncertainty(full_visibility_scan(), calibration,
+                                    0.063 * calibration, delta_omega,
+                                    n_resamples=200, seed=0)
+        assert calls["fit_fringe"] > 100
+        assert calls["least_squares"] == calls["fit_fringe"]

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -579,6 +580,37 @@ class TestConfigPlumbing:
         assert code == EXIT_INPUT
         assert out == ""
         assert "no finite fringe" in err and "mean_counts" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--visibility", "0.5"], ["validate"], ["simulate"],
+        ["synth"],
+    ], ids=["estimate", "validate", "simulate", "synth"])
+    def test_infinite_angular_bandwidth_is_an_input_error(self, capsys, argv):
+        code, out, err = run(capsys, argv + ["--filter-fwhm-nm", "1e300"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "'filter_fwhm_nm'" in err and "finite angular bandwidth" in err
+
+    def test_oversized_scan_is_an_input_error(self, capsys):
+        # numpy refuses this size before allocating anything
+        code, out, err = run(capsys, ["simulate", "--points",
+                                      "999999999999999999999"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "'points'" in err and "1000000" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--filter-fwhm-nm", "1e-300"],
+        ["synth", "--filter-fwhm-nm", "1e-300"],
+        ["validate", "--filter-fwhm-nm", "1e-300"],
+        ["simulate", "--pump-fwhm", "1e-300"],
+    ], ids=["simulate", "synth", "validate", "pump-width"])
+    def test_degenerate_width_leaves_stderr_one_error_line(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, argv)
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_csv_headers_round_trip_the_config(self, tmp_path, capsys):
         target = tmp_path / "curve.csv"

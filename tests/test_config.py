@@ -15,7 +15,7 @@ from noonfringe import (
     load_config_file,
     wavelength_nm_to_angular,
 )
-from noonfringe.config import merge_config, parse_config_text
+from noonfringe.config import MAX_POINTS, merge_config, parse_config_text
 
 
 class TestParse:
@@ -172,6 +172,21 @@ class TestValidation:
     def test_non_finite_file_value_names_the_field(self):
         with pytest.raises(ConfigError, match="mean_counts"):
             merge_config(parse_config_text("mean_counts = nan"))
+
+    def test_filter_width_needs_a_finite_angular_bandwidth(self):
+        # finite in nm, but the conversion to rad/s overflows
+        with pytest.raises(ConfigError, match="angular bandwidth") as info:
+            ExperimentConfig(filter_fwhm_nm=1e300)
+        assert info.value.key == "filter_fwhm_nm"
+
+    @pytest.mark.parametrize("points", [MAX_POINTS + 1, 10 ** 21])
+    def test_points_are_bounded(self, points):
+        with pytest.raises(ConfigError, match=str(MAX_POINTS)) as info:
+            ExperimentConfig(points=points)
+        assert info.value.key == "points"
+
+    def test_largest_scan_is_accepted(self):
+        assert ExperimentConfig(points=MAX_POINTS).points == MAX_POINTS
 
 
 class TestDerivedObjects:
