@@ -76,9 +76,9 @@ class ExperimentConfig:
         try:
             finite_bandwidth = math.isfinite(self.delta_omega())
         except ZeroDivisionError:
-            # a center whose square underflows fails where the filter is
-            # built, as a numeric failure
-            finite_bandwidth = True
+            # the center's square underflows to zero
+            raise ConfigError("filter_center_nm",
+                              "gives no finite angular bandwidth") from None
         if not finite_bandwidth:
             raise ConfigError("filter_fwhm_nm",
                               "gives no finite angular bandwidth")

@@ -4,17 +4,17 @@ A polarization rotation by angle theta mixes the two circular components of
 each photon; the medium adds a frequency-dependent birefringent phase, so each
 photon carries an effective rotation angle theta_i = 2*theta + phi(omega_i)/2.
 The coincidence probability is a frequency integral over the filtered pair
-spectrum. Two independent formulas are implemented:
+spectrum. The direct per-angle form, coincidence_probability_general, is the
+reference: the general bilinear form at one angle, summing the direct,
+swapped and interference contributions of any spectral amplitude.
 
-* the general bilinear form, valid for asymmetric and complex spectral
-  amplitudes, summing the direct, swapped and interference contributions;
-* the symmetric reduction, |Phi|^2 T T cos^2(theta_1 + theta_2), evaluated
-  through its fringe-harmonic components so the visibility comes out exactly.
-
-The general form is a trigonometric polynomial in theta with harmonics 0,
-4 theta and 8 theta only, so a scan of any spectrum costs one quadrature of
-three fringe components, not one per angle; the direct per-angle formula
-stays as the independent reference.
+One harmonic form serves every spectrum and every other caller. Integrated
+over frequency, the bilinear form is P(theta) = (N + Re(Z e^{8i theta}))/2
+for any pair: its 4-theta component is odd under exchange of the photons,
+which pass the same filter and medium, and vanishes on the symmetric
+difference-axis rule. One quadrature of N and Z gives the exact visibility
+|Z|/N and a whole scan; for exchange-symmetric pairs it is the reduction
+|Phi|^2 T T cos^2(theta_1 + theta_2).
 
 Both integrate in rotated coordinates (sum and difference frequency) on a
 Gauss-Legendre mesh whose sum-frequency half-range adapts to the narrower of
@@ -29,7 +29,6 @@ approximation; measured deviations are pinned in the test suite.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -132,12 +131,6 @@ def _rotated_mesh(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
     return omega1, omega2, weights
 
 
-def _mix_angles(medium: DispersiveMedium, omega1, omega2, theta: float):
-    th1 = 2.0 * theta + 0.5 * medium_phase(medium, omega1)
-    th2 = 2.0 * theta + 0.5 * medium_phase(medium, omega2)
-    return th1, th2
-
-
 # --------------------------------------------------------------------------
 # probability paths
 # --------------------------------------------------------------------------
@@ -150,8 +143,8 @@ def _thinned(grid: FrequencyGrid) -> int:
 def _check_shift(shift: float, flux: float, grid: FrequencyGrid, n_thin: int,
                  accuracy_tol: float) -> None:
     """Refuse a probability that thinning the nodes moves by more than
-    accuracy_tol of the pair flux."""
-    err = shift / max(flux, 1e-300)
+    accuracy_tol of the pair flux; a mesh with no flux fails the division."""
+    err = shift / flux
     if err > accuracy_tol:
         raise QuadratureAccuracyError(
             f"grid too coarse: {grid.nodes_per_axis} vs {n_thin} nodes move "
@@ -164,7 +157,8 @@ def _general_value(jsa, filt, medium, theta, grid, n=None):
     tt = filter_transmission(filt, o1) * filter_transmission(filt, o2)
     a12 = np.asarray(jsa_amplitude(jsa, o1, o2))
     a21 = np.asarray(jsa_amplitude(jsa, o2, o1))
-    th1, th2 = _mix_angles(medium, o1, o2, theta)
+    th1 = 2.0 * theta + 0.5 * medium_phase(medium, o1)
+    th2 = 2.0 * theta + 0.5 * medium_phase(medium, o2)
     c1, s1 = np.cos(th1), np.sin(th1)
     c2, s2 = np.cos(th2), np.sin(th2)
     direct = np.abs(a12) ** 2 * c1 * c1 * c2 * c2
@@ -195,56 +189,6 @@ def coincidence_probability_general(jsa: JointSpectrum, filt: FilterProfile,
     return p
 
 
-def _general_harmonics(jsa, filt, medium, grid, n=None):
-    """Fringe components of the general bilinear form in one mesh pass.
-
-    With theta_i = 2 theta + phi_i/2, g_i = e^{i phi_i}, A = |a12|^2,
-    B = |a21|^2 and C = 2 Re(a12 a21*), the bilinear form integrates to
-    P(theta) = A0 + Re(Z4 e^{4i theta}) + Re(Z8 e^{8i theta}), where
-    A0 = sum w T T [(A+B)/4 + (A+B-C) Re(g1 g2*)/8],
-    Z4 = sum w T T (A-B)(g1+g2)/4 and Z8 = sum w T T (A+B+C) g1 g2/8.
-    Returns (A0, Z4, Z8, pair flux). Z4 vanishes to rounding here: both
-    photons pass the same filter and medium, and A-B is odd under their
-    exchange; it is kept so the components are the form itself.
-    """
-    o1, o2, w = _rotated_mesh(jsa, filt, grid, n)
-    wtt = w * filter_transmission(filt, o1) * filter_transmission(filt, o2)
-    a12 = np.asarray(jsa_amplitude(jsa, o1, o2))
-    a21 = np.asarray(jsa_amplitude(jsa, o2, o1))
-    direct = np.abs(a12) ** 2
-    swapped = np.abs(a21) ** 2
-    cross = 2.0 * np.real(a12 * np.conj(a21))
-    both = direct + swapped
-    g1 = np.exp(1j * medium_phase(medium, o1))
-    g2 = np.exp(1j * medium_phase(medium, o2))
-    beat = g1.real * g2.real + g1.imag * g2.imag      # Re(g1 g2*)
-    a0 = float(np.sum(wtt * (2.0 * both + (both - cross) * beat))) / 8.0
-    z4 = complex(np.sum(wtt * (direct - swapped) * (g1 + g2))) / 4.0
-    z8 = complex(np.sum(wtt * (both + cross) * (g1 * g2))) / 8.0
-    return a0, z4, z8, float(np.sum(wtt * both)) / 2.0
-
-
-def _general_scan(jsa, filt, medium, thetas, grid) -> np.ndarray:
-    """General-form probabilities at every angle from one harmonic pass.
-
-    The node-thinning check is coincidence_probability_general's, taken at
-    each of the same angles.
-    """
-    c4, s4 = np.cos(4.0 * thetas), np.sin(4.0 * thetas)
-    c8, s8 = np.cos(8.0 * thetas), np.sin(8.0 * thetas)
-
-    def values(n=None):
-        a0, z4, z8, flux = _general_harmonics(jsa, filt, medium, grid, n)
-        return a0 + z4.real * c4 - z4.imag * s4 + z8.real * c8 - z8.imag * s8, flux
-
-    p, flux = values()
-    n_thin = _thinned(grid)
-    p_thin, _ = values(n_thin)
-    _check_shift(float(np.max(np.abs(p - p_thin))), flux, grid, n_thin,
-                 ACCURACY_TOL)
-    return p
-
-
 @dataclass(frozen=True)
 class FringeHarmonics:
     """Constant and oscillating fringe components: P = (N + Re(Z e^{8i theta}))/2."""
@@ -267,41 +211,66 @@ class FringeHarmonics:
         return 0.5 * (self.offset + osc)
 
 
-def _harmonics_value(jsa, filt, medium, grid, n=None) -> FringeHarmonics:
+def _harmonics(jsa, filt, medium, grid, n=None) -> tuple[FringeHarmonics, float]:
+    """Fringe harmonics of any spectrum in one mesh pass, and the pair flux.
+
+    With A = |a12|^2, B = |a21|^2, C = Re(a12 a21*) and S = (A + B)/2, the
+    bilinear form integrates to N = sum w T T [S + (S - C) cos(phi1 - phi2)/2]
+    and Z = sum w T T (S + C) e^{i(phi1 + phi2)}/2; the pair flux is
+    sum w T T S. A symmetric spectrum has A = B = C, so N is the flux and the
+    swapped amplitude and the beat term are not computed.
+    """
     o1, o2, w = _rotated_mesh(jsa, filt, grid, n)
-    tt = filter_transmission(filt, o1) * filter_transmission(filt, o2)
-    amp2 = np.abs(np.asarray(jsa_amplitude(jsa, o1, o2))) ** 2
-    base = w * tt * amp2
-    total_phase = medium_phase(medium, o1) + medium_phase(medium, o2)
-    offset = float(np.sum(base))
-    amp = complex(np.sum(base * np.exp(1j * total_phase)))
-    return FringeHarmonics(offset, amp)
+    wtt = w * (filter_transmission(filt, o1) * filter_transmission(filt, o2))
+    phi1, phi2 = medium_phase(medium, o1), medium_phase(medium, o2)
+    a12 = np.asarray(jsa_amplitude(jsa, o1, o2))
+    flux = wtt * np.abs(a12) ** 2
+    offset = bright = flux
+    if not jsa.symmetric:
+        a21 = np.asarray(jsa_amplitude(jsa, o2, o1))
+        flux = (flux + wtt * np.abs(a21) ** 2) / 2.0
+        overlap = wtt * np.real(a12 * np.conj(a21))
+        offset = flux + (flux - overlap) * np.cos(phi1 - phi2) / 2.0
+        bright = (flux + overlap) / 2.0
+    h = FringeHarmonics(float(np.sum(offset)),
+                        complex(np.sum(bright * np.exp(1j * (phi1 + phi2)))))
+    return h, float(np.sum(flux))
+
+
+def _checked_harmonics(jsa, filt, medium, grid, thetas, accuracy_tol,
+                       check) -> FringeHarmonics:
+    """_harmonics, re-estimated on a thinned node set.
+
+    The shift is max(|dN|, |dZ|), which bounds the move of P(theta) at every
+    angle. A scan of an asymmetric spectrum is checked at its angles only,
+    so it refuses exactly where coincidence_probability_general would at
+    each of them.
+    """
+    h, flux = _harmonics(jsa, filt, medium, grid)
+    if check:
+        n_thin = _thinned(grid)
+        h_thin, _ = _harmonics(jsa, filt, medium, grid, n_thin)
+        if thetas is None or jsa.symmetric:
+            shift = max(abs(h.offset - h_thin.offset),
+                        abs(h.amplitude - h_thin.amplitude))
+        else:
+            shift = float(np.max(np.abs(h.at(thetas) - h_thin.at(thetas))))
+        _check_shift(shift, flux, grid, n_thin, accuracy_tol)
+    return h
 
 
 def fringe_harmonics(jsa: JointSpectrum, filt: FilterProfile,
                      medium: DispersiveMedium, grid: FrequencyGrid, *,
                      accuracy_tol: float = ACCURACY_TOL,
                      check: bool = True) -> FringeHarmonics:
-    """Fringe components of the symmetric reduction.
+    """Fringe components of any pair: P(theta) = (N + Re(Z e^{8 i theta}))/2.
 
-    cos^2(theta_1+theta_2) averages to the constant plus a single harmonic at
-    8 theta, so the whole fringe is two numbers: P(theta) =
-    (N + Re(Z e^{8 i theta}))/2 with N the filtered pair flux and Z its
-    phase-weighted counterpart. Visibility |Z|/N is free of theta sampling.
+    N is the fringe offset (the filtered pair flux for a symmetric spectrum)
+    and Z its phase-weighted counterpart, so visibility |Z|/N is free of
+    theta sampling. Raises QuadratureAccuracyError when thinning the nodes
+    moves N or Z by more than accuracy_tol of the pair flux.
     """
-    if not jsa.symmetric:
-        raise ValueError("the symmetric reduction requires a symmetric spectrum")
-    h = _harmonics_value(jsa, filt, medium, grid)
-    if check:
-        n_thin = _thinned(grid)
-        h_thin = _harmonics_value(jsa, filt, medium, grid, n_thin)
-        err = max(abs(h.offset - h_thin.offset),
-                  abs(h.amplitude - h_thin.amplitude)) / h.offset
-        if err > accuracy_tol:
-            raise QuadratureAccuracyError(
-                f"grid too coarse: {grid.nodes_per_axis} vs {n_thin} nodes move "
-                f"the fringe harmonics by {err:.2e} (tolerance {accuracy_tol:.1e})")
-    return h
+    return _checked_harmonics(jsa, filt, medium, grid, None, accuracy_tol, check)
 
 
 def coincidence_probability_symmetric(jsa: JointSpectrum, filt: FilterProfile,
@@ -310,6 +279,8 @@ def coincidence_probability_symmetric(jsa: JointSpectrum, filt: FilterProfile,
                                       accuracy_tol: float = ACCURACY_TOL,
                                       check: bool = True) -> float:
     """Coincidence probability for exchange-symmetric pairs."""
+    if not jsa.symmetric:
+        raise ValueError("the symmetric reduction requires a symmetric spectrum")
     h = fringe_harmonics(jsa, filt, medium, grid,
                          accuracy_tol=accuracy_tol, check=check)
     return float(h.at(theta))
@@ -317,7 +288,7 @@ def coincidence_probability_symmetric(jsa: JointSpectrum, filt: FilterProfile,
 
 def harmonic_visibility(jsa: JointSpectrum, filt: FilterProfile,
                         medium: DispersiveMedium, grid: FrequencyGrid) -> float:
-    """Exact fringe visibility of the symmetric model, |Z|/N."""
+    """Exact fringe visibility |Z|/N of any pair, symmetric or not."""
     return fringe_harmonics(jsa, filt, medium, grid).visibility
 
 
@@ -327,20 +298,17 @@ def simulate_fringe_scan(jsa: JointSpectrum, filt: FilterProfile,
                          grid: FrequencyGrid | None = None) -> ProbabilityCurve:
     """Evaluate the fringe over a list of analyzer angles.
 
-    One quadrature serves the whole scan: symmetric spectra through their
-    constant and 8-theta components, general spectra through the 0, 4-theta
-    and 8-theta components of the bilinear form, each checked against a
-    thinned node set at every requested angle.
+    One quadrature of the fringe harmonics serves the whole scan of any
+    spectrum. An asymmetric spectrum is checked against a thinned node set
+    at every requested angle, a symmetric one as fringe_harmonics checks it.
     """
     th = np.asarray(thetas, dtype=float)
     if th.size == 0:
         raise ValueError("need at least one angle")
     if grid is None:
         grid = FrequencyGrid(center=jsa.pump_center / 2.0)
-    if jsa.symmetric:
-        values = fringe_harmonics(jsa, filt, medium, grid).at(th)
-    else:
-        values = _general_scan(jsa, filt, medium, th, grid)
+    values = _checked_harmonics(jsa, filt, medium, grid, th, ACCURACY_TOL,
+                                True).at(th)
     if normalization == "mean-one":
         mean = values.mean()
         if mean <= 0:

@@ -560,13 +560,12 @@ class TestConfigPlumbing:
         ["simulate", "--kappa", "1e300"],
         ["validate", "--kappa", "1e300"],
         ["simulate", "--pump-wavelength-nm", "1e300"],
-        ["simulate", "--filter-center-nm", "1e-300"],
         ["estimate", "--visibility", "0.5", "--calibration", "user",
          "--phi-prime-cal", "1e-300"],
         ["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
          "--length-mm", "1e-300"],
     ], ids=["simulate-kappa", "validate-kappa", "pump-wavelength",
-            "filter-center", "user-slope", "sellmeier-length"])
+            "user-slope", "sellmeier-length"])
     def test_numeric_failure_is_an_input_error(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == EXIT_INPUT
@@ -590,6 +589,15 @@ class TestConfigPlumbing:
         assert code == EXIT_INPUT
         assert out == ""
         assert "'filter_fwhm_nm'" in err and "finite angular bandwidth" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_underflowing_filter_center_is_an_input_error(self, capsys,
+                                                          command):
+        # the center's square underflows to zero in the unit conversion
+        code, out, err = run(capsys, [command, "--filter-center-nm", "1e-300"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "'filter_center_nm'" in err and "finite angular bandwidth" in err
 
     def test_oversized_scan_is_an_input_error(self, capsys):
         # numpy refuses this size before allocating anything

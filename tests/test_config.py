@@ -179,6 +179,12 @@ class TestValidation:
             ExperimentConfig(filter_fwhm_nm=1e300)
         assert info.value.key == "filter_fwhm_nm"
 
+    def test_filter_center_needs_a_finite_angular_bandwidth(self):
+        # positive, but its square underflows in the conversion to rad/s
+        with pytest.raises(ConfigError, match="angular bandwidth") as info:
+            ExperimentConfig(filter_center_nm=1e-300)
+        assert info.value.key == "filter_center_nm"
+
     @pytest.mark.parametrize("points", [MAX_POINTS + 1, 10 ** 21])
     def test_points_are_bounded(self, points):
         with pytest.raises(ConfigError, match=str(MAX_POINTS)) as info:

@@ -170,13 +170,21 @@ class TestSymmetricEngine:
         h = fringe_harmonics(ref_jsa, ref_filter, medium, ref_grid)
         assert h.phase == pytest.approx(0.244, abs=1e-12)
 
-    def test_asymmetric_spectrum_rejected(self, ref_filter, ref_grid, omega0,
-                                          delta_omega, ref_medium):
-        jsa = JointSpectrum(pump_center=2.0 * omega0,
-                            pump_fwhm=math.sqrt(0.14) * delta_omega,
-                            symmetric=False)
+    def test_asymmetric_flag_keeps_the_harmonics(self, ref_jsa, ref_filter,
+                                                 ref_grid, ref_medium):
+        # the general harmonics of a symmetric pair flagged asymmetric are
+        # its symmetric ones; only the symmetric wrapper refuses the flag
+        flagged = JointSpectrum(pump_center=ref_jsa.pump_center,
+                                pump_fwhm=ref_jsa.pump_fwhm, symmetric=False)
+        h = fringe_harmonics(flagged, ref_filter, ref_medium, ref_grid)
+        twin = fringe_harmonics(ref_jsa, ref_filter, ref_medium, ref_grid)
+        assert abs(h.offset - twin.offset) / twin.offset < 1e-12
+        assert abs(h.amplitude - twin.amplitude) / twin.offset < 1e-12
+        assert harmonic_visibility(flagged, ref_filter, ref_medium,
+                                   ref_grid) == pytest.approx(V_AT_T_SC, abs=1e-9)
         with pytest.raises(ValueError, match="symmetric"):
-            fringe_harmonics(jsa, ref_filter, ref_medium, ref_grid)
+            coincidence_probability_symmetric(flagged, ref_filter, ref_medium,
+                                              0.3, ref_grid)
 
     def test_extract_visibility_agrees_with_harmonics(self, ref_jsa, ref_filter,
                                                       ref_medium, ref_grid):
@@ -239,6 +247,12 @@ class TestGeneralPath:
         unchecked = coincidence_probability_general(jsa, ref_filter, medium, 0.3,
                                                     grid, check=False)
         assert np.isfinite(unchecked)
+        chirped = chirped_pair(omega0, delta_omega, 5.0, 2.0, 0.3, 0.0)
+        for pair in (jsa, chirped):
+            with pytest.raises(QuadratureAccuracyError, match="coarse"):
+                fringe_harmonics(pair, ref_filter, medium, grid)
+            h = fringe_harmonics(pair, ref_filter, medium, grid, check=False)
+            assert np.isfinite(h.offset) and np.isfinite(h.visibility)
 
     def test_symmetric_wrapper_matches_general(self, ref_jsa, ref_filter,
                                                ref_medium, ref_grid):
@@ -268,6 +282,22 @@ class TestSimulateScan:
     def test_empty_scan_rejected(self, ref_jsa, ref_filter, ref_medium):
         with pytest.raises(ValueError, match="angle"):
             simulate_fringe_scan(ref_jsa, ref_filter, ref_medium, [])
+
+    def test_symmetric_scan_is_checked_on_its_harmonics(self, ref_filter,
+                                                        omega0, delta_omega):
+        # at 72 nodes thinning moves N or Z by ~6e-5 of the flux but P(theta)
+        # at these angles by ~2e-6: the per-angle checks pass, the scan of a
+        # symmetric spectrum refuses as fringe_harmonics does
+        jsa = make_jsa(omega0, delta_omega, 2.0)
+        medium = make_medium(omega0, delta_omega, 3.0, phi0=0.4)
+        grid = FrequencyGrid(center=omega0, nodes_per_axis=72)
+        thetas = np.array([0.0, 0.75, 1.0]) * math.pi / 4.0
+        for theta in thetas:
+            coincidence_probability_general(jsa, ref_filter, medium, theta, grid)
+        with pytest.raises(QuadratureAccuracyError, match="coarse"):
+            fringe_harmonics(jsa, ref_filter, medium, grid)
+        with pytest.raises(QuadratureAccuracyError, match="coarse"):
+            simulate_fringe_scan(jsa, ref_filter, medium, thetas, grid=grid)
 
     def test_general_fallback_equals_the_symmetric_twin(self, ref_filter,
                                                         ref_medium, ref_grid,
@@ -362,12 +392,16 @@ class TestGeneralScan:
                   for theta in thetas]
         flux = pair_flux(jsa, ref_filter, grid, omega0)
         assert np.max(np.abs(scan.values - direct)) / flux < 1e-12
-        # a pi/4 turn flips the 4-theta component, which vanishes: both
-        # photons pass the same filter and medium, and |a12|^2 - |a21|^2 is
-        # odd under their exchange
-        shifted = simulate_fringe_scan(jsa, ref_filter, media[medium],
-                                       thetas + math.pi / 4.0, grid=grid)
-        assert np.max(np.abs(shifted.values - scan.values)) / flux < 1e-12
+        harmonics = fringe_harmonics(jsa, ref_filter, media[medium], grid)
+        assert np.max(np.abs(harmonics.at(thetas) - direct)) / flux < 1e-12
+        # a pi/4 turn flips the 4-theta component of the per-angle form,
+        # which vanishes: both photons pass the same filter and medium, and
+        # |a12|^2 - |a21|^2 is odd under their exchange
+        shifted = [coincidence_probability_general(jsa, ref_filter,
+                                                   media[medium],
+                                                   theta + math.pi / 4.0, grid)
+                   for theta in thetas]
+        assert np.max(np.abs(np.subtract(shifted, direct))) / flux < 1e-12
 
     @pytest.mark.parametrize("nodes", [20, 68])
     def test_refuses_exactly_where_the_per_angle_check_does(
