@@ -37,7 +37,8 @@ from .analysis import (FringeScan, InfeasibleVisibilityError,
 from .config import (ConfigError, ExperimentConfig, load_config_file,
                      merge_config)
 from .engine import closed_form_sigma_phi, fringe_harmonics
-from .spectral import (FrequencyGrid, QuadratureAccuracyError, TaylorMedium,
+from .spectral import (DispersionWindowError, FrequencyGrid,
+                       QuadratureAccuracyError, TaylorMedium,
                        bbo_crystal, linearize_phase)
 from .sumfreq import (default_nu_grid, gaussian_approximation, kl_divergence,
                       moment_matched_gaussian, phase_distribution_moments,
@@ -223,7 +224,8 @@ def _model_curve(config: ExperimentConfig):
                                  _default_grid(config))
     thetas = config.thetas_rad()
     values = harmonics.at(thetas)
-    values = values / values.mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = values / values.mean()
     if not np.all(np.isfinite(values)):
         raise CliInputError("the configuration gives no finite fringe: the "
                             "model curve is not finite at every angle")
@@ -651,7 +653,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliInputError, ConfigError, QuadratureAccuracyError) as exc:
+    except (CliInputError, ConfigError, DispersionWindowError,
+            QuadratureAccuracyError) as exc:
         # a quadrature that cannot meet its tolerance is reported like bad
         # input: the configuration asks for more than the fixed rules resolve
         print(f"error: {exc}", file=sys.stderr)

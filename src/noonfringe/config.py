@@ -11,6 +11,7 @@ crystal modeled either as a Taylor phase or through its dispersion formula.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -24,6 +25,9 @@ SCHEMA_VERSION = 1
 
 #: largest scan a config may ask for
 MAX_POINTS = 1_000_000
+
+_NO_BANDWIDTH = "gives no finite angular bandwidth"
+_VANISHING_BANDWIDTH = "gives an angular bandwidth below the normal float range"
 
 __all__ = ["ExperimentConfig", "ConfigError", "SCHEMA_VERSION",
            "parse_config_text", "load_config_file", "merge_config"]
@@ -74,14 +78,23 @@ class ExperimentConfig:
             if getattr(self, key) <= 0:
                 raise ConfigError(key, "must be positive")
         try:
-            finite_bandwidth = math.isfinite(self.delta_omega())
-        except ZeroDivisionError:
-            # the center's square underflows to zero
-            raise ConfigError("filter_center_nm",
-                              "gives no finite angular bandwidth") from None
-        if not finite_bandwidth:
-            raise ConfigError("filter_fwhm_nm",
-                              "gives no finite angular bandwidth")
+            pump_omega = wavelength_nm_to_angular(self.pump_wavelength_nm)
+        except ZeroDivisionError:        # the wavelength in metres underflows
+            pump_omega = math.inf
+        if pump_omega == math.inf:
+            raise ConfigError("pump_wavelength_nm",
+                              "gives no finite angular frequency")
+        # the bandwidth divides by the center's square in metres: a zero or
+        # subnormal square makes it overflow, an infinite one makes it vanish
+        center_m = self.filter_center_nm * 1e-9
+        if not sys.float_info.min <= center_m * center_m < math.inf:
+            raise ConfigError("filter_center_nm", _NO_BANDWIDTH if center_m < 1.0
+                              else _VANISHING_BANDWIDTH)
+        delta_omega = self.delta_omega()
+        if not sys.float_info.min <= delta_omega < math.inf:
+            raise ConfigError("filter_fwhm_nm", _NO_BANDWIDTH
+                              if delta_omega == math.inf
+                              else _VANISHING_BANDWIDTH)
         if self.filter_order <= 0 or self.filter_order % 2:
             raise ConfigError("filter_order", "must be a positive even integer")
         if self.medium_variant not in ("taylor", "bbo", "none"):
@@ -97,8 +110,12 @@ class ExperimentConfig:
                               "must be given")
         if self.kappa is not None and self.kappa <= 0:
             raise ConfigError("kappa", "must be positive")
+        if self.kappa is not None and math.sqrt(self.kappa) * delta_omega == 0.0:
+            raise ConfigError("kappa", "gives a pump width that underflows to zero")
         if self.pump_fwhm is not None and self.pump_fwhm <= 0:
             raise ConfigError("pump_fwhm", "must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be nonnegative")
         if self.points < 8:
             raise ConfigError("points", "need at least 8 scan points")
         if self.points > MAX_POINTS:

@@ -8,13 +8,11 @@ and a birefringent medium whose phase slope drives the fringe dephasing.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .units import SPEED_OF_LIGHT, TWO_PI, angular_to_wavelength_nm
 
@@ -22,6 +20,7 @@ LN2 = math.log(2.0)
 
 __all__ = [
     "QuadratureAccuracyError",
+    "DispersionWindowError",
     "FrequencyGrid",
     "FilterProfile",
     "JointSpectrum",
@@ -44,52 +43,45 @@ class QuadratureAccuracyError(RuntimeError):
     """An integral's estimated quadrature error exceeds the requested tolerance."""
 
 
+class DispersionWindowError(ValueError):
+    """A frequency lies outside the validity window of the embedded
+    dispersion coefficients."""
+
+
 # --------------------------------------------------------------------------
 # quadrature grid
 # --------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per m.
-
-    The arrays are shared between callers, so they are read-only.
-    """
-    x, w = roots_legendre(m)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Quadrature specification for frequency integrals.
+    """Trapezoid-rule specification for frequency integrals.
 
     half_range is dimensionless, in multiples of the filter FWHM; the filter
-    tails go as 2^(-(2x)^4) so +-4 filter widths truncate below 1e-70.
+    tails go as 2^(-(2x)^4) so +-4 filter widths truncate below 1e-70. The
+    integrands are smooth and vanish to that level at both ends of the
+    window, where the equally spaced trapezoid rule converges geometrically
+    in the node count (Trefethen & Weideman, SIAM Rev. 56:385, 2014).
     """
 
     center: float
     half_range: float = 4.0
     nodes_per_axis: int = 128
-    scheme: str = "gauss-legendre"
 
     def __post_init__(self) -> None:
         if self.nodes_per_axis < 16:
             raise ValueError(f"nodes_per_axis must be >= 16, got {self.nodes_per_axis}")
         if self.half_range < 3.0:
             raise ValueError(f"half_range must be >= 3, got {self.half_range}")
-        if self.scheme not in ("gauss-legendre", "trapezoid"):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
 
     def axis(self, scale: float, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights on [-half_range*scale, +half_range*scale] about 0."""
+        """Trapezoid nodes and weights on [-half_range*scale, +half_range*scale]:
+        equally spaced, with halved end weights."""
         b = self.half_range * scale
         m = self.nodes_per_axis if n is None else n
-        if self.scheme == "gauss-legendre":
-            x, w = _legendre_rule(m)
-            return x * b, w * b
-        x = np.linspace(-b, b, m)
-        w = np.full(m, x[1] - x[0])
+        # the step from linspace itself: x[1] - x[0] would carry the
+        # rounding of x[0], a relative error of ~m ulp
+        x, h = np.linspace(-b, b, m, retstep=True)
+        w = np.full(m, h)
         w[0] *= 0.5
         w[-1] *= 0.5
         return x, w
@@ -267,7 +259,7 @@ def _check_window(omega: np.ndarray) -> None:
     lo, hi = _SELLMEIER_WINDOW_NM
     if np.any(lam_nm < lo) or np.any(lam_nm > hi):
         bad = float(np.min(lam_nm)) if np.any(lam_nm < lo) else float(np.max(lam_nm))
-        raise ValueError(
+        raise DispersionWindowError(
             f"wavelength {bad:.1f} nm outside the {lo:.0f}-{hi:.0f} nm validity "
             "window of the embedded dispersion coefficients")
 

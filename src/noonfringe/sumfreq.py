@@ -157,8 +157,10 @@ def sum_frequency_density_numeric(filt: FilterProfile, nu: np.ndarray | None = N
     if grid.max() < 3.0:
         raise ValueError("nu grid must extend to at least +-3")
     x = (grid / NU_SCALE).tobytes()
-    f = _self_convolution(filt.order, x, inner_nodes)
-    f2 = _self_convolution(filt.order, x, 2 * inner_nodes)
+    # a steep filter's powers overflow to inf, whose exp2(-inf) = 0 is exact
+    with np.errstate(over="ignore"):
+        f = _self_convolution(filt.order, x, inner_nodes)
+        f2 = _self_convolution(filt.order, x, 2 * inner_nodes)
     err = float(np.abs(f - f2).max() / f2.max())
     if err > 1e-8:
         raise QuadratureAccuracyError(
@@ -362,22 +364,32 @@ def phase_distribution_moments(jsa: JointSpectrum, filt: FilterProfile,
         nu = default_nu_grid(n_points, half)
         x = nu / NU_SCALE                                    # (omega_p - 2*center)/fwhm
         omega_p = 2.0 * filt.center + x * filt.fwhm
-        with np.errstate(divide="ignore", invalid="ignore"):  # see jsa_amplitude
+        # out-of-range values end as 0, inf or NaN, which the checks below
+        # refuse; keep numpy's warnings off stderr
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             pump = np.exp2(-4.0 * (omega_p - jsa.pump_center) ** 2
                            / jsa.pump_fwhm ** 2)
-        f = _self_convolution(filt.order, x.tobytes(), 400)
-        w = pump * f
-        w /= np.trapezoid(w, x)
-        delta = 2.0 * medium_phase(medium, omega_p / 2.0)    # total fringe phase
-        mean = float(np.trapezoid(delta * w, x))
-        d = delta - mean
-        m2 = float(np.trapezoid(d ** 2 * w, x))
-        m3 = float(np.trapezoid(d ** 3 * w, x))
-        m4 = float(np.trapezoid(d ** 4 * w, x))
+            w = pump * _self_convolution(filt.order, x.tobytes(), 400)
+            norm = np.trapezoid(w, x)
+            if not 0.0 < norm < math.inf:
+                raise FloatingPointError(
+                    f"no finite sum-frequency density: the pump of width "
+                    f"{jsa.pump_fwhm!r} rad/s and the filters leave none in "
+                    f"floating-point range")
+            w /= norm
+            delta = 2.0 * medium_phase(medium, omega_p / 2.0)    # total fringe phase
+            mean = float(np.trapezoid(delta * w, x))
+            d = delta - mean
+            m2 = float(np.trapezoid(d ** 2 * w, x))
+            m3 = float(np.trapezoid(d ** 3 * w, x))
+            m4 = float(np.trapezoid(d ** 4 * w, x))
         return mean, m2, m3, m4
 
     mean, m2, m3, m4 = compute(points)
     _, m2b, _, _ = compute(2 * points - 1)
+    if not all(map(math.isfinite, (mean, m2, m3, m4, m2b))):
+        raise FloatingPointError("phase moments are not finite: the medium "
+                                 "phase leaves floating-point range")
     # a constant phase leaves only rounding dust in the variance; call it zero
     floor = (1e-12 * (1.0 + abs(mean))) ** 2
     if m2 <= floor and m2b <= floor:

@@ -593,11 +593,35 @@ class TestConfigPlumbing:
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_underflowing_filter_center_is_an_input_error(self, capsys,
                                                           command):
-        # the center's square underflows to zero in the unit conversion
-        code, out, err = run(capsys, [command, "--filter-center-nm", "1e-300"])
+        # the center's square underflows to zero or to a subnormal in the
+        # unit conversion
+        for center in ("1e-300", "1e-150"):
+            code, out, err = run(capsys, [command, "--filter-center-nm", center])
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert "'filter_center_nm'" in err
+            assert "finite angular bandwidth" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--medium", "bbo", "--filter-center-nm", "500"],
+        ["simulate", "--medium", "bbo", "--pump-wavelength-nm", "2"],
+        ["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
+         "--filter-center-nm", "2"],
+    ], ids=["filter", "pump", "sellmeier-calibration"])
+    def test_crystal_outside_its_dispersion_window_is_an_input_error(
+            self, capsys, argv):
+        code, out, err = run(capsys, argv)
         assert code == EXIT_INPUT
         assert out == ""
-        assert "'filter_center_nm'" in err and "finite angular bandwidth" in err
+        assert err.startswith("error: wavelength") and "validity window" in err
+
+    def test_pump_off_the_filters_is_an_input_error(self, capsys):
+        # an 810 nm pump makes pairs about 1620 nm, which never reach the
+        # 810 nm filters: no flux on the mesh
+        code, out, err = run(capsys, ["simulate", "--pump-wavelength-nm", "810"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "no finite fringe" in err and err.count("\n") == 1
 
     def test_oversized_scan_is_an_input_error(self, capsys):
         # numpy refuses this size before allocating anything
@@ -619,6 +643,9 @@ class TestConfigPlumbing:
             code, _, err = run(capsys, argv)
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and err.count("\n") == 1
+        if argv[0] == "validate":
+            # the pump width's square underflows in the phase moments
+            assert "pump of width" in err
 
     def test_csv_headers_round_trip_the_config(self, tmp_path, capsys):
         target = tmp_path / "curve.csv"

@@ -180,10 +180,27 @@ class TestValidation:
         assert info.value.key == "filter_fwhm_nm"
 
     def test_filter_center_needs_a_finite_angular_bandwidth(self):
-        # positive, but its square underflows in the conversion to rad/s
-        with pytest.raises(ConfigError, match="angular bandwidth") as info:
-            ExperimentConfig(filter_center_nm=1e-300)
-        assert info.value.key == "filter_center_nm"
+        # positive, but its square in metres underflows to zero (1e-300) or
+        # to a subnormal (1e-150) in the conversion to rad/s
+        for center in (1e-300, 1e-150):
+            with pytest.raises(ConfigError, match="angular bandwidth") as info:
+                ExperimentConfig(filter_center_nm=center)
+            assert info.value.key == "filter_center_nm"
+
+    @pytest.mark.parametrize("overrides,key,message", [
+        (dict(filter_center_nm=1e200), "filter_center_nm", "below the normal"),
+        (dict(filter_fwhm_nm=5e-324), "filter_fwhm_nm", "below the normal"),
+        (dict(pump_wavelength_nm=1e-300), "pump_wavelength_nm", "frequency"),
+        (dict(pump_wavelength_nm=5e-324), "pump_wavelength_nm", "frequency"),
+        (dict(filter_fwhm_nm=1e-300, kappa=1e-300), "kappa", "pump width"),
+        (dict(seed=-1), "seed", "nonnegative"),
+    ], ids=["center-square-overflows", "bandwidth-underflows", "pump-overflow",
+            "pump-zero-division", "pump-width", "seed"])
+    def test_out_of_range_values_name_their_field(self, overrides, key,
+                                                  message):
+        with pytest.raises(ConfigError, match=message) as info:
+            ExperimentConfig(**overrides)
+        assert info.value.key == key
 
     @pytest.mark.parametrize("points", [MAX_POINTS + 1, 10 ** 21])
     def test_points_are_bounded(self, points):

@@ -433,6 +433,26 @@ class TestPhaseMoments:
         assert m.skewness == pytest.approx(BBO_SKEWNESS, rel=1e-3)
         assert m.excess_kurtosis == pytest.approx(BBO_EXCESS_KURTOSIS, abs=1e-4)
 
+    @pytest.mark.parametrize("pump_fwhm,pump_offset", [
+        (1e-300, 0.0),       # the width's square underflows: 0/0 at the center
+        (None, 1e3),         # the pump lies a thousand filter widths away
+    ], ids=["underflowing-width", "pump-off-the-filters"])
+    def test_no_sum_frequency_density_names_the_pump_width(
+            self, ref_jsa, ref_filter, ref_medium, delta_omega, pump_fwhm,
+            pump_offset):
+        width = ref_jsa.pump_fwhm if pump_fwhm is None else pump_fwhm
+        jsa = JointSpectrum(
+            pump_center=ref_jsa.pump_center + pump_offset * delta_omega,
+            pump_fwhm=width)
+        with pytest.raises(FloatingPointError, match=f"pump of width {width!r}"):
+            phase_distribution_moments(jsa, ref_filter, ref_medium)
+
+    def test_overflowing_phase_is_refused(self, ref_jsa, ref_filter, omega0,
+                                          delta_omega):
+        steep = TaylorMedium(reference=omega0, phi_prime=1e300 / delta_omega)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            phase_distribution_moments(ref_jsa, ref_filter, steep)
+
     def test_grid_override_matches_the_default(self, ref_jsa, ref_filter, ref_medium,
                                                omega0):
         default = phase_distribution_moments(ref_jsa, ref_filter, ref_medium)
