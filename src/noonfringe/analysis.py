@@ -168,7 +168,8 @@ class CorrelationEstimate:
 
 def least_squares(*args, **kwargs):
     """scipy.optimize.least_squares, imported on first call: the import costs
-    a process ~0.3 s that only commands fitting a fringe should pay."""
+    a process ~0.2 s and ~18 MB, which only a fringe fit that falls back to
+    the bounded trust-region solver should pay."""
     from scipy.optimize import least_squares as solve
     return solve(*args, **kwargs)
 
@@ -252,19 +253,32 @@ def fit_fringe(scan: FringeScan, fix_harmonic: float | None = None) -> FitResult
     Count data gets Poisson weights (variance = counts, floored at one);
     normalized data gets unit weights, with the covariance rescaled by the
     residual variance. The starting point comes from the discrete Fourier
-    component at the dominant fringe frequency. A visibility within three
-    standard errors of zero sets the degenerate flag — the fringe is
-    indistinguishable from noise.
+    component at the dominant fringe frequency. The scan is fitted first as
+    a one-row stack by the batched Levenberg-Marquardt solver that the
+    bootstrap uses; if that does not converge strictly inside the fit box,
+    bounded trust-region least squares (scipy's TRF) fits it again from the
+    same start, and raises FitConvergenceError, carrying its best iterate,
+    when it runs out of evaluations. Inside the box both reach the same
+    minimum. The covariance is pinv(J'J) on the analytic Jacobian at the
+    fitted point. A visibility within three standard errors of zero sets the
+    degenerate flag — the fringe is indistinguishable from noise.
     """
     if fix_harmonic is not None and fix_harmonic <= 0:
         raise ValueError("fix_harmonic must be positive")
+    harmonic = None if fix_harmonic is None else float(fix_harmonic)
+    y = scan.counts[None, :]
+    start = _start_points(scan.thetas, y, harmonic)
+    params, inside = _fit_stack(start, scan.thetas, y, scan.normalized, harmonic)
+    if inside[0]:
+        return _fit_result(scan, harmonic, params[0])
+    return _fit_bounded(scan, harmonic, start[0])
+
+
+def _fit_bounded(scan, harmonic, x0):
+    """The fit by bounded trust-region least squares from the start row x0."""
     th = scan.thetas
     y = scan.counts[None, :]
-    n = y.size
     sigma = _weights(y, scan.normalized)
-    harmonic = None if fix_harmonic is None else float(fix_harmonic)
-    x0 = _start_points(th, y, harmonic)[0]
-    p = x0.size
 
     def residuals(params):
         return _residuals_and_jacobian(params[None], th, y, sigma, harmonic)[0][0]
@@ -273,19 +287,33 @@ def fit_fringe(scan: FringeScan, fix_harmonic: float | None = None) -> FitResult
         return _residuals_and_jacobian(params[None], th, y, sigma, harmonic)[1][0]
 
     res = least_squares(residuals, x0, jac=jacobian,
-                        bounds=(_LOWER[:p], _UPPER[:p]),
+                        bounds=(_LOWER[:x0.size], _UPPER[:x0.size]),
                         xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
+    result = _fit_result(scan, harmonic, res.x)
+    if not res.success:
+        raise FitConvergenceError(
+            f"fringe fit did not converge within {res.nfev} evaluations",
+            best=result)
+    return result
 
-    off, v, ph = res.x[0], res.x[1], res.x[2]
-    m = res.x[3] if harmonic is None else harmonic
+
+def _fit_result(scan, harmonic, x):
+    """FitResult at the parameter row x, its phase folded into [0, 2*pi)."""
+    th = scan.thetas
+    y = scan.counts[None, :]
+    n, p = y.size, x.size
+    off, v, ph = x[0], x[1], x[2]
+    m = x[3] if harmonic is None else harmonic
     ph = ph % (2.0 * math.pi)
     if ph >= 2.0 * math.pi:       # a hair-negative phase rounds up to 2*pi
         ph = 0.0
 
-    jtj = res.jac.T @ res.jac
-    cov_free = np.linalg.pinv(jtj)
+    r, jac = _residuals_and_jacobian(x[None], th, y,
+                                     _weights(y, scan.normalized), harmonic)
+    r, jac = r[0], jac[0]
+    cov_free = np.linalg.pinv(jac.T @ jac)
     if scan.normalized and n > p:
-        cov_free = cov_free * (2.0 * res.cost / (n - p))
+        cov_free = cov_free * (float(r @ r) / (n - p))     # 2*cost/(n - p)
     cov = np.zeros((4, 4))
     cov[:p, :p] = cov_free
     cov = (cov + cov.T) / 2.0
@@ -293,14 +321,9 @@ def fit_fringe(scan: FringeScan, fix_harmonic: float | None = None) -> FitResult
     model = off * (1.0 + v * np.cos(m * th + ph))
     rms = float(np.sqrt(np.mean((model - scan.counts) ** 2)))
     v_se = math.sqrt(max(cov[1, 1], 0.0))
-    result = FitResult(offset=float(off), visibility=float(v), phase0=float(ph),
-                       harmonic=float(m), covariance=cov, residual_rms=rms,
-                       degenerate=bool(v < 3.0 * v_se))
-    if not res.success:
-        raise FitConvergenceError(
-            f"fringe fit did not converge within {res.nfev} evaluations",
-            best=result)
-    return result
+    return FitResult(offset=float(off), visibility=float(v), phase0=float(ph),
+                     harmonic=float(m), covariance=cov, residual_rms=rms,
+                     degenerate=bool(v < 3.0 * v_se))
 
 
 #: batched Levenberg-Marquardt: iteration cap, step tolerance relative to
@@ -310,8 +333,9 @@ _LM_XTOL = 1e-13
 _LM_MAX_DAMPING = 1e16
 
 
-def _fit_stack(thetas, counts, normalized, harmonic=None):
-    """Fit a stack of scans (R, n) at once by Levenberg-Marquardt.
+def _fit_stack(start, thetas, counts, normalized, harmonic=None):
+    """Fit a stack of scans (R, n) at once by Levenberg-Marquardt from the
+    start rows (R, p).
 
     Unbounded damped Gauss-Newton (More, LNM 630, 1978) on the analytic
     Jacobian: each iteration solves (J'J + lam*diag J'J) d = -J'r for every
@@ -324,7 +348,7 @@ def _fit_stack(thetas, counts, normalized, harmonic=None):
     of the rows that converged strictly inside the bounded fit's box; for
     those the bounded fit reaches the same interior minimum.
     """
-    x = _start_points(thetas, counts, harmonic)
+    x = start.copy()
     rows, p = x.shape
     sigma = _weights(counts, normalized)
     r, jac = _residuals_and_jacobian(x, thetas, counts, sigma, harmonic)
@@ -458,26 +482,31 @@ def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
                                 phi_prime_uncertainty: float,
                                 delta_omega: float, n_resamples: int = 200,
                                 seed: int = 0,
-                                fix_harmonic: float | None = None) -> BootstrapResult:
+                                fix_harmonic: float | None = None,
+                                base: FitResult | None = None) -> BootstrapResult:
     """Parametric bootstrap of the correlation bound.
 
     Each resample redraws the counts around the fitted model — Poisson for
     count data, normal with the fitted residual rms for normalized data — and
     redraws phi_prime from a normal law with the stated placement uncertainty,
-    then reruns the full fit-and-invert pipeline. The resamples are fitted
-    in blocks by one batched Levenberg-Marquardt solve; a resample that does
-    not converge there strictly inside the fit box goes through fit_fringe
-    instead. Resamples that land in the infeasible region (or whose fit
-    fails) are counted; a failure fraction above 10% flags the spread as
-    unreliable. Deterministic for a fixed seed: each resample uses its own
-    generator derived from (seed, index).
+    then reruns the full fit-and-invert pipeline. The fitted model is
+    `base`, the fit_fringe result of this scan with this fix_harmonic, when
+    the caller already has it; otherwise the scan is fitted here. The
+    resamples are fitted in blocks by the batched Levenberg-Marquardt solver
+    that fit_fringe tries first; a resample that does not converge there
+    strictly inside the fit box is fitted again, from the same start, by
+    fit_fringe's bounded solver. Resamples that land in the infeasible
+    region (or whose fit fails) are counted; a failure fraction above 10%
+    flags the spread as unreliable. Deterministic for a fixed seed: each
+    resample uses its own generator derived from (seed, index).
     """
     if n_resamples < 100:
         raise ValueError("need at least 100 resamples")
     if phi_prime_uncertainty < 0:
         raise ValueError("phi_prime_uncertainty must be nonnegative")
 
-    base = fit_fringe(scan, fix_harmonic=fix_harmonic)
+    if base is None:
+        base = fit_fringe(scan, fix_harmonic=fix_harmonic)
     model = base.model(scan.thetas)
     harmonic = None if fix_harmonic is None else float(fix_harmonic)
 
@@ -494,8 +523,9 @@ def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
             else:
                 counts[row] = rng.poisson(model)
             pps.append(rng.normal(phi_prime, phi_prime_uncertainty))
-        params, fitted = _fit_stack(scan.thetas, counts, scan.normalized,
-                                    harmonic)
+        start = _start_points(scan.thetas, counts, harmonic)
+        params, fitted = _fit_stack(start, scan.thetas, counts,
+                                    scan.normalized, harmonic)
         for row, pp in enumerate(pps):
             try:
                 if fitted[row]:
@@ -504,8 +534,8 @@ def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
                     resampled = FringeScan(scan.thetas, counts[row],
                                            exposure=scan.exposure,
                                            normalized=scan.normalized)
-                    visibility = fit_fringe(resampled,
-                                            fix_harmonic=fix_harmonic).visibility
+                    visibility = _fit_bounded(resampled, harmonic,
+                                              start[row]).visibility
                 if visibility <= 0 or pp == 0:
                     raise InfeasibleVisibilityError(visibility, 0.0)
                 est = kappa_from_visibility(visibility, pp, delta_omega)

@@ -291,6 +291,20 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _medium_slope(config: ExperimentConfig) -> float:
+    """Group-delay slope of the configured medium, refused where it is
+    nonzero but the closed-form strength (phi_prime*delta_omega)^2, which the
+    law divides by, falls below the normal float range."""
+    phi_prime = config.medium_phi_prime_effective()
+    t = phi_prime * config.delta_omega()
+    if phi_prime != 0 and t * t < sys.float_info.min:
+        raise ConfigError("medium_length_mm" if config.medium_variant == "bbo"
+                          else "medium_phi_prime",
+                          "gives a group-delay slope whose squared strength "
+                          "(phi_prime*delta_omega)^2 underflows")
+    return phi_prime
+
+
 def _calibration_block(config: ExperimentConfig, source: str,
                        user_phi_prime: float | None) -> dict:
     delta_omega = config.delta_omega()
@@ -305,7 +319,7 @@ def _calibration_block(config: ExperimentConfig, source: str,
             raise CliInputError("--calibration user requires --phi-prime-cal")
         phi_prime = user_phi_prime
     else:  # config-medium
-        phi_prime = config.medium_phi_prime_effective()
+        phi_prime = _medium_slope(config)
         if phi_prime == 0:
             raise CliInputError(
                 "the configured medium has zero group-delay slope; pick "
@@ -433,7 +447,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         boot = bootstrap_kappa_uncertainty(
             scan, calibration["phi_prime_s"], unc,
             calibration["delta_omega_rad_per_s"], n_resamples=n,
-            seed=config.seed, fix_harmonic=config.fix_harmonic)
+            seed=config.seed, fix_harmonic=config.fix_harmonic, base=fit)
         report["kappa_uncertainty"] = boot.kappa_std
         report["bootstrap"] = {
             "n_resamples": boot.n_resamples,
@@ -522,7 +536,7 @@ def _validate_rows(config: ExperimentConfig) -> list[dict]:
     if kl_reason is None:
         row("KL drift under grid doubling", kl_drift, kl_drift < 1e-4, "< 1e-4")
 
-    phi_prime = config.medium_phi_prime_effective()
+    phi_prime = _medium_slope(config)
     calibration = "config-medium"
     if phi_prime == 0:
         phi_prime = self_consistent_calibration() / delta_omega

@@ -114,6 +114,14 @@ class ExperimentConfig:
             raise ConfigError("kappa", "gives a pump width that underflows to zero")
         if self.pump_fwhm is not None and self.pump_fwhm <= 0:
             raise ConfigError("pump_fwhm", "must be positive")
+        # the pump Gaussians square the pump width, and a pump_fwhm is squared
+        # into kappa as pump_fwhm/delta_omega, in Python floats
+        key, width = (("kappa", math.sqrt(self.kappa) * delta_omega)
+                      if self.kappa is not None else ("pump_fwhm", self.pump_fwhm))
+        ratio = width / delta_omega
+        if not (math.isfinite(width * width) and math.isfinite(ratio * ratio)):
+            raise ConfigError(key, "gives a pump width whose square, or kappa, "
+                              "overflows")
         if self.seed < 0:
             raise ConfigError("seed", "must be nonnegative")
         if self.points < 8:

@@ -397,14 +397,20 @@ def single_photon_visibility(filt: FilterProfile, medium: DispersiveMedium,
 
     def value(n=None):
         x, w = grid.axis(filt.fwhm, n)
-        t = filter_transmission(filt, filt.center + x) * w
-        phi = medium_phase(medium, filt.center + x)
-        return abs(np.sum(t * np.exp(1j * phi))) / np.sum(t)
+        # a phase that overflows ends in NaN, which is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = filter_transmission(filt, filt.center + x) * w
+            phi = medium_phase(medium, filt.center + x)
+            return abs(np.sum(t * np.exp(1j * phi))) / np.sum(t)
 
     v = value()
-    v_thin = value(_thinned(grid))
-    if abs(v - v_thin) > accuracy_tol:
+    shift = abs(v - value(_thinned(grid)))
+    if not math.isfinite(shift):
+        raise FloatingPointError(
+            f"no finite single-photon visibility: thinning shift {shift!r}; "
+            "the filters or the medium phase leave floating-point range")
+    if shift > accuracy_tol:
         raise QuadratureAccuracyError(
             f"grid too coarse for the single-photon integral "
-            f"(shift {abs(v - v_thin):.2e})")
+            f"(shift {shift:.2e})")
     return float(v)

@@ -199,15 +199,20 @@ class TestFitFringe:
         assert fit.visibility < 3.0 * fit.stderr("visibility")
 
     def test_convergence_failure_carries_the_best_iterate(self, monkeypatch):
+        calls = []
+
         def fake_least_squares(fun, x0, **kwargs):
             x = np.asarray(x0, dtype=float)
-            return SimpleNamespace(x=x, success=False, nfev=2000, cost=1.0,
-                                   jac=np.ones((THETAS.size, x.size)))
+            calls.append(x)
+            return SimpleNamespace(x=x, success=False, nfev=2000)
 
         monkeypatch.setattr(noonfringe.analysis, "least_squares",
                             fake_least_squares)
+        # the unbounded fit of a v = 1 fringe ends outside the box, so the
+        # bounded solver takes over
         with pytest.raises(FitConvergenceError) as err:
-            fit_fringe(FringeScan(THETAS, model_counts()))
+            fit_fringe(full_visibility_scan())
+        assert len(calls) == 1
         assert isinstance(err.value.best, FitResult)
         assert err.value.best.offset > 0
 
@@ -482,7 +487,9 @@ class TestBatchedBootstrap:
     def test_fit_fringe_runs_once_unless_a_row_falls_back(self, monkeypatch,
                                                           calibration,
                                                           delta_omega):
-        calls = {"fit_fringe": 0, "least_squares": 0}
+        # the bounded fit runs once per scan that leaves the batched fit,
+        # and the caller's base fit is not repeated
+        calls = {"fit_fringe": 0, "_fit_bounded": 0, "least_squares": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -495,13 +502,21 @@ class TestBatchedBootstrap:
                                 counted(name, getattr(noonfringe.analysis,
                                                       name)))
         scan = bundled_scan("withcrystal.csv", False)
-        bootstrap_kappa_uncertainty(scan, calibration, 0.063 * calibration,
-                                    delta_omega, n_resamples=200, seed=42)
-        assert calls == {"fit_fringe": 1, "least_squares": 1}
+        fitted_here = bootstrap_kappa_uncertainty(
+            scan, calibration, 0.063 * calibration, delta_omega,
+            n_resamples=200, seed=42)
+        assert calls == {"fit_fringe": 1, "_fit_bounded": 0, "least_squares": 0}
 
-        calls.update(fit_fringe=0, least_squares=0)
+        base = fit_fringe(scan)
+        calls.update(fit_fringe=0)
+        assert bootstrap_kappa_uncertainty(
+            scan, calibration, 0.063 * calibration, delta_omega,
+            n_resamples=200, seed=42, base=base) == fitted_here
+        assert calls == {"fit_fringe": 0, "_fit_bounded": 0, "least_squares": 0}
+
         bootstrap_kappa_uncertainty(full_visibility_scan(), calibration,
                                     0.063 * calibration, delta_omega,
                                     n_resamples=200, seed=0)
-        assert calls["fit_fringe"] > 100
-        assert calls["least_squares"] == calls["fit_fringe"]
+        assert calls["fit_fringe"] == 1
+        assert calls["_fit_bounded"] > 100
+        assert calls["least_squares"] == calls["_fit_bounded"]

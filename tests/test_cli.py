@@ -557,20 +557,47 @@ class TestConfigPlumbing:
         assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("argv", [
-        ["simulate", "--kappa", "1e300"],
-        ["validate", "--kappa", "1e300"],
         ["simulate", "--pump-wavelength-nm", "1e300"],
         ["estimate", "--visibility", "0.5", "--calibration", "user",
          "--phi-prime-cal", "1e-300"],
         ["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
          "--length-mm", "1e-300"],
-    ], ids=["simulate-kappa", "validate-kappa", "pump-wavelength",
-            "user-slope", "sellmeier-length"])
+    ], ids=["pump-wavelength", "user-slope", "sellmeier-length"])
     def test_numeric_failure_is_an_input_error(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("error: numeric failure: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("flag,key", [("--kappa", "'kappa'"),
+                                          ("--pump-fwhm", "'pump_fwhm'")],
+                             ids=["kappa", "pump-fwhm"])
+    def test_overflowing_pump_width_names_its_field(self, capsys, command,
+                                                    flag, key):
+        code, out, err = run(capsys, [command, flag, "1e300"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: config field ") and key in err
+        assert "overflows" in err
+
+    @pytest.mark.parametrize("argv,key", [
+        (["validate", "--phi-prime", "5e-324"], "'medium_phi_prime'"),
+        (["validate", "--phi-prime", "-1e-300"], "'medium_phi_prime'"),
+        (["estimate", "--visibility", "0.5", "--calibration",
+          "config-medium", "--phi-prime", "5e-324"], "'medium_phi_prime'"),
+        (["validate", "--medium", "bbo", "--length-mm", "1e-300"],
+         "'medium_length_mm'"),
+    ], ids=["validate", "validate-negative", "estimate-config-medium",
+            "validate-crystal-length"])
+    def test_underflowing_slope_names_its_field(self, capsys, argv, key):
+        # (phi_prime*delta_omega)^2 underflows, and the closed-form law
+        # divides by it
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: config field ") and key in err
+        assert "underflows" in err
 
     @pytest.mark.parametrize("command", ["simulate", "synth"])
     def test_non_finite_model_curve_is_an_input_error(self, capsys, command):
@@ -678,27 +705,37 @@ codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         codes.append(main(argv))
-    before_fit = "scipy.optimize" in sys.modules
+    before_fallback = "scipy.optimize" in sys.modules
     codes.append(main(["fit", sys.argv[2]]))
-print(json.dumps([codes, before_fit, "scipy.optimize" in sys.modules]))
+print(json.dumps([codes, before_fallback, "scipy.optimize" in sys.modules]))
 """
 
 
-def test_only_fringe_fits_load_scipy_optimize():
+def test_only_fits_that_fall_back_load_scipy_optimize(tmp_path):
     src = os.path.dirname(os.path.dirname(noonfringe.__file__))
     argvs = []
     for order in ("2", "4", "6"):
         argvs.append(["estimate", "--visibility", "0.568",
                       "--filter-order", order])
         argvs.append(["validate", "--json", "--filter-order", order])
+    for path in (CALIBRATION_CSV, WITHCRYSTAL_CSV):
+        argvs.append(["fit", path])
+        argvs.append(["estimate", path, "--bootstrap", "200"])
+    # a fringe clipped at zero counts: its unbounded fit has v > 1, so the
+    # base fit falls back to the bounded solver
+    theta = np.linspace(0.0, 180.0, 100)
+    counts = np.maximum(1000.0 * (1.0 + 1.2 * np.cos(8.0 * np.radians(theta)
+                                                     + 0.244)), 0.0)
+    clipped = tmp_path / "clipped.csv"
+    clipped.write_text("theta_deg,counts\n" + "".join(
+        f"{float(t)!r},{round(c)}\n" for t, c in zip(theta, counts)))
     env = {**os.environ, "PYTHONPATH": src}
     env.pop(CONFIG_ENV_VAR, None)
     proc = subprocess.run(
         [sys.executable, "-c", _OPTIMIZE_PROBE, json.dumps(argvs),
-         WITHCRYSTAL_CSV], capture_output=True, text=True, env=env,
-        timeout=300)
+         str(clipped)], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    codes, before_fit, after_fit = json.loads(proc.stdout)
-    assert codes == [EXIT_OK] * 7
-    assert not before_fit
-    assert after_fit
+    codes, before_fallback, after_fallback = json.loads(proc.stdout)
+    assert codes == [EXIT_OK] * (len(argvs) + 1)
+    assert not before_fallback
+    assert after_fallback

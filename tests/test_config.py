@@ -194,8 +194,13 @@ class TestValidation:
         (dict(pump_wavelength_nm=5e-324), "pump_wavelength_nm", "frequency"),
         (dict(filter_fwhm_nm=1e-300, kappa=1e-300), "kappa", "pump width"),
         (dict(seed=-1), "seed", "nonnegative"),
+        (dict(kappa=1e300), "kappa", "overflows"),
+        (dict(kappa=None, pump_fwhm=1e300), "pump_fwhm", "overflows"),
+        (dict(kappa=None, pump_fwhm=1e150, filter_fwhm_nm=1e-20),
+         "pump_fwhm", "overflows"),
     ], ids=["center-square-overflows", "bandwidth-underflows", "pump-overflow",
-            "pump-zero-division", "pump-width", "seed"])
+            "pump-zero-division", "pump-width", "seed", "kappa-overflows",
+            "pump-width-square-overflows", "pump-kappa-overflows"])
     def test_out_of_range_values_name_their_field(self, overrides, key,
                                                   message):
         with pytest.raises(ConfigError, match=message) as info:

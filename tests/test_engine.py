@@ -498,6 +498,14 @@ class TestSinglePhoton:
         assert v == pytest.approx(SINGLE_PHOTON_BBO_3MM, rel=1e-4)
         assert v < 0.05
 
+    def test_overflowing_phase_is_refused(self, ref_filter, omega0,
+                                          delta_omega):
+        # the phase overflows to inf on the mesh, so both estimates are NaN
+        medium = TaylorMedium(reference=omega0, phi_prime=1e308 / delta_omega)
+        with pytest.raises(FloatingPointError,
+                           match="no finite single-photon visibility"):
+            single_photon_visibility(ref_filter, medium)
+
 
 class TestClosedFormQuality:
     def test_frozen_shortfall_at_the_reference_configuration(
