@@ -3,8 +3,9 @@
 The measured fringe is modeled as offset*(1 + v*cos(m*theta + phi0)). The
 fitted visibility v is converted to a dephasing variance sigma_phi_sq =
 -2 ln v and inverted through the closed-form law into kappa_bar, the
-correlation parameter. Every non-ideality damps the fringe, so the estimate
-is a lower bound on the true correlation strength: kappa_bar <= kappa.
+correlation parameter. Every non-ideality damps the fringe, and a lower
+visibility inverts to a larger kappa, so the estimate is a lower bound on
+the true correlation strength: kappa_bar >= kappa.
 
 The inversion needs the calibration product phi_prime*delta_omega. It can
 come from a dispersion model, from the user, or from the self-consistent
@@ -40,7 +41,7 @@ __all__ = [
 
 
 class FitConvergenceError(RuntimeError):
-    """Fringe fit ran out of iterations; carries the best iterate found."""
+    """Fringe fit did not converge; carries the best iterate found."""
 
     def __init__(self, message: str, best: "FitResult | None" = None):
         super().__init__(message)
@@ -166,15 +167,7 @@ class CorrelationEstimate:
 # fringe fitting
 # --------------------------------------------------------------------------
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on first call: the import costs
-    a process ~0.2 s and ~18 MB, which only a fringe fit that falls back to
-    the bounded trust-region solver should pay."""
-    from scipy.optimize import least_squares as solve
-    return solve(*args, **kwargs)
-
-
-#: the box the bounded fit searches, in parameter order
+#: the box the fit searches, in parameter order
 #: (offset, visibility, phase0, harmonic)
 _LOWER = np.array([1e-300, 0.0, -2.0 * math.pi, 0.05])
 _UPPER = np.array([np.inf, 1.0, 4.0 * math.pi, 64.0])
@@ -253,47 +246,26 @@ def fit_fringe(scan: FringeScan, fix_harmonic: float | None = None) -> FitResult
     Count data gets Poisson weights (variance = counts, floored at one);
     normalized data gets unit weights, with the covariance rescaled by the
     residual variance. The starting point comes from the discrete Fourier
-    component at the dominant fringe frequency. The scan is fitted first as
-    a one-row stack by the batched Levenberg-Marquardt solver that the
-    bootstrap uses; if that does not converge strictly inside the fit box,
-    bounded trust-region least squares (scipy's TRF) fits it again from the
-    same start, and raises FitConvergenceError, carrying its best iterate,
-    when it runs out of evaluations. Inside the box both reach the same
-    minimum. The covariance is pinv(J'J) on the analytic Jacobian at the
-    fitted point. A visibility within three standard errors of zero sets the
-    degenerate flag — the fringe is indistinguishable from noise.
+    component at the dominant fringe frequency. The scan is fitted as a
+    one-row stack by the bounded batched Levenberg-Marquardt solver that the
+    bootstrap uses; a fit that does not converge raises FitConvergenceError,
+    carrying the solver's best iterate. The covariance is pinv(J'J) on the
+    analytic Jacobian at the fitted point. A visibility within three
+    standard errors of zero sets the degenerate flag — the fringe is
+    indistinguishable from noise.
     """
     if fix_harmonic is not None and fix_harmonic <= 0:
         raise ValueError("fix_harmonic must be positive")
     harmonic = None if fix_harmonic is None else float(fix_harmonic)
     y = scan.counts[None, :]
     start = _start_points(scan.thetas, y, harmonic)
-    params, inside = _fit_stack(start, scan.thetas, y, scan.normalized, harmonic)
-    if inside[0]:
-        return _fit_result(scan, harmonic, params[0])
-    return _fit_bounded(scan, harmonic, start[0])
-
-
-def _fit_bounded(scan, harmonic, x0):
-    """The fit by bounded trust-region least squares from the start row x0."""
-    th = scan.thetas
-    y = scan.counts[None, :]
-    sigma = _weights(y, scan.normalized)
-
-    def residuals(params):
-        return _residuals_and_jacobian(params[None], th, y, sigma, harmonic)[0][0]
-
-    def jacobian(params):
-        return _residuals_and_jacobian(params[None], th, y, sigma, harmonic)[1][0]
-
-    res = least_squares(residuals, x0, jac=jacobian,
-                        bounds=(_LOWER[:x0.size], _UPPER[:x0.size]),
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
-    result = _fit_result(scan, harmonic, res.x)
-    if not res.success:
+    params, converged = _fit_stack(start, scan.thetas, y, scan.normalized,
+                                   harmonic)
+    result = _fit_result(scan, harmonic, params[0])
+    if not converged[0]:
         raise FitConvergenceError(
-            f"fringe fit did not converge within {res.nfev} evaluations",
-            best=result)
+            f"fringe fit did not converge; its best iterate has visibility "
+            f"{result.visibility!r}", best=result)
     return result
 
 
@@ -327,29 +299,37 @@ def _fit_result(scan, harmonic, x):
 
 
 #: batched Levenberg-Marquardt: iteration cap, step tolerance relative to
-#: each parameter, and the damping at which a row counts as run away
-_LM_MAX_ITER = 100
+#: each parameter, and the damping at which a row counts as run away. Rows
+#: that walk a long valley to a bound take up to ~2900 iterations (near-floor
+#: free-harmonic resamples); a bundled-scan resample takes at most ~30.
+_LM_MAX_ITER = 3000
 _LM_XTOL = 1e-13
 _LM_MAX_DAMPING = 1e16
 
 
 def _fit_stack(start, thetas, counts, normalized, harmonic=None):
-    """Fit a stack of scans (R, n) at once by Levenberg-Marquardt from the
-    start rows (R, p).
+    """Fit a stack of scans (R, n) at once by bounded Levenberg-Marquardt
+    from the start rows (R, p), which lie in the fit box.
 
-    Unbounded damped Gauss-Newton (More, LNM 630, 1978) on the analytic
-    Jacobian: each iteration solves (J'J + lam*diag J'J) d = -J'r for every
-    active row in one call; a row takes its step if its cost does not rise
-    (lam *= 0.3) and otherwise keeps its point (lam *= 10). A row converges
-    when an accepted step is at most _LM_XTOL of every parameter; where the
-    cost no longer resolves a Gauss-Newton step, rejections raise lam until
-    the step is that small. A row that runs out of iterations, or whose lam
-    runs away, is unconverged. Returns the parameter rows (R, p) and a mask
-    of the rows that converged strictly inside the bounded fit's box; for
-    those the bounded fit reaches the same interior minimum.
+    Damped Gauss-Newton (More, LNM 630, 1978) on the analytic Jacobian: each
+    iteration solves (J'J + lam*diag J'J) d = -J'r for every active row in
+    one call; a row takes its step if its cost does not rise (lam *= 0.3)
+    and otherwise keeps its point (lam *= 10). The box _LOWER/_UPPER is kept
+    by a projected, active-set step (Kanzow, Yamashita & Fukushima, J.
+    Comput. Appl. Math. 172:375, 2004): a parameter on a bound whose
+    gradient points out of the box, or whose Jacobian column is zero, is
+    held there, its row and column of the damped equations replaced by the
+    identity's and its right-hand side by zero, and every trial point is
+    clipped onto the box. A row converges when an accepted step is at most
+    _LM_XTOL of every parameter; where the cost no longer resolves a
+    Gauss-Newton step, rejections raise lam until the step is that small. A
+    row that runs out of iterations, or whose lam runs away, is unconverged. Returns the parameter rows (R, p), each the
+    lowest-cost point its row reached, and a mask of the rows that
+    converged.
     """
     x = start.copy()
     rows, p = x.shape
+    lower, upper = _LOWER[:p], _UPPER[:p]
     sigma = _weights(counts, normalized)
     r, jac = _residuals_and_jacobian(x, thetas, counts, sigma, harmonic)
     cost = np.einsum("kn,kn->k", r, r)
@@ -364,14 +344,18 @@ def _fit_stack(start, thetas, counts, normalized, harmonic=None):
         j = jac[act]
         jtj = j.transpose(0, 2, 1) @ j
         diag = np.diagonal(jtj, axis1=1, axis2=2)
-        # a zero column leaves the damped normal equations singular
-        solvable = np.all(diag > 0.0, axis=1)
-        failed[act[~solvable]] = True
-        act, j, jtj, diag = act[solvable], j[solvable], jtj[solvable], diag[solvable]
         grad = np.einsum("knp,kn->kp", j, r[act])
+        x_act = x[act]
+        # a zero column (phase and harmonic at v = 0) has no gradient either
+        free = (diag > 0.0) & ~(((x_act <= lower) & (grad > 0.0))
+                                | ((x_act >= upper) & (grad < 0.0)))
         damped = jtj + lam[act, None, None] * diag[:, :, None] * eye
-        step = np.linalg.solve(damped, -grad[:, :, None])[:, :, 0]
-        trial = x[act] + step
+        damped = np.where(free[:, :, None] & free[:, None, :], damped, eye)
+        step = np.linalg.solve(damped, -(grad * free)[:, :, None])[:, :, 0]
+        unclipped = x_act + step
+        trial = np.clip(unclipped, lower, upper)
+        # a clipped parameter moves only as far as its bound
+        step = np.where(trial == unclipped, step, trial - x_act)
         r_t, jac_t = _residuals_and_jacobian(trial, thetas, counts[act],
                                              sigma[act], harmonic)
         cost_t = np.einsum("kn,kn->k", r_t, r_t)
@@ -383,8 +367,7 @@ def _fit_stack(start, thetas, counts, normalized, harmonic=None):
             trial[accept], r_t[accept], jac_t[accept], cost_t[accept])
         lam[act] = np.where(accept, lam[act] * 0.3, lam[act] * 10.0)
         failed |= lam > _LM_MAX_DAMPING
-    inside = np.all((x > _LOWER[:p]) & (x < _UPPER[:p]), axis=1)
-    return x, converged & inside
+    return x, converged
 
 
 # --------------------------------------------------------------------------
@@ -411,10 +394,11 @@ def kappa_from_visibility(visibility: float, phi_prime: float,
 
     kappa_bar = x/(1-x) with x = -2 ln(v) * 8 ln2 / (phi_prime*delta_omega)^2.
     Only phi_prime^2 enters, so the sign of the group-delay slope is
-    irrelevant. The closed form is cross-checked by bisection on the monotone
-    map kappa -> sigma_phi_sq before being returned.
+    irrelevant. A visibility of 0, which a fit held on that bound returns,
+    lies below every floor. The closed form is cross-checked by bisection on
+    the monotone map kappa -> sigma_phi_sq before being returned.
     """
-    s2 = sigma_phi_from_visibility(visibility)
+    s2 = math.inf if visibility == 0 else sigma_phi_from_visibility(visibility)
     if phi_prime == 0 or delta_omega <= 0:
         raise ValueError("phi_prime must be nonzero and delta_omega positive")
     t_sq = (phi_prime * delta_omega) ** 2
@@ -492,18 +476,19 @@ def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
     then reruns the full fit-and-invert pipeline. The fitted model is
     `base`, the fit_fringe result of this scan with this fix_harmonic, when
     the caller already has it; otherwise the scan is fitted here. The
-    resamples are fitted in blocks by the batched Levenberg-Marquardt solver
-    that fit_fringe tries first; a resample that does not converge there
-    strictly inside the fit box is fitted again, from the same start, by
-    fit_fringe's bounded solver. Resamples that land in the infeasible
-    region (or whose fit fails) are counted; a failure fraction above 10%
-    flags the spread as unreliable. Deterministic for a fixed seed: each
-    resample uses its own generator derived from (seed, index).
+    resamples are fitted in blocks by fit_fringe's bounded batched
+    Levenberg-Marquardt solver. Resamples whose fit does not converge, whose
+    visibility is zero, or that land in the infeasible region are counted;
+    a failure fraction above 10% flags the spread as unreliable. Invalid
+    arguments raise. Deterministic for a fixed seed: each resample uses its
+    own generator derived from (seed, index).
     """
     if n_resamples < 100:
         raise ValueError("need at least 100 resamples")
     if phi_prime_uncertainty < 0:
         raise ValueError("phi_prime_uncertainty must be nonnegative")
+    if phi_prime == 0 or delta_omega <= 0:
+        raise ValueError("phi_prime must be nonzero and delta_omega positive")
 
     if base is None:
         base = fit_fringe(scan, fix_harmonic=fix_harmonic)
@@ -524,22 +509,16 @@ def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
                 counts[row] = rng.poisson(model)
             pps.append(rng.normal(phi_prime, phi_prime_uncertainty))
         start = _start_points(scan.thetas, counts, harmonic)
-        params, fitted = _fit_stack(start, scan.thetas, counts,
-                                    scan.normalized, harmonic)
+        params, converged = _fit_stack(start, scan.thetas, counts,
+                                       scan.normalized, harmonic)
         for row, pp in enumerate(pps):
+            visibility = float(params[row, 1])
+            if not converged[row] or visibility <= 0 or pp == 0:
+                failures += 1
+                continue
             try:
-                if fitted[row]:
-                    visibility = float(params[row, 1])
-                else:
-                    resampled = FringeScan(scan.thetas, counts[row],
-                                           exposure=scan.exposure,
-                                           normalized=scan.normalized)
-                    visibility = _fit_bounded(resampled, harmonic,
-                                              start[row]).visibility
-                if visibility <= 0 or pp == 0:
-                    raise InfeasibleVisibilityError(visibility, 0.0)
                 est = kappa_from_visibility(visibility, pp, delta_omega)
-            except (InfeasibleVisibilityError, FitConvergenceError, ValueError):
+            except InfeasibleVisibilityError:
                 failures += 1
                 continue
             kappas.append(est.kappa_bar)

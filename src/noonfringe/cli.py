@@ -30,7 +30,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .analysis import (FringeScan, InfeasibleVisibilityError,
+from .analysis import (FitConvergenceError, FringeScan,
+                       InfeasibleVisibilityError,
                        bootstrap_kappa_uncertainty, fit_fringe,
                        kappa_from_visibility, self_consistent_calibration,
                        sigma_phi_from_visibility)
@@ -177,12 +178,20 @@ def read_fringe_csv(path: str):
     return data[:, 0], data[:, 1], err
 
 
-def _scan_from_csv(path: str, normalized: bool) -> FringeScan:
+def _fit_csv(path: str, normalized: bool, fix_harmonic: float | None):
+    """The scan in a fringe CSV and its fit. A malformed scan, or a fit that
+    does not converge, is refused like bad input."""
     theta_deg, counts, _ = read_fringe_csv(path)
     try:
-        return FringeScan(np.radians(theta_deg), counts, normalized=normalized)
+        scan = FringeScan(np.radians(theta_deg), counts, normalized=normalized)
     except ValueError as exc:
         raise CliInputError(f"{path}: {exc}") from exc
+    try:
+        return scan, fit_fringe(scan, fix_harmonic=fix_harmonic)
+    except FitConvergenceError as exc:
+        raise CliInputError(f"fringe fit of {path} did not converge; its "
+                            f"best iterate has visibility "
+                            f"{exc.best.visibility!r}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -217,11 +226,32 @@ def _fit_block(fit) -> dict:
 # subcommands
 # --------------------------------------------------------------------------
 
+def _refuse_unpaired_pump(config: ExperimentConfig) -> None:
+    """Refuse, naming the pump wavelength, a pump at which the filters pass
+    no pairs: the largest pair weight T(s/2)^2*|pump(s)|^2, on the diagonal
+    at a sum frequency s between twice the filter center and the pump
+    center, falls below the normal float range. It is sampled there in
+    log2, so nothing underflows."""
+    filt, jsa = config.filter_profile(), config.joint_spectrum()
+    detuning = jsa.pump_center - 2.0 * filt.center
+    t = np.linspace(0.0, 1.0, 1001)
+    with np.errstate(over="ignore"):
+        exponent = (2.0 * (t * detuning / filt.fwhm) ** filt.order
+                    + 4.0 * ((1.0 - t) * detuning / jsa.pump_fwhm) ** 2)
+    if exponent.min() > -math.log2(sys.float_info.min):
+        raise ConfigError("pump_wavelength_nm", "gives no finite fringe: the "
+                          "filters pass no pairs at this pump")
+
+
 def _model_curve(config: ExperimentConfig):
     """Mean-one fringe values at the configured angles, plus exact visibility."""
-    harmonics = fringe_harmonics(config.joint_spectrum(), config.filter_profile(),
-                                 config.medium(),
-                                 _default_grid(config))
+    try:
+        harmonics = fringe_harmonics(config.joint_spectrum(),
+                                     config.filter_profile(), config.medium(),
+                                     _default_grid(config))
+    except FloatingPointError:
+        _refuse_unpaired_pump(config)
+        raise
     thetas = config.thetas_rad()
     values = harmonics.at(thetas)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -273,8 +303,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    scan = _scan_from_csv(args.data, args.normalized)
-    fit = fit_fringe(scan, fix_harmonic=config.fix_harmonic)
+    _, fit = _fit_csv(args.data, args.normalized, config.fix_harmonic)
     warnings = []
     if fit.degenerate:
         warnings.append("degenerate-fit: visibility is within 3 standard "
@@ -291,17 +320,24 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_UNDERFLOWING_SLOPE = ("gives a group-delay slope whose squared strength "
+                       "(phi_prime*delta_omega)^2 underflows")
+
+
+def _slope_underflows(phi_prime: float, delta_omega: float) -> bool:
+    """Whether a nonzero slope's closed-form strength (phi_prime*delta_omega)^2,
+    which the law divides by, falls below the normal float range."""
+    t = phi_prime * delta_omega
+    return phi_prime != 0 and t * t < sys.float_info.min
+
+
 def _medium_slope(config: ExperimentConfig) -> float:
-    """Group-delay slope of the configured medium, refused where it is
-    nonzero but the closed-form strength (phi_prime*delta_omega)^2, which the
-    law divides by, falls below the normal float range."""
+    """Group-delay slope of the configured medium, refused where its
+    closed-form strength underflows."""
     phi_prime = config.medium_phi_prime_effective()
-    t = phi_prime * config.delta_omega()
-    if phi_prime != 0 and t * t < sys.float_info.min:
+    if _slope_underflows(phi_prime, config.delta_omega()):
         raise ConfigError("medium_length_mm" if config.medium_variant == "bbo"
-                          else "medium_phi_prime",
-                          "gives a group-delay slope whose squared strength "
-                          "(phi_prime*delta_omega)^2 underflows")
+                          else "medium_phi_prime", _UNDERFLOWING_SLOPE)
     return phi_prime
 
 
@@ -314,9 +350,15 @@ def _calibration_block(config: ExperimentConfig, source: str,
         crystal = bbo_crystal(config.medium_length_mm * 1e-3)
         reference = wavelength_nm_to_angular(config.filter_center_nm)
         phi_prime = linearize_phase(crystal, reference).phi_prime
+        if phi_prime == 0 or _slope_underflows(phi_prime, delta_omega):
+            raise ConfigError("medium_length_mm", "gives a Sellmeier slope "
+                              "that is zero or whose squared strength "
+                              "underflows")
     elif source == "user":
         if user_phi_prime is None:
             raise CliInputError("--calibration user requires --phi-prime-cal")
+        if _slope_underflows(user_phi_prime, delta_omega):
+            raise CliInputError(f"--phi-prime-cal {_UNDERFLOWING_SLOPE}")
         phi_prime = user_phi_prime
     else:  # config-medium
         phi_prime = _medium_slope(config)
@@ -389,8 +431,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     else:
         if args.data is None:
             raise CliInputError("estimate needs a fringe CSV or --visibility")
-        scan = _scan_from_csv(args.data, args.normalized)
-        fit = fit_fringe(scan, fix_harmonic=config.fix_harmonic)
+        scan, fit = _fit_csv(args.data, args.normalized, config.fix_harmonic)
         if fit.degenerate:
             warnings.append("degenerate-fit: visibility is within 3 standard "
                             "errors of zero")
@@ -432,7 +473,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     except InfeasibleVisibilityError as exc:
         report["infeasibility"] = _infeasibility_block(exc)
         report["kappa_bar"] = None
-        report["sigma_phi_sq_rad2"] = sigma_phi_from_visibility(visibility_used)
+        report["sigma_phi_sq_rad2"] = (sigma_phi_from_visibility(
+            visibility_used) if visibility_used > 0 else None)
         _emit_report(report, args.output)
         return EXIT_OK
 
@@ -566,6 +608,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except QuadratureAccuracyError as exc:
         rows = [{"check": "quadrature accuracy", "value": str(exc),
                  "target": "converged", "status": "FAIL"}]
+    except FloatingPointError:
+        _refuse_unpaired_pump(config)
+        raise
     failed = [r for r in rows if r["status"] == "FAIL"]
     report = {
         "schema": REPORT_SCHEMA,

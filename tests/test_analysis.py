@@ -7,10 +7,10 @@ from the interference engine.
 
 import math
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 import noonfringe
 import noonfringe.analysis
@@ -27,7 +27,8 @@ from noonfringe import (
     self_consistent_calibration,
     sigma_phi_from_visibility,
 )
-from noonfringe.analysis import _residuals_and_jacobian, _start_points
+from noonfringe.analysis import (_LOWER, _UPPER, _residuals_and_jacobian,
+                                 _start_points, _weights)
 from noonfringe.cli import read_fringe_csv
 
 LN2 = math.log(2.0)
@@ -199,22 +200,23 @@ class TestFitFringe:
         assert fit.visibility < 3.0 * fit.stderr("visibility")
 
     def test_convergence_failure_carries_the_best_iterate(self, monkeypatch):
-        calls = []
-
-        def fake_least_squares(fun, x0, **kwargs):
-            x = np.asarray(x0, dtype=float)
-            calls.append(x)
-            return SimpleNamespace(x=x, success=False, nfev=2000)
-
-        monkeypatch.setattr(noonfringe.analysis, "least_squares",
-                            fake_least_squares)
-        # the unbounded fit of a v = 1 fringe ends outside the box, so the
-        # bounded solver takes over
+        scan = full_visibility_scan()
+        assert fit_fringe(scan).visibility == 1.0     # held on its bound
+        # the batched solver runs out of iterations on its way there
+        monkeypatch.setattr(noonfringe.analysis, "_LM_MAX_ITER", 3)
         with pytest.raises(FitConvergenceError) as err:
-            fit_fringe(full_visibility_scan())
-        assert len(calls) == 1
-        assert isinstance(err.value.best, FitResult)
-        assert err.value.best.offset > 0
+            fit_fringe(scan)
+        best = err.value.best
+        assert isinstance(best, FitResult)
+        assert best.offset > 0 and 0.0 <= best.visibility <= 1.0
+        assert repr(best.visibility) in str(err.value)
+        start = _start_points(scan.thetas, scan.counts[None, :])[0]
+        x = np.array([best.offset, best.visibility, best.phase0, best.harmonic])
+        sigma = _weights(scan.counts, False)
+        costs = [float(np.sum(_residuals_and_jacobian(
+            p[None], scan.thetas, scan.counts[None, :], sigma)[0] ** 2))
+            for p in (start, x)]
+        assert costs[1] < costs[0]
 
 
 class TestVisibilityInversion:
@@ -279,6 +281,9 @@ class TestVisibilityInversion:
         # the floor itself needs kappa -> infinity, so it is infeasible too
         with pytest.raises(InfeasibleVisibilityError):
             kappa_from_visibility(floor, calibration, delta_omega)
+        # so is zero, where a fit of a flat scan may sit on its bound
+        with pytest.raises(InfeasibleVisibilityError):
+            kappa_from_visibility(0.0, calibration, delta_omega)
 
     def test_zero_slope_rejected(self, delta_omega):
         with pytest.raises(ValueError, match="phi_prime"):
@@ -366,9 +371,34 @@ class TestBootstrap:
         assert out.flagged_unreliable
 
 
+def trf_fit(scan, fix_harmonic):
+    """The fit parameters by scipy's bounded trust-region solver (TRF), the
+    reference for the batched solver: the same start row, box, residuals
+    and Jacobian, with tolerances 1e-14 and 2000 evaluations. Returns the
+    parameter row and whether TRF converged."""
+    harmonic = None if fix_harmonic is None else float(fix_harmonic)
+    y = scan.counts[None, :]
+    sigma = _weights(y, scan.normalized)
+    x0 = _start_points(scan.thetas, y, harmonic)[0]
+
+    def residuals(params):
+        return _residuals_and_jacobian(params[None], scan.thetas, y, sigma,
+                                       harmonic)[0][0]
+
+    def jacobian(params):
+        return _residuals_and_jacobian(params[None], scan.thetas, y, sigma,
+                                       harmonic)[1][0]
+
+    res = least_squares(residuals, x0, jac=jacobian,
+                        bounds=(_LOWER[:x0.size], _UPPER[:x0.size]),
+                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
+    return res.x, res.success
+
+
 def reference_bootstrap(scan, phi_prime, phi_prime_uncertainty, delta_omega,
                         n_resamples, seed, fix_harmonic):
-    """The bootstrap as a plain loop of fit_fringe over the per-index draws."""
+    """The bootstrap as a plain loop of TRF fits over the per-index draws
+    around fit_fringe's base fit."""
     base = fit_fringe(scan, fix_harmonic=fix_harmonic)
     model = base.model(scan.thetas)
     kappas, failures = [], 0
@@ -379,15 +409,16 @@ def reference_bootstrap(scan, phi_prime, phi_prime_uncertainty, delta_omega,
         else:
             counts = rng.poisson(model).astype(float)
         pp = rng.normal(phi_prime, phi_prime_uncertainty)
-        try:
-            fit = fit_fringe(FringeScan(scan.thetas, counts,
+        x, success = trf_fit(FringeScan(scan.thetas, counts,
                                         normalized=scan.normalized),
-                             fix_harmonic=fix_harmonic)
-            if fit.visibility <= 0 or pp == 0:
-                raise InfeasibleVisibilityError(fit.visibility, 0.0)
-            kappas.append(kappa_from_visibility(fit.visibility, pp,
+                             fix_harmonic)
+        if not success or x[1] <= 0 or pp == 0:
+            failures += 1
+            continue
+        try:
+            kappas.append(kappa_from_visibility(x[1], pp,
                                                 delta_omega).kappa_bar)
-        except (InfeasibleVisibilityError, FitConvergenceError, ValueError):
+        except InfeasibleVisibilityError:
             failures += 1
     arr = np.asarray(kappas)
     return arr.std(ddof=1), arr.mean(), failures / n_resamples
@@ -399,9 +430,16 @@ def bundled_scan(name, normalized):
 
 
 def full_visibility_scan():
-    """A v = 1 fringe: most resamples fit to v > 1 and take the bounded fit."""
+    """A v = 1 fringe: most resamples fit to v = 1, on the bound of the box."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[7]))
     return FringeScan(THETAS, rng.poisson(model_counts(v=1.0)).astype(float))
+
+
+def clipped_scan():
+    """A fringe clipped at zero counts: its unbounded fit has v > 1."""
+    theta = np.radians(np.linspace(0.0, 180.0, 100))
+    return FringeScan(theta, np.round(np.maximum(
+        1000.0 * (1.0 + 1.2 * np.cos(8.0 * theta + 0.244)), 0.0)))
 
 
 def near_floor_scan(calibration, delta_omega):
@@ -484,12 +522,11 @@ class TestBatchedBootstrap:
             single = _start_points(THETAS, counts[row:row + 1], harmonic)
             np.testing.assert_array_equal(single[0], stacked[row])
 
-    def test_fit_fringe_runs_once_unless_a_row_falls_back(self, monkeypatch,
-                                                          calibration,
-                                                          delta_omega):
-        # the bounded fit runs once per scan that leaves the batched fit,
-        # and the caller's base fit is not repeated
-        calls = {"fit_fringe": 0, "_fit_bounded": 0, "least_squares": 0}
+    def test_fit_fringe_runs_once_per_bootstrap_at_every_visibility(
+            self, monkeypatch, calibration, delta_omega):
+        # one base fit, unless the caller hands it in, and one batched solve
+        # per block of resamples, at v = 0.56 and at v = 1 alike
+        calls = {"fit_fringe": 0, "_fit_stack": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -505,18 +542,74 @@ class TestBatchedBootstrap:
         fitted_here = bootstrap_kappa_uncertainty(
             scan, calibration, 0.063 * calibration, delta_omega,
             n_resamples=200, seed=42)
-        assert calls == {"fit_fringe": 1, "_fit_bounded": 0, "least_squares": 0}
+        assert calls == {"fit_fringe": 1, "_fit_stack": 5}
 
         base = fit_fringe(scan)
-        calls.update(fit_fringe=0)
+        calls.update(fit_fringe=0, _fit_stack=0)
         assert bootstrap_kappa_uncertainty(
             scan, calibration, 0.063 * calibration, delta_omega,
             n_resamples=200, seed=42, base=base) == fitted_here
-        assert calls == {"fit_fringe": 0, "_fit_bounded": 0, "least_squares": 0}
+        assert calls == {"fit_fringe": 0, "_fit_stack": 4}
 
-        bootstrap_kappa_uncertainty(full_visibility_scan(), calibration,
-                                    0.063 * calibration, delta_omega,
-                                    n_resamples=200, seed=0)
-        assert calls["fit_fringe"] == 1
-        assert calls["_fit_bounded"] > 100
-        assert calls["least_squares"] == calls["_fit_bounded"]
+        calls.update(fit_fringe=0, _fit_stack=0)
+        out = bootstrap_kappa_uncertainty(full_visibility_scan(), calibration,
+                                          0.063 * calibration, delta_omega,
+                                          n_resamples=200, seed=0)
+        assert calls == {"fit_fringe": 1, "_fit_stack": 5}
+        assert out.failure_fraction == 0.0
+
+    @pytest.mark.parametrize("phi_prime,delta_omega", [
+        (1.0, 0.0), (1.0, -1.0), (0.0, 1.0)],
+        ids=["zero-width", "negative-width", "zero-slope"])
+    def test_caller_errors_raise_instead_of_counting_failures(
+            self, phi_prime, delta_omega):
+        scan = FringeScan(THETAS, model_counts())
+        with pytest.raises(ValueError, match="phi_prime must be nonzero"):
+            bootstrap_kappa_uncertainty(scan, phi_prime, 0.0, delta_omega,
+                                        n_resamples=100)
+
+
+TRF_PARITY_SCANS = [f"{name}-{kind}" for name in ("withcrystal.csv",
+                                                   "calibration.csv")
+                    for kind in ("counts", "normalized")] + [
+    "full-visibility", "near-floor", "clipped"] + [
+    f"flat-noise-{seed}" for seed in range(5)]
+
+
+def parity_scan(case, calibration, delta_omega):
+    if case.endswith(".csv-counts") or case.endswith(".csv-normalized"):
+        name, kind = case.rsplit("-", 1)
+        return bundled_scan(name, kind == "normalized")
+    if case.startswith("flat-noise-"):
+        rng = np.random.default_rng(int(case.rsplit("-", 1)[1]))
+        return FringeScan(THETAS, rng.poisson(1000.0, THETAS.size).astype(float))
+    return {"full-visibility": full_visibility_scan,
+            "near-floor": lambda: near_floor_scan(calibration, delta_omega),
+            "clipped": clipped_scan}[case]()
+
+
+@pytest.mark.parametrize("fix_harmonic", [None, 8.0], ids=["free", "fixed"])
+@pytest.mark.parametrize("case", TRF_PARITY_SCANS)
+def test_fit_matches_trf_from_the_same_start(case, fix_harmonic, calibration,
+                                             delta_omega):
+    scan = parity_scan(case, calibration, delta_omega)
+    want, success = trf_fit(scan, fix_harmonic)
+    assert success
+    fit = fit_fringe(scan, fix_harmonic=fix_harmonic)
+    got = [fit.offset, fit.visibility, fit.phase0]
+    names = ["offset", "visibility", "phase0"]
+    if fix_harmonic is None:
+        got.append(fit.harmonic)
+        names.append("harmonic")
+    for k, name in enumerate(names):
+        diff = got[k] - want[k]
+        if name == "phase0":
+            diff = math.remainder(diff, 2.0 * math.pi)
+        if fit.degenerate:
+            # the fringe is indistinguishable from noise, and the cost pins
+            # its parameters only to roundoff, far inside their errors
+            assert abs(diff) <= 1e-5 * fit.stderr(name), name
+        elif name == "phase0":
+            assert abs(diff) <= 1e-7, name
+        else:
+            assert abs(diff) <= 1e-8 * abs(want[k]), name

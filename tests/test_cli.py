@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import noonfringe
+import noonfringe.analysis
 import noonfringe.cli
 from noonfringe.cli import (CONFIG_ENV_VAR, EXIT_INPUT, EXIT_IO, EXIT_OK,
                             EXIT_VALIDATION, main, read_fringe_csv)
@@ -214,6 +215,16 @@ class TestFit:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("error: ") and "latin.csv" in err
+
+    @pytest.mark.parametrize("command", ["fit", "estimate"])
+    def test_unconverged_fit_is_an_input_error(self, capsys, monkeypatch,
+                                               command):
+        monkeypatch.setattr(noonfringe.analysis, "_LM_MAX_ITER", 2)
+        code, out, err = run(capsys, [command, WITHCRYSTAL_CSV])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: fringe fit of {WITHCRYSTAL_CSV} did "
+                              f"not converge; its best iterate has visibility ")
 
     def test_too_few_rows(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
@@ -556,18 +567,38 @@ class TestConfigPlumbing:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--pump-wavelength-nm", "1e300"],
-        ["estimate", "--visibility", "0.5", "--calibration", "user",
-         "--phi-prime-cal", "1e-300"],
-        ["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
-         "--length-mm", "1e-300"],
-    ], ids=["pump-wavelength", "user-slope", "sellmeier-length"])
-    def test_numeric_failure_is_an_input_error(self, capsys, argv):
+    def test_numeric_failure_is_an_input_error(self, capsys, monkeypatch):
+        # the last resort for a float fault that no boundary check names
+        def overflow(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(noonfringe.cli, "kappa_from_visibility", overflow)
+        code, out, err = run(capsys, ["estimate", "--visibility", "0.5"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: numeric failure: math range error\n"
+
+    @pytest.mark.parametrize("argv,prefix,key", [
+        (["simulate", "--pump-wavelength-nm", "1e300"], "error: config field ",
+         "'pump_wavelength_nm'"),
+        (["simulate", "--pump-wavelength-nm", "380"], "error: config field ",
+         "'pump_wavelength_nm'"),
+        (["estimate", "--visibility", "0.5", "--calibration", "user",
+          "--phi-prime-cal", "1e-300"], "error: ", "--phi-prime-cal"),
+        (["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
+          "--length-mm", "1e-300"], "error: config field ",
+         "'medium_length_mm'"),
+        (["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
+          "--length-mm", "0"], "error: config field ", "'medium_length_mm'"),
+    ], ids=["pump-wavelength", "detuned-pump", "user-slope",
+            "sellmeier-length", "sellmeier-zero-length"])
+    def test_numeric_dead_ends_name_their_field(self, capsys, argv, prefix,
+                                                key):
         code, out, err = run(capsys, argv)
         assert code == EXIT_INPUT
         assert out == ""
-        assert err.startswith("error: numeric failure: ")
+        assert err.startswith(prefix) and key in err
+        assert "numeric failure" not in err
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     @pytest.mark.parametrize("flag,key", [("--kappa", "'kappa'"),
@@ -705,37 +736,33 @@ codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         codes.append(main(argv))
-    before_fallback = "scipy.optimize" in sys.modules
-    codes.append(main(["fit", sys.argv[2]]))
-print(json.dumps([codes, before_fallback, "scipy.optimize" in sys.modules]))
+print(json.dumps([codes, "scipy.optimize" in sys.modules]))
 """
 
 
-def test_only_fits_that_fall_back_load_scipy_optimize(tmp_path):
+def test_no_command_loads_scipy_optimize(tmp_path):
     src = os.path.dirname(os.path.dirname(noonfringe.__file__))
     argvs = []
     for order in ("2", "4", "6"):
         argvs.append(["estimate", "--visibility", "0.568",
                       "--filter-order", order])
         argvs.append(["validate", "--json", "--filter-order", order])
-    for path in (CALIBRATION_CSV, WITHCRYSTAL_CSV):
-        argvs.append(["fit", path])
-        argvs.append(["estimate", path, "--bootstrap", "200"])
-    # a fringe clipped at zero counts: its unbounded fit has v > 1, so the
-    # base fit falls back to the bounded solver
+    # a fringe clipped at zero counts fits to v = 1, on the bound of the box
     theta = np.linspace(0.0, 180.0, 100)
     counts = np.maximum(1000.0 * (1.0 + 1.2 * np.cos(8.0 * np.radians(theta)
                                                      + 0.244)), 0.0)
     clipped = tmp_path / "clipped.csv"
     clipped.write_text("theta_deg,counts\n" + "".join(
         f"{float(t)!r},{round(c)}\n" for t, c in zip(theta, counts)))
+    for path in (CALIBRATION_CSV, WITHCRYSTAL_CSV, str(clipped)):
+        argvs.append(["fit", path])
+        argvs.append(["estimate", path, "--bootstrap", "200"])
     env = {**os.environ, "PYTHONPATH": src}
     env.pop(CONFIG_ENV_VAR, None)
     proc = subprocess.run(
-        [sys.executable, "-c", _OPTIMIZE_PROBE, json.dumps(argvs),
-         str(clipped)], capture_output=True, text=True, env=env, timeout=300)
+        [sys.executable, "-c", _OPTIMIZE_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    codes, before_fallback, after_fallback = json.loads(proc.stdout)
-    assert codes == [EXIT_OK] * (len(argvs) + 1)
-    assert not before_fallback
-    assert after_fallback
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [EXIT_OK] * len(argvs)
+    assert not loaded

@@ -175,6 +175,8 @@ ARGV = st.sampled_from(sorted(COMMANDS)).flatmap(command_line)
 @example(["validate", "--filter-order", "810"])
 @example(["simulate", "--medium=none", "--theta-start-deg", "22.5",
           "--theta-stop-deg", "22.5000000001"])     # every angle at a null
+@example(["estimate", os.path.join(DATA_DIR, "calibration.csv"),
+          "--fix-harmonic", "1e-300"])              # a fit held at v = 0
 def test_command_lines_end_in_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), warnings.catch_warnings(), \
