@@ -37,7 +37,7 @@ from .analysis import (FitConvergenceError, FringeScan,
                        sigma_phi_from_visibility)
 from .config import (ConfigError, ExperimentConfig, load_config_file,
                      merge_config)
-from .engine import closed_form_sigma_phi, fringe_harmonics
+from .engine import _sum_axis, closed_form_sigma_phi, fringe_harmonics
 from .spectral import (DispersionWindowError, FrequencyGrid,
                        QuadratureAccuracyError, TaylorMedium,
                        bbo_crystal, linearize_phase)
@@ -226,12 +226,15 @@ def _fit_block(fit) -> dict:
 # subcommands
 # --------------------------------------------------------------------------
 
-def _refuse_unpaired_pump(config: ExperimentConfig) -> None:
+def _refuse_unpaired_pump(config: ExperimentConfig,
+                          grid: FrequencyGrid | None = None) -> None:
     """Refuse, naming the pump wavelength, a pump at which the filters pass
     no pairs: the largest pair weight T(s/2)^2*|pump(s)|^2, on the diagonal
     at a sum frequency s between twice the filter center and the pump
     center, falls below the normal float range. It is sampled there in
-    log2, so nothing underflows."""
+    log2, so nothing underflows. Given the engine's grid, also refuse a
+    pump whose pair weight peaks outside the sum-frequency window of the
+    engine's mesh, which follows the narrower of the pump and the filters."""
     filt, jsa = config.filter_profile(), config.joint_spectrum()
     detuning = jsa.pump_center - 2.0 * filt.center
     t = np.linspace(0.0, 1.0, 1001)
@@ -241,16 +244,25 @@ def _refuse_unpaired_pump(config: ExperimentConfig) -> None:
     if exponent.min() > -math.log2(sys.float_info.min):
         raise ConfigError("pump_wavelength_nm", "gives no finite fringe: the "
                           "filters pass no pairs at this pump")
+    if grid is None:
+        return
+    center, width = _sum_axis(jsa, filt)
+    peak = 2.0 * filt.center + t[np.argmin(exponent)] * detuning
+    if abs(peak - center) > grid.half_range * width:
+        raise ConfigError("pump_wavelength_nm", "gives no finite fringe: the "
+                          "pairs the filters pass at this pump lie outside "
+                          "the engine's sum-frequency window")
 
 
 def _model_curve(config: ExperimentConfig):
     """Mean-one fringe values at the configured angles, plus exact visibility."""
+    grid = _default_grid(config)
     try:
         harmonics = fringe_harmonics(config.joint_spectrum(),
                                      config.filter_profile(), config.medium(),
-                                     _default_grid(config))
+                                     grid)
     except FloatingPointError:
-        _refuse_unpaired_pump(config)
+        _refuse_unpaired_pump(config, grid)
         raise
     thetas = config.thetas_rad()
     values = harmonics.at(thetas)

@@ -114,6 +114,14 @@ class VisibilityLaw:
 # rotated-coordinate mesh
 # --------------------------------------------------------------------------
 
+def _sum_axis(jsa: JointSpectrum, filt: FilterProfile) -> tuple[float, float]:
+    """Center and width unit of the mesh's sum-frequency axis: those of the
+    narrower of the pump and the filter pair."""
+    if jsa.pump_fwhm <= filt.fwhm:
+        return jsa.pump_center, jsa.pump_fwhm
+    return 2.0 * filt.center, filt.fwhm
+
+
 def _rotated_mesh(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
                   n: int | None = None):
     """Photon frequencies, sum-frequency offsets and weights on a rotated mesh.
@@ -122,9 +130,7 @@ def _rotated_mesh(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
     feature's center. Difference axis: wide enough for the filter product.
     Jacobian 1/2 from (w1, w2) -> (w_p, w_-) is folded into the weights.
     """
-    narrow_pump = jsa.pump_fwhm <= filt.fwhm
-    center_p = jsa.pump_center if narrow_pump else 2.0 * filt.center
-    scale_p = min(jsa.pump_fwhm, filt.fwhm)
+    center_p, scale_p = _sum_axis(jsa, filt)
     up, wp = grid.axis(scale_p, n)
     um, wm = grid.axis(2.0 * filt.fwhm, n)
     omega_p = center_p + up[:, None]

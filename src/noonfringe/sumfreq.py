@@ -21,7 +21,14 @@ exact-vs-numeric ratio-constancy test is the arbiter of the convention.
 
 The closed form is defined up to an overall factor; comparisons against the
 numeric convolution therefore test constancy of the ratio, not its value.
-Its Bessel factor is scipy's ``kve``, through ``besselk``.
+Its Bessel factor is scipy's ``kve``, through ``besselk``, which loads it on
+first use.
+
+The numeric convolution, for any even order, integrates on the trapezoid
+rule over a span fitted to each abscissa, halving the step from 17 nodes
+until two successive tables agree to 1e-8 of every value, and refuses a
+table that needs more than 1025 nodes. One checked, memoised table per
+(order, grid) serves the density checks and the phase moments alike.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .besselk import bessel_k_quarter_scaled
 from .spectral import (FilterProfile, FrequencyGrid, JointSpectrum,
@@ -61,6 +67,17 @@ __all__ = [
     "kl_divergence",
     "phase_distribution_moments",
 ]
+
+
+def __getattr__(name: str):
+    # perfbench/spans.py wraps ``sumfreq.roots_legendre`` by name to count
+    # quadrature nodes; F no longer uses a Gauss-Legendre rule and nothing
+    # in the package calls this name. It resolves to numpy's rule, without
+    # scipy, until that hook counts nodes where they are made.
+    if name == "roots_legendre":
+        from numpy.polynomial.legendre import leggauss
+        return leggauss
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,62 +127,102 @@ def default_nu_grid(points: int = 4001, half_range: float = 4.0) -> np.ndarray:
 #: abscissae per block of the convolution; keeps each temporary cache-sized
 _CONV_BLOCK = 128
 
+#: trapezoid intervals of the first F table (17 nodes)
+_START_INTERVALS = 16
 
-@functools.lru_cache(maxsize=8)
-def _self_convolution(order: int, x_bytes: bytes, inner_nodes: int) -> np.ndarray:
-    """0.5 * integral ds 2^(-[(x+s)^order + (x-s)^order]) on a Legendre rule.
+#: the finest rule tried (1025 nodes); a table that needs more is refused
+_MAX_INTERVALS = 1024
 
-    The integrand is even in s for every even order and the rule is
-    symmetric, so the rule is folded onto s >= 0: each node s > 0 carries its
-    weight once (its mirror's share and the 0.5 cancel) and a node at s = 0,
-    present for an odd node count, carries half its weight. This halves the
-    mesh without changing the rule. The abscissae are taken in blocks of
-    _CONV_BLOCK, so each (block x nodes) temporary stays cache-sized.
+#: successive F tables must agree to this fraction of each value
+_CONV_TOL = 1e-8
 
-    Memoised on (order, float64 abscissa bytes, nodes): the density checks and
-    the phase moments ask for the same tabulation, which is therefore shared
-    and read-only.
-    """
-    x = np.frombuffer(x_bytes)
-    span = max(3.0, 1.3 * 49.8 ** (1.0 / order))
-    s, w = roots_legendre(inner_nodes)
-    half = inner_nodes // 2
-    s = s[half:] * span
-    w = w[half:] * span
-    if inner_nodes % 2:
-        w[0] *= 0.5
+#: at the end of an abscissa's span the integrand has fallen below
+#: 2^-_TAIL_BITS of its value at s = 0
+_TAIL_BITS = 60
+
+
+def _node_sum(order: int, x: np.ndarray, b: np.ndarray, t: np.ndarray,
+              w: np.ndarray) -> np.ndarray:
+    """sum_k w_k 2^(-[(x+s_k)^order + (x-s_k)^order]) with s_k = b t_k, at
+    every abscissa x with its own span b. The abscissae are taken in blocks
+    of _CONV_BLOCK, so each (block x nodes) temporary stays cache-sized."""
     out = np.empty(x.size)
     for i in range(0, x.size, _CONV_BLOCK):
         xb = x[i:i + _CONV_BLOCK, None]
+        s = b[i:i + _CONV_BLOCK, None] * t
         ex = _even_power(xb + s, order) + _even_power(xb - s, order)
         out[i:i + _CONV_BLOCK] = np.exp2(-ex) @ w
-    out.flags.writeable = False
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _self_convolution(order: int, x_bytes: bytes) -> np.ndarray:
+    """0.5 * integral ds 2^(-[(x+s)^order + (x-s)^order]), checked.
+
+    The integrand is even in s and largest at s = 0, so the integral is the
+    one over s >= 0. Relative to its value at s = 0 it is 2^-E(s), with
+    E(s) = (x+s)^n + (x-s)^n - 2x^n >= max(n(n-1) x^(n-2) s^2, 2 s^n), so
+    past b(x), where that bound reaches _TAIL_BITS, it is negligible. Each
+    abscissa is integrated over its own [0, b(x)] on the trapezoid rule,
+    which converges geometrically for such an integrand (Trefethen &
+    Weideman, SIAM Rev. 56:385, 2014) and, the span following the
+    integrand's width, to the same relative accuracy at every x, far tails
+    included. The rule starts at _START_INTERVALS intervals and halves its
+    step until two successive tables agree to _CONV_TOL of every value
+    (of the smallest normal float, below it); each halving keeps every
+    node, so it evaluates only the new midpoints. The finer table is
+    returned. A rule not converged at _MAX_INTERVALS intervals raises
+    QuadratureAccuracyError.
+
+    Memoised on (order, float64 abscissa bytes): the density checks and the
+    phase moments ask for the same tabulation, which is therefore shared
+    and read-only.
+    """
+    x = np.frombuffer(x_bytes)
+    m = _START_INTERVALS
+    w = np.ones(m + 1)
+    w[0] = w[-1] = 0.5
+    # x = 0 divides by zero and a huge |x| overflows, each to the right
+    # limit; a steep filter's powers overflow to inf, whose exp2(-inf) = 0
+    # is exact
+    with np.errstate(divide="ignore", over="ignore"):
+        b = np.minimum((_TAIL_BITS / 2.0) ** (1.0 / order),
+                       np.sqrt(_TAIL_BITS / (order * (order - 1)
+                                             * np.abs(x) ** (order - 2))))
+        total = _node_sum(order, x, b, np.linspace(0.0, 1.0, m + 1), w)
+        table = total * b / m
+        while True:
+            total += _node_sum(order, x, b, (np.arange(m) + 0.5) / m, np.ones(m))
+            m *= 2
+            coarse, table = table, total * b / m
+            shift = np.abs(table - coarse) / np.maximum(table, np.finfo(float).tiny)
+            if shift.max() <= _CONV_TOL:
+                break
+            if m >= _MAX_INTERVALS:
+                raise QuadratureAccuracyError(
+                    f"convolution unconverged: halving the step to {m + 1} "
+                    f"nodes moves values by {shift.max():.2e} of themselves")
+    table.flags.writeable = False
+    return table
+
+
 def sum_frequency_density_numeric(filt: FilterProfile, nu: np.ndarray | None = None,
-                                  *, normalized: bool = True,
-                                  inner_nodes: int = 400) -> DensityCurve:
+                                  *, normalized: bool = True) -> DensityCurve:
     """Tabulate F by direct convolution of the filter pair.
 
-    Works for any even filter order. The inner integral is re-evaluated with
-    doubled nodes; a relative shift above 1e-8 raises QuadratureAccuracyError.
-    Both tabulations are memoised, so a repeat call costs no convolution; with
-    normalized=False the density is the shared read-only table.
+    Works for any even filter order. The inner integral runs on the
+    trapezoid rule over a span fitted to each abscissa; its step is halved
+    until two successive tables agree to 1e-8 of every value, from 17 up to
+    1025 nodes, and a table not converged by then raises
+    QuadratureAccuracyError. The tabulation is memoised, so a repeat call
+    costs no convolution; with normalized=False the density is the shared
+    read-only table.
     """
     grid = default_nu_grid() if nu is None else np.asarray(nu, dtype=float)
     if grid.max() < 3.0:
         raise ValueError("nu grid must extend to at least +-3")
-    x = (grid / NU_SCALE).tobytes()
-    # a steep filter's powers overflow to inf, whose exp2(-inf) = 0 is exact
-    with np.errstate(over="ignore"):
-        f = _self_convolution(filt.order, x, inner_nodes)
-        f2 = _self_convolution(filt.order, x, 2 * inner_nodes)
-    err = float(np.abs(f - f2).max() / f2.max())
-    if err > 1e-8:
-        raise QuadratureAccuracyError(
-            f"convolution unconverged: doubling inner nodes moves values by {err:.2e}")
-    curve = DensityCurve(grid, f2, normalized=False)
+    f = _self_convolution(filt.order, (grid / NU_SCALE).tobytes())
+    curve = DensityCurve(grid, f, normalized=False)
     return curve.normalize() if normalized else curve
 
 
@@ -350,8 +407,10 @@ def phase_distribution_moments(jsa: JointSpectrum, filt: FilterProfile,
     phi'^2 * Var(omega_p).
 
     The moments are integrated by trapezoid on the standard nu grid (or one
-    sized per the given FrequencyGrid); a resolution-doubling check guards the
-    result and raises QuadratureAccuracyError on disagreement.
+    sized per the given FrequencyGrid), over the same checked and memoised
+    F table that sum_frequency_density_numeric returns; a
+    resolution-doubling check guards the result and raises
+    QuadratureAccuracyError on disagreement.
     """
     if grid is None:
         points, half = 4001, 4.0
@@ -369,7 +428,7 @@ def phase_distribution_moments(jsa: JointSpectrum, filt: FilterProfile,
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             pump = np.exp2(-4.0 * (omega_p - jsa.pump_center) ** 2
                            / jsa.pump_fwhm ** 2)
-            w = pump * _self_convolution(filt.order, x.tobytes(), 400)
+            w = pump * _self_convolution(filt.order, x.tobytes())
             norm = np.trapezoid(w, x)
             if not 0.0 < norm < math.inf:
                 raise FloatingPointError(

@@ -464,23 +464,20 @@ class TestValidate:
         assert "FAIL" in out
 
     @pytest.mark.parametrize("order,tabulations", [("4", 4), ("6", 3)])
-    def test_each_convolution_is_computed_once(self, capsys, monkeypatch,
-                                               order, tabulations):
-        # one Gauss-Legendre rule per distinct (grid, inner nodes) tabulation:
-        # the density and the phase moments share the 400-node ones
-        calls = []
-        original = noonfringe.sumfreq.roots_legendre
-
-        def counting(n):
-            calls.append(n)
-            return original(n)
-
-        noonfringe.sumfreq._self_convolution.cache_clear()
-        monkeypatch.setattr(noonfringe.sumfreq, "roots_legendre", counting)
+    def test_each_convolution_is_computed_once(self, capsys, order,
+                                               tabulations):
+        # validate asks for F on two grids, 4001 and 8001 points: at order 4
+        # for the density and the moments on each, at order 6 (no defined
+        # divergence, so no finer density) for the moments on the finer one
+        # too; each grid's table is computed once and shared
+        memo = noonfringe.sumfreq._self_convolution
+        memo.cache_clear()
         code, _, _ = run(capsys, ["validate", "--json",
                                   "--filter-order", order])
         assert code == EXIT_OK
-        assert len(calls) == tabulations
+        info = memo.cache_info()
+        assert info.misses == 2
+        assert info.hits + info.misses == tabulations
 
 
 class TestConfigPlumbing:
@@ -557,7 +554,8 @@ class TestConfigPlumbing:
         (["synth", "--filter-order", "40"], "grid too coarse"),
         (["simulate", "--medium", "bbo", "--length-mm", "1e9"],
          "grid too coarse"),
-        (["estimate", "--visibility", "0.5", "--filter-order", "40"],
+        # F converges through order 256; order 512 needs over 1025 nodes
+        (["estimate", "--visibility", "0.5", "--filter-order", "512"],
          "convolution unconverged"),
     ])
     def test_unconverged_quadrature_is_an_input_error(self, capsys, argv,
@@ -583,6 +581,11 @@ class TestConfigPlumbing:
          "'pump_wavelength_nm'"),
         (["simulate", "--pump-wavelength-nm", "380"], "error: config field ",
          "'pump_wavelength_nm'"),
+        # pairs in floating-point range, but off the engine's mesh
+        (["simulate", "--pump-wavelength-nm", "392"], "error: config field ",
+         "'pump_wavelength_nm'"),
+        (["synth", "--pump-wavelength-nm", "390"], "error: config field ",
+         "'pump_wavelength_nm'"),
         (["estimate", "--visibility", "0.5", "--calibration", "user",
           "--phi-prime-cal", "1e-300"], "error: ", "--phi-prime-cal"),
         (["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
@@ -590,8 +593,9 @@ class TestConfigPlumbing:
          "'medium_length_mm'"),
         (["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
           "--length-mm", "0"], "error: config field ", "'medium_length_mm'"),
-    ], ids=["pump-wavelength", "detuned-pump", "user-slope",
-            "sellmeier-length", "sellmeier-zero-length"])
+    ], ids=["pump-wavelength", "detuned-pump", "off-mesh-pump",
+            "off-mesh-pump-synth", "user-slope", "sellmeier-length",
+            "sellmeier-zero-length"])
     def test_numeric_dead_ends_name_their_field(self, capsys, argv, prefix,
                                                 key):
         code, out, err = run(capsys, argv)
@@ -729,19 +733,35 @@ class TestIoErrors:
         assert code == EXIT_IO
 
 
-_OPTIMIZE_PROBE = """
+_SCIPY_PROBE = """
 import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
 from noonfringe.cli import main
-codes = []
+steps = [[None, scipy_modules()]]
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
-        codes.append(main(argv))
-print(json.dumps([codes, "scipy.optimize" in sys.modules]))
+        steps.append([main(argv), scipy_modules()])
+print(json.dumps(steps))
 """
 
 
-def test_no_command_loads_scipy_optimize(tmp_path):
+def _scipy_after_each(argvs):
+    """In one fresh interpreter: the scipy modules loaded after importing the
+    CLI, then the exit code and the scipy modules after each command."""
     src = os.path.dirname(os.path.dirname(noonfringe.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop(CONFIG_ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_no_command_loads_scipy_optimize(tmp_path):
     argvs = []
     for order in ("2", "4", "6"):
         argvs.append(["estimate", "--visibility", "0.568",
@@ -757,12 +777,39 @@ def test_no_command_loads_scipy_optimize(tmp_path):
     for path in (CALIBRATION_CSV, WITHCRYSTAL_CSV, str(clipped)):
         argvs.append(["fit", path])
         argvs.append(["estimate", path, "--bootstrap", "200"])
-    env = {**os.environ, "PYTHONPATH": src}
+    steps = _scipy_after_each(argvs)
+    assert [code for code, _ in steps[1:]] == [EXIT_OK] * len(argvs)
+    assert "scipy.optimize" not in steps[-1][1]
+
+
+def test_scipy_loads_only_for_the_order_four_closed_form():
+    # orders 2 and 6 run first, so nothing before them has loaded scipy
+    argvs = [[command, *value, "--filter-order", order]
+             for order in ("2", "6", "4")
+             for command, *value in (["validate"],
+                                     ["estimate", "--visibility", "0.568"])]
+    argvs += [["estimate", path, "--bootstrap", "200"]
+              for path in (CALIBRATION_CSV, WITHCRYSTAL_CSV)]
+    steps = _scipy_after_each(argvs)
+    assert [code for code, _ in steps[1:]] == [EXIT_OK] * len(argvs)
+    assert steps[0][1] == []                      # import noonfringe.cli
+    assert all(loaded == [] for _, loaded in steps[1:5])
+    assert "scipy.special" in steps[5][1]         # order-4 validate: K_1/4
+    assert not any("scipy.linalg" in loaded for _, loaded in steps)
+
+
+def test_traced_benchmark_child_runs():
+    # perfbench's tracer wraps package names at start-up; a name it expects
+    # that the package no longer has kills every traced run
+    root = os.path.dirname(os.path.dirname(os.path.dirname(noonfringe.__file__)))
+    child = os.path.join(root, "perfbench", "child.py")
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
     env.pop(CONFIG_ENV_VAR, None)
     proc = subprocess.run(
-        [sys.executable, "-c", _OPTIMIZE_PROBE, json.dumps(argvs)],
-        capture_output=True, text=True, env=env, timeout=300)
+        [sys.executable, child, "1", "0", "estimate", "--visibility", "0.6"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout)
-    assert codes == [EXIT_OK] * len(argvs)
-    assert not loaded
+    marks = [json.loads(line[len("@perfbench "):])
+             for line in proc.stderr.splitlines()
+             if line.startswith("@perfbench ")]
+    assert any(mark.get("spans") for mark in marks), proc.stderr

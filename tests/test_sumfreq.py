@@ -61,12 +61,15 @@ BBO_SKEWNESS = -1.664026e-4
 BBO_EXCESS_KURTOSIS = 0.010847
 
 
-def _unfolded_convolution(order, x, inner_nodes):
-    """The self-convolution on the whole symmetric rule, powers by ``**``."""
+def _unfolded_convolution(order, x, inner_nodes=800):
+    """The self-convolution on a symmetric Gauss-Legendre rule over one span
+    for every abscissa, powers by ``**``: the reference for the trapezoid
+    table, which shares neither its rule nor its spans."""
     span = max(3.0, 1.3 * 49.8 ** (1.0 / order))
     s, w = roots_legendre(inner_nodes)
     s, w = s * span, w * span
-    ex = (x[:, None] + s[None, :]) ** order + (x[:, None] - s[None, :]) ** order
+    with np.errstate(over="ignore"):
+        ex = (x[:, None] + s[None, :]) ** order + (x[:, None] - s[None, :]) ** order
     return 0.5 * (np.exp2(-ex) * w[None, :]).sum(axis=1)
 
 
@@ -158,9 +161,16 @@ class TestNumericConvolution:
         with pytest.raises(ValueError, match="at least"):
             sum_frequency_density_numeric(ref_filter, np.linspace(-2.5, 2.5, 101))
 
-    def test_unconverged_inner_rule_is_reported(self, ref_filter, nu):
-        with pytest.raises(QuadratureAccuracyError):
-            sum_frequency_density_numeric(ref_filter, nu, inner_nodes=3)
+    def test_unconverged_inner_rule_is_reported(self, ref_filter, nu,
+                                                monkeypatch):
+        # order 8 needs a second halving; a cap at the first table forbids it
+        steep = FilterProfile(center=ref_filter.center, fwhm=ref_filter.fwhm,
+                              order=8)
+        noonfringe.sumfreq._self_convolution.cache_clear()
+        monkeypatch.setattr(noonfringe.sumfreq, "_MAX_INTERVALS",
+                            noonfringe.sumfreq._START_INTERVALS)
+        with pytest.raises(QuadratureAccuracyError, match="unconverged"):
+            sum_frequency_density_numeric(steep, nu)
 
     def test_order_two_self_convolution_is_gaussian(self, omega0, delta_omega, nu):
         # convolving a Gaussian density with itself doubles the variance:
@@ -172,40 +182,79 @@ class TestNumericConvolution:
         gauss = np.exp(-nu ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
         assert np.abs(num.density - gauss).max() < 1e-9
 
-    def test_repeat_tabulation_is_memoised_and_read_only(self, ref_filter, nu,
-                                                          monkeypatch):
+    def test_repeat_tabulation_is_memoised_and_read_only(self, ref_filter, nu):
         first = sum_frequency_density_numeric(ref_filter, nu, normalized=False)
-        calls = []
-        original = noonfringe.sumfreq.roots_legendre
-        monkeypatch.setattr(noonfringe.sumfreq, "roots_legendre",
-                            lambda n: calls.append(n) or original(n))
+        misses = noonfringe.sumfreq._self_convolution.cache_info().misses
         again = sum_frequency_density_numeric(ref_filter, nu, normalized=False)
-        assert calls == []
+        assert noonfringe.sumfreq._self_convolution.cache_info().misses == misses
         assert np.array_equal(again.density, first.density)
         assert not again.density.flags.writeable
         with pytest.raises(ValueError):
             again.density[0] = 0.0
 
-    @pytest.mark.parametrize("inner_nodes", [16, 17, 400, 401])
-    @pytest.mark.parametrize("order", [2, 4, 6])
-    def test_folded_rule_matches_the_full_rule(self, nu, order, inner_nodes):
+    @pytest.mark.parametrize("start", [16, 17, 400, 401])
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    def test_folded_rule_matches_the_full_rule(self, nu, order, start,
+                                               monkeypatch):
+        # the checked table does not depend on the rule it starts from
+        monkeypatch.setattr(noonfringe.sumfreq, "_START_INTERVALS", start)
         x = nu / NU_SCALE
-        full = _unfolded_convolution(order, x, inner_nodes)
+        full = _unfolded_convolution(order, x)
         folded = noonfringe.sumfreq._self_convolution.__wrapped__(
-            order, x.tobytes(), inner_nodes)
-        assert np.abs(folded - full).max() <= 1e-15 * full.max()
+            order, x.tobytes())
+        assert np.abs(folded - full).max() <= 1e-14 * full.max()
 
     @pytest.mark.parametrize("points", [9, 8001])
-    @pytest.mark.parametrize("order", [2, 4, 6])
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
     def test_row_blocks_match_the_full_rule(self, order, points):
         # 9 points is less than one block; 8001 ends in a partial one, as
         # the default 4001-point grid of the test above does
         x = default_nu_grid(points) / NU_SCALE
-        full = _unfolded_convolution(order, x, 401)
+        full = _unfolded_convolution(order, x)
         blocked = noonfringe.sumfreq._self_convolution.__wrapped__(
-            order, x.tobytes(), 401)
+            order, x.tobytes())
         assert blocked.shape == full.shape
-        assert np.abs(blocked - full).max() <= 1e-15 * full.max()
+        assert np.abs(blocked - full).max() <= 1e-14 * full.max()
+
+    @pytest.mark.parametrize("tail_bits", [60, 6000])
+    @pytest.mark.parametrize("order", [4, 6, 8])
+    def test_far_tails_are_accurate_to_their_own_size(self, order, tail_bits,
+                                                      monkeypatch):
+        # a dense trapezoid rule over one span for every abscissa: F's far
+        # tails, many decades below its peak, must match it value by value,
+        # as the order-4 exact/numeric ratio does over the whole grid; spans
+        # wider than the integrand needs cost nodes, not accuracy
+        monkeypatch.setattr(noonfringe.sumfreq, "_TAIL_BITS", tail_bits)
+        x = default_nu_grid(101) / NU_SCALE
+        span = max(3.0, 1.3 * 49.8 ** (1.0 / order))
+        s = np.linspace(0.0, span, 2 ** 15 + 1)
+        w = np.full(s.size, span / 2 ** 15)
+        w[0] = w[-1] = 0.5 * w[0]
+        with np.errstate(over="ignore"):
+            ex = (x[:, None] + s) ** order + (x[:, None] - s) ** order
+        dense = np.exp2(-ex) @ w
+        table = noonfringe.sumfreq._self_convolution.__wrapped__(
+            order, x.tobytes())
+        live = dense > 1e-290
+        assert dense[live].min() < 1e-200 * dense.max()
+        assert np.abs(table[live] / dense[live] - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("order,nodes", [(4, 33), (8, 65), (28, 129)])
+    def test_rule_stops_at_the_recorded_node_count(self, nu, order, nodes,
+                                                   monkeypatch):
+        # the spans follow the integrand, so no abscissa drives the rule
+        # past the node counts of the recorded sweep
+        evaluated = []
+        node_sum = noonfringe.sumfreq._node_sum
+
+        def counting(order, x, b, t, w):
+            evaluated.append(t.size)
+            return node_sum(order, x, b, t, w)
+
+        monkeypatch.setattr(noonfringe.sumfreq, "_node_sum", counting)
+        noonfringe.sumfreq._self_convolution.__wrapped__(
+            order, (nu / NU_SCALE).tobytes())
+        assert sum(evaluated) == nodes
 
     @pytest.mark.parametrize("inner_nodes", [400, 800])
     def test_order_six_underflows_where_the_full_rule_does(self, nu,
@@ -213,7 +262,7 @@ class TestNumericConvolution:
         x = nu / NU_SCALE
         full = _unfolded_convolution(6, x, inner_nodes)
         folded = noonfringe.sumfreq._self_convolution.__wrapped__(
-            6, x.tobytes(), inner_nodes)
+            6, x.tobytes())
         assert np.count_nonzero(full == 0) == 1402
         assert np.array_equal(folded == 0, full == 0)
 
