@@ -2,7 +2,8 @@
 
 Simulates the polarization fringe of frequency-correlated photon pairs,
 models its dephasing by a birefringent medium, and inverts the measured
-visibility into a lower bound on the pair's frequency correlation.
+visibility into a lower bound on the strength of the pair's frequency
+correlation.
 """
 
 __version__ = "0.1.0"
@@ -10,15 +11,13 @@ __version__ = "0.1.0"
 from .analysis import (BootstrapResult, CorrelationEstimate,
                        FitConvergenceError, FitResult, FringeScan,
                        InfeasibleVisibilityError, bootstrap_kappa_uncertainty,
-                       fit_fringe, kappa_from_visibility,
-                       self_consistent_calibration, sigma_phi_from_visibility)
-from .besselk import bessel_k_quarter, bessel_k_quarter_scaled
+                       closed_form_sigma_phi, fit_fringe,
+                       kappa_from_visibility, self_consistent_calibration,
+                       sigma_phi_from_visibility)
+from .besselk import bessel_k_quarter_scaled
 from .config import ConfigError, ExperimentConfig, load_config_file
-from .engine import (FringeHarmonics, ProbabilityCurve, VisibilityLaw,
-                     analytic_visibility, closed_form_sigma_phi,
-                     coincidence_probability_general,
-                     coincidence_probability_symmetric, extract_visibility,
-                     fringe_harmonics, harmonic_visibility,
+from .engine import (FringeHarmonics, ProbabilityCurve,
+                     coincidence_probability_general, fringe_harmonics,
                      simulate_fringe_scan, single_photon_visibility)
 from .spectral import (BBO_ORDINARY, BBO_EXTRAORDINARY, DispersiveMedium,
                        FilterProfile, FrequencyGrid, JointSpectrum,
@@ -33,7 +32,7 @@ from .sumfreq import (DensityCurve, F_EXACT_AT_ZERO, GaussianApproximation,
                       sum_frequency_density_exact,
                       sum_frequency_density_numeric)
 from .units import (angular_to_wavelength_nm, bandwidth_nm_to_angular,
-                    fwhm_to_sigma, wavelength_nm_to_angular)
+                    wavelength_nm_to_angular)
 
 __all__ = [
     "__version__",
@@ -44,15 +43,13 @@ __all__ = [
     "BBO_EXTRAORDINARY", "bbo_crystal", "filter_transmission",
     "jsa_amplitude", "medium_phase", "linearize_phase",
     # fringe engine
-    "ProbabilityCurve", "VisibilityLaw", "FringeHarmonics",
-    "coincidence_probability_general", "coincidence_probability_symmetric",
-    "simulate_fringe_scan", "fringe_harmonics", "harmonic_visibility",
-    "extract_visibility", "closed_form_sigma_phi", "analytic_visibility",
-    "single_photon_visibility",
+    "ProbabilityCurve", "FringeHarmonics", "coincidence_probability_general",
+    "simulate_fringe_scan", "fringe_harmonics", "single_photon_visibility",
     # fitting and estimation
     "FringeScan", "FitResult", "CorrelationEstimate", "BootstrapResult",
     "FitConvergenceError", "InfeasibleVisibilityError", "fit_fringe",
-    "sigma_phi_from_visibility", "kappa_from_visibility",
+    "closed_form_sigma_phi", "sigma_phi_from_visibility",
+    "kappa_from_visibility",
     "bootstrap_kappa_uncertainty", "self_consistent_calibration",
     # sum-frequency density and approximation checks
     "DensityCurve", "GaussianApproximation", "KLDivergence", "PhaseMoments",
@@ -60,10 +57,10 @@ __all__ = [
     "default_nu_grid", "sum_frequency_density_numeric",
     "sum_frequency_density_exact", "gaussian_approximation",
     "moment_matched_gaussian", "kl_divergence", "phase_distribution_moments",
-    "bessel_k_quarter", "bessel_k_quarter_scaled",
+    "bessel_k_quarter_scaled",
     # configuration
     "ExperimentConfig", "ConfigError", "load_config_file",
     # units
     "wavelength_nm_to_angular", "angular_to_wavelength_nm",
-    "bandwidth_nm_to_angular", "fwhm_to_sigma",
+    "bandwidth_nm_to_angular",
 ]

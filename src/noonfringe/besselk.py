@@ -2,9 +2,10 @@
 
 The sum-frequency density of two order-4 flat-top filters has a closed form
 proportional to |x| 2^(7x^4) K_{1/4}(9 ln2 x^4), so this one fractional order
-is needed over a wide argument range. Both functions evaluate scipy's
-exponentially scaled ``kve`` (Amos, ACM TOMS 12:265, 1986), accurate to
-about 1e-14 relative over [1e-6, 700]. ``kve`` is imported on the first
+is needed over a wide argument range. It is evaluated exponentially scaled,
+by scipy's ``kve`` (Amos, ACM TOMS 12:265, 1986), accurate to about 1e-14
+relative over [1e-6, 700]; the scaled value never under- or overflows where
+K_{1/4} itself underflows past x ~ 745. ``kve`` is imported on the first
 call, so only the order-4 closed form loads scipy.special; importing this
 module does not.
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 NU = 0.25
 
-__all__ = ["bessel_k_quarter", "bessel_k_quarter_scaled"]
+__all__ = ["bessel_k_quarter_scaled"]
 
 
 def bessel_k_quarter_scaled(x):
@@ -28,12 +29,3 @@ def bessel_k_quarter_scaled(x):
     out = kve(NU, arr)
     return float(out) if arr.ndim == 0 else out
 
-
-def bessel_k_quarter(x):
-    """K_{1/4}(x) for x > 0; scalar or array.
-
-    Underflows to 0 past x ~ 745 as the true value drops below the double
-    floor; use bessel_k_quarter_scaled there.
-    """
-    out = bessel_k_quarter_scaled(x) * np.exp(-np.asarray(x, dtype=float))
-    return float(out) if np.ndim(out) == 0 else out

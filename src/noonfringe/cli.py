@@ -32,12 +32,12 @@ import numpy as np
 from . import __version__
 from .analysis import (FitConvergenceError, FringeScan,
                        InfeasibleVisibilityError,
-                       bootstrap_kappa_uncertainty, fit_fringe,
-                       kappa_from_visibility, self_consistent_calibration,
-                       sigma_phi_from_visibility)
+                       bootstrap_kappa_uncertainty, closed_form_sigma_phi,
+                       fit_fringe, kappa_from_visibility,
+                       self_consistent_calibration, sigma_phi_from_visibility)
 from .config import (ConfigError, ExperimentConfig, load_config_file,
                      merge_config)
-from .engine import _sum_axis, closed_form_sigma_phi, fringe_harmonics
+from .engine import _sum_axis, fringe_harmonics
 from .spectral import (DispersionWindowError, FrequencyGrid,
                        QuadratureAccuracyError, TaylorMedium,
                        bbo_crystal, linearize_phase)

@@ -22,12 +22,6 @@ the pump and filter widths — the pump ridge is the only sharp feature. The
 integrands are smooth and fall to ~1e-70 at the edges of the window, so the
 equally spaced trapezoid rule converges geometrically in the node count
 (Trefethen & Weideman, SIAM Rev. 56:385, 2014).
-
-The closed-form visibility law models the sum-frequency filter density by a
-Gaussian of equal FWHM; it is an approximation, accurate at the percent level
-near kappa ~ 0.1 and degrading to ~14% in variance as kappa grows (the exact
-density is 12.6% wider in variance). The engine itself makes no such
-approximation; measured deviations are pinned in the test suite.
 """
 
 from __future__ import annotations
@@ -41,20 +35,12 @@ from .spectral import (DispersiveMedium, FilterProfile, FrequencyGrid,
                        JointSpectrum, QuadratureAccuracyError,
                        filter_transmission, jsa_amplitude, medium_phase)
 
-LN2 = math.log(2.0)
-
 __all__ = [
     "ProbabilityCurve",
-    "VisibilityLaw",
     "FringeHarmonics",
     "coincidence_probability_general",
-    "coincidence_probability_symmetric",
     "simulate_fringe_scan",
     "fringe_harmonics",
-    "harmonic_visibility",
-    "extract_visibility",
-    "closed_form_sigma_phi",
-    "analytic_visibility",
     "single_photon_visibility",
 ]
 
@@ -91,23 +77,6 @@ class ProbabilityCurve:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.normalization == "mean-one" and abs(v.mean() - 1.0) > 1e-12:
             raise ValueError("mean-one curve does not average to 1")
-
-
-@dataclass(frozen=True)
-class VisibilityLaw:
-    """Closed-form dephasing: v = exp(-sigma_phi_sq / 2)."""
-
-    kappa: float
-    phi_prime: float
-    delta_omega: float
-    sigma_phi_sq: float
-    visibility: float
-
-    def __post_init__(self) -> None:
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        if abs(self.visibility - math.exp(-self.sigma_phi_sq / 2.0)) > 1e-12:
-            raise ValueError("visibility inconsistent with sigma_phi_sq")
 
 
 # --------------------------------------------------------------------------
@@ -295,25 +264,6 @@ def fringe_harmonics(jsa: JointSpectrum, filt: FilterProfile,
     return _checked_harmonics(jsa, filt, medium, grid, None, accuracy_tol, check)
 
 
-def coincidence_probability_symmetric(jsa: JointSpectrum, filt: FilterProfile,
-                                      medium: DispersiveMedium, theta: float,
-                                      grid: FrequencyGrid, *,
-                                      accuracy_tol: float = ACCURACY_TOL,
-                                      check: bool = True) -> float:
-    """Coincidence probability for exchange-symmetric pairs."""
-    if not jsa.symmetric:
-        raise ValueError("the symmetric reduction requires a symmetric spectrum")
-    h = fringe_harmonics(jsa, filt, medium, grid,
-                         accuracy_tol=accuracy_tol, check=check)
-    return float(h.at(theta))
-
-
-def harmonic_visibility(jsa: JointSpectrum, filt: FilterProfile,
-                        medium: DispersiveMedium, grid: FrequencyGrid) -> float:
-    """Exact fringe visibility |Z|/N of any pair, symmetric or not."""
-    return fringe_harmonics(jsa, filt, medium, grid).visibility
-
-
 def simulate_fringe_scan(jsa: JointSpectrum, filt: FilterProfile,
                          medium: DispersiveMedium, thetas,
                          normalization: str = "raw",
@@ -337,52 +287,6 @@ def simulate_fringe_scan(jsa: JointSpectrum, filt: FilterProfile,
             raise ValueError("cannot normalize a vanishing curve")
         values = values / mean
     return ProbabilityCurve(th, values, normalization)
-
-
-def extract_visibility(curve: ProbabilityCurve, period: float = math.pi / 4.0,
-                       min_points_per_period: int = 721) -> float:
-    """(max - min)/(max + min) from a dense scan.
-
-    Requires the sampling to be dense enough — at least min_points_per_period
-    angles per fringe period — so the extrema are trusted to ~1e-5 without a
-    model fit.
-    """
-    th, v = curve.thetas, curve.values
-    span = float(th.max() - th.min())
-    if span < period:
-        raise ValueError("scan must cover at least one fringe period")
-    density = (th.size - 1) / span * period + 1
-    if density < min_points_per_period:
-        raise ValueError(
-            f"scan too sparse: {density:.0f} points per period, "
-            f"need >= {min_points_per_period}")
-    hi, lo = float(v.max()), float(v.min())
-    return (hi - lo) / (hi + lo)
-
-
-# --------------------------------------------------------------------------
-# closed-form law
-# --------------------------------------------------------------------------
-
-def closed_form_sigma_phi(kappa: float, phi_prime: float, delta_omega: float) -> float:
-    """Variance of the total fringe phase in the Gaussian surrogate model.
-
-    Pump density of FWHM sqrt(kappa)*delta_omega times a Gaussian stand-in for
-    the filter sum-density of FWHM delta_omega gives a Gaussian product whose
-    variance is delta_omega^2/(8 ln2) * kappa/(1+kappa); the phase variance is
-    that times phi'^2.
-    """
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    t = phi_prime * delta_omega        # finite where phi'^2 alone overflows
-    return t * t / (8.0 * LN2) * kappa / (1.0 + kappa)
-
-
-def analytic_visibility(kappa: float, phi_prime: float, delta_omega: float) -> VisibilityLaw:
-    """Closed-form fringe visibility v = exp(-sigma_phi_sq/2)."""
-    s2 = closed_form_sigma_phi(kappa, phi_prime, delta_omega)
-    return VisibilityLaw(kappa=kappa, phi_prime=phi_prime, delta_omega=delta_omega,
-                         sigma_phi_sq=s2, visibility=math.exp(-s2 / 2.0))
 
 
 def single_photon_visibility(filt: FilterProfile, medium: DispersiveMedium,

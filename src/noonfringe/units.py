@@ -36,9 +36,3 @@ def bandwidth_nm_to_angular(fwhm_nm: float, center_nm: float) -> float:
         raise ValueError("bandwidth and center wavelength must be positive")
     return TWO_PI * SPEED_OF_LIGHT * (fwhm_nm * 1e-9) / (center_nm * 1e-9) ** 2
 
-
-def fwhm_to_sigma(fwhm: float) -> float:
-    """Standard deviation of a Gaussian with the given FWHM."""
-    if fwhm <= 0:
-        raise ValueError(f"FWHM must be positive, got {fwhm}")
-    return fwhm / math.sqrt(8.0 * math.log(2.0))

@@ -17,12 +17,10 @@ from noonfringe import (
     FringeScan,
     JointSpectrum,
     TaylorMedium,
-    analytic_visibility,
     bbo_crystal,
     bootstrap_kappa_uncertainty,
     closed_form_sigma_phi,
     coincidence_probability_general,
-    coincidence_probability_symmetric,
     default_nu_grid,
     fit_fringe,
     fringe_harmonics,
@@ -58,13 +56,11 @@ def test_criterion_1_engine_paths_agree(acceptance, omega0, delta_omega,
         medium = TaylorMedium(reference=omega0, phi0=phi0,
                               phi_prime=t / delta_omega)
         harm = fringe_harmonics(jsa, ref_filter, medium, ref_grid)
-        sym = coincidence_probability_symmetric(jsa, ref_filter, medium,
-                                                theta, ref_grid)
         gen = coincidence_probability_general(jsa, ref_filter, medium,
                                               theta, ref_grid)
-        worst = max(worst, abs(gen - sym) / (harm.offset / 2.0))
+        worst = max(worst, abs(gen - float(harm.at(theta))) / (harm.offset / 2.0))
     ok = worst <= 1e-9
-    acceptance(1, ok, "general vs symmetric path, 20 random configurations: "
+    acceptance(1, ok, "per-angle vs harmonic path, 20 random configurations: "
                       f"worst relative deviation {worst:.2e} (<= 1e-9)")
     assert ok
 
@@ -118,10 +114,10 @@ def test_criterion_4_dephasing_law_within_one_percent(acceptance, omega0,
                             pump_fwhm=math.sqrt(kappa) * delta_omega)
         v_engine = fringe_harmonics(jsa, ref_filter, medium,
                                     ref_grid).visibility
-        v_law = analytic_visibility(kappa, phi_prime, delta_omega).visibility
+        s2 = closed_form_sigma_phi(kappa, phi_prime, delta_omega)
+        v_law = math.exp(-s2 / 2.0)
         worst_vis = max(worst_vis, abs(v_engine / v_law - 1.0))
         var = phase_distribution_moments(jsa, ref_filter, medium).variance
-        s2 = closed_form_sigma_phi(kappa, phi_prime, delta_omega)
         worst_var = max(worst_var, abs(s2 / var - 1.0))
     ok = worst_vis <= 0.01 and worst_var <= 0.01
     acceptance(4, ok, "Gaussian-surrogate law vs engine over kappa in "
@@ -137,7 +133,7 @@ def test_criterion_5_reference_pipeline(acceptance, delta_omega, omega0,
     est = kappa_from_visibility(0.568, phi_prime, delta_omega)
     round_ok = True
     for kappa in (0.01, 0.1, 0.14, 1.0, 5.0, 37.0):
-        v = analytic_visibility(kappa, phi_prime, delta_omega).visibility
+        v = math.exp(-closed_form_sigma_phi(kappa, phi_prime, delta_omega) / 2.0)
         back = kappa_from_visibility(v, phi_prime, delta_omega).kappa_bar
         round_ok = round_ok and abs(back / kappa - 1.0) <= 1e-9
     sell_slope = linearize_phase(bbo_crystal(0.003), omega0).phi_prime

@@ -10,6 +10,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 import noonfringe
@@ -22,6 +24,7 @@ from noonfringe import (
     FringeScan,
     InfeasibleVisibilityError,
     bootstrap_kappa_uncertainty,
+    closed_form_sigma_phi,
     fit_fringe,
     kappa_from_visibility,
     self_consistent_calibration,
@@ -244,12 +247,51 @@ class TestVisibilityInversion:
         assert est.visibility_used == 0.568
         assert est.kappa_uncertainty is None
 
-    @pytest.mark.parametrize("kappa", [0.01, 0.1, 0.14, 1.0, 5.0, 37.0])
-    def test_round_trip(self, kappa, calibration, delta_omega):
-        s2 = (calibration * delta_omega) ** 2 / (8 * LN2) * kappa / (1 + kappa)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(log_kappa=st.floats(-8.0, 8.0), t=st.floats(0.1, 50.0))
+    @example(log_kappa=math.log10(0.14), t=T_SELF_CONSISTENT)
+    @example(log_kappa=math.log10(37.0), t=T_SELF_CONSISTENT)
+    def test_round_trip(self, log_kappa, t, delta_omega):
+        kappa = 10.0 ** log_kappa
+        phi_prime = t / delta_omega
+        s2 = closed_form_sigma_phi(kappa, phi_prime, delta_omega)
         v = math.exp(-s2 / 2.0)
-        est = kappa_from_visibility(v, calibration, delta_omega)
-        assert est.kappa_bar == pytest.approx(kappa, rel=1e-9)
+        est = kappa_from_visibility(v, phi_prime, delta_omega)
+        # forward of inverse is the identity, at every kappa and strength
+        assert closed_form_sigma_phi(est.kappa_bar, phi_prime, delta_omega) \
+            == pytest.approx(est.sigma_phi_sq, rel=1e-9)
+        # inverse of forward returns kappa; v holds s2 only to its rounding,
+        # which dkappa/kappa = (1 + kappa) ds2/s2 amplifies where v nears 1
+        # or kappa nears saturation
+        lost = 8.0 * np.finfo(float).eps * (1.0 + kappa) * (1.0 + 2.0 / s2)
+        assert abs(est.kappa_bar / kappa - 1.0) <= 1e-9 + lost
+        # a larger kappa dims the fringe, and a dimmer fringe inverts higher
+        v_dim = math.exp(-closed_form_sigma_phi(2.0 * kappa, phi_prime,
+                                                delta_omega) / 2.0)
+        assert v_dim < v
+        assert kappa_from_visibility(v_dim, phi_prime,
+                                     delta_omega).kappa_bar > est.kappa_bar
+        # the floor is the law's visibility as kappa -> infinity; past 2^53,
+        # kappa/(1 + kappa) rounds to 1
+        saturated = closed_form_sigma_phi(2.0 ** 60, phi_prime, delta_omega)
+        with pytest.raises(InfeasibleVisibilityError) as err:
+            kappa_from_visibility(0.0, phi_prime, delta_omega)
+        assert err.value.floor == math.exp(-saturated / 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name,call", [
+        ("phi_prime", lambda x, dw: kappa_from_visibility(0.5, x, dw)),
+        ("delta_omega", lambda x, dw: kappa_from_visibility(0.5, 3e-13, x)),
+        ("kappa", lambda x, dw: closed_form_sigma_phi(x, 3e-13, dw)),
+        ("phi_prime", lambda x, dw: closed_form_sigma_phi(0.14, x, dw)),
+        ("delta_omega", lambda x, dw: closed_form_sigma_phi(0.14, 3e-13, x)),
+        ("kappa", lambda x, dw: self_consistent_calibration(kappa=x)),
+    ], ids=["inverse-phi_prime", "inverse-delta_omega", "law-kappa",
+            "law-phi_prime", "law-delta_omega", "calibration-kappa"])
+    def test_non_finite_argument_is_refused_by_name(self, name, call, bad,
+                                                    delta_omega):
+        with pytest.raises(ValueError, match=name):
+            call(bad, delta_omega)
 
     def test_full_visibility_means_zero_correlation(self, calibration,
                                                     delta_omega):

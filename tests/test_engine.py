@@ -1,4 +1,5 @@
-"""Fringe engine: general vs symmetric paths, frozen pins, closed-form law.
+"""Fringe engine: per-angle vs harmonic paths, frozen pins, and the engine
+against the closed-form law.
 
 The frozen visibilities below come from converged runs of this same engine
 (regression pins) and, where stated, from independent dense-trapezoid oracles
@@ -22,17 +23,12 @@ from noonfringe import (
     ProbabilityCurve,
     QuadratureAccuracyError,
     TaylorMedium,
-    VisibilityLaw,
-    analytic_visibility,
     bbo_crystal,
     closed_form_sigma_phi,
     coincidence_probability_general,
-    coincidence_probability_symmetric,
-    extract_visibility,
     filter_transmission,
     fit_fringe,
     fringe_harmonics,
-    harmonic_visibility,
     simulate_fringe_scan,
     single_photon_visibility,
 )
@@ -107,24 +103,14 @@ class TestVisibilityLaw:
         s2 = closed_form_sigma_phi(0.14, 1e200, 1e-200)
         assert s2 == pytest.approx(0.14 / 1.14 / (8.0 * LN2), rel=1e-12)
 
-    def test_law_bundle_is_self_consistent(self, delta_omega):
-        law = analytic_visibility(0.14, 3e-13, delta_omega)
-        assert law.visibility == pytest.approx(
-            math.exp(-law.sigma_phi_sq / 2.0), rel=1e-12)
-        assert law.sigma_phi_sq == closed_form_sigma_phi(0.14, 3e-13, delta_omega)
-
-    def test_inconsistent_bundle_rejected(self, delta_omega):
-        with pytest.raises(ValueError, match="inconsistent"):
-            VisibilityLaw(kappa=0.14, phi_prime=3e-13, delta_omega=delta_omega,
-                          sigma_phi_sq=1.0, visibility=0.9)
-
     def test_negative_kappa_rejected(self, delta_omega):
         with pytest.raises(ValueError):
             closed_form_sigma_phi(-0.1, 3e-13, delta_omega)
 
     def test_zero_kappa_means_no_dephasing(self, delta_omega):
-        assert closed_form_sigma_phi(0.0, 3e-13, delta_omega) == 0.0
-        assert analytic_visibility(0.0, 3e-13, delta_omega).visibility == 1.0
+        s2 = closed_form_sigma_phi(0.0, 3e-13, delta_omega)
+        assert s2 == 0.0
+        assert math.exp(-s2 / 2.0) == 1.0
 
 
 class TestSymmetricEngine:
@@ -138,13 +124,13 @@ class TestSymmetricEngine:
 
     def test_visibility_at_self_consistent_calibration(self, ref_jsa, ref_filter,
                                                        ref_medium, ref_grid):
-        v = harmonic_visibility(ref_jsa, ref_filter, ref_medium, ref_grid)
+        v = fringe_harmonics(ref_jsa, ref_filter, ref_medium, ref_grid).visibility
         assert v == pytest.approx(V_AT_T_SC, abs=1e-6)
 
     def test_visibility_at_the_calibrated_strength(self, ref_jsa, ref_filter,
                                                    ref_grid, omega0, delta_omega):
         medium = make_medium(omega0, delta_omega, T_STAR)
-        v = harmonic_visibility(ref_jsa, ref_filter, medium, ref_grid)
+        v = fringe_harmonics(ref_jsa, ref_filter, medium, ref_grid).visibility
         assert v == pytest.approx(0.568, abs=1e-6)
 
     def test_uncorrelated_limit_keeps_full_visibility(self, ref_filter, ref_grid,
@@ -152,7 +138,7 @@ class TestSymmetricEngine:
                                                       t_self_consistent):
         jsa = make_jsa(omega0, delta_omega, 1e-6)
         medium = make_medium(omega0, delta_omega, t_self_consistent)
-        v = harmonic_visibility(jsa, ref_filter, medium, ref_grid)
+        v = fringe_harmonics(jsa, ref_filter, medium, ref_grid).visibility
         assert v == pytest.approx(V_AT_TINY_KAPPA, abs=1e-7)
         assert v > 1.0 - 1e-4
 
@@ -160,15 +146,16 @@ class TestSymmetricEngine:
                                                    omega0, delta_omega,
                                                    t_self_consistent):
         medium = make_medium(omega0, delta_omega, t_self_consistent)
-        vs = [harmonic_visibility(make_jsa(omega0, delta_omega, k),
-                                  ref_filter, medium, ref_grid)
+        vs = [fringe_harmonics(make_jsa(omega0, delta_omega, k),
+                               ref_filter, medium, ref_grid).visibility
               for k in (0.05, 0.14, 0.5, 2.0, 5.0)]
         assert all(a > b for a, b in zip(vs, vs[1:]))
 
     def test_visibility_decreases_with_dispersion(self, ref_jsa, ref_filter,
                                                   ref_grid, omega0, delta_omega):
-        vs = [harmonic_visibility(ref_jsa, ref_filter,
-                                  make_medium(omega0, delta_omega, t), ref_grid)
+        vs = [fringe_harmonics(ref_jsa, ref_filter,
+                               make_medium(omega0, delta_omega, t),
+                               ref_grid).visibility
               for t in (0.5, 2.0, 4.0, 7.0, 10.0)]
         assert all(a > b for a, b in zip(vs, vs[1:]))
 
@@ -197,42 +184,24 @@ class TestSymmetricEngine:
     def test_asymmetric_flag_keeps_the_harmonics(self, ref_jsa, ref_filter,
                                                  ref_grid, ref_medium):
         # the general harmonics of a symmetric pair flagged asymmetric are
-        # its symmetric ones; only the symmetric wrapper refuses the flag
+        # its symmetric ones
         flagged = JointSpectrum(pump_center=ref_jsa.pump_center,
                                 pump_fwhm=ref_jsa.pump_fwhm, symmetric=False)
         h = fringe_harmonics(flagged, ref_filter, ref_medium, ref_grid)
         twin = fringe_harmonics(ref_jsa, ref_filter, ref_medium, ref_grid)
         assert abs(h.offset - twin.offset) / twin.offset < 1e-12
         assert abs(h.amplitude - twin.amplitude) / twin.offset < 1e-12
-        assert harmonic_visibility(flagged, ref_filter, ref_medium,
-                                   ref_grid) == pytest.approx(V_AT_T_SC, abs=1e-9)
-        with pytest.raises(ValueError, match="symmetric"):
-            coincidence_probability_symmetric(flagged, ref_filter, ref_medium,
-                                              0.3, ref_grid)
+        assert h.visibility == pytest.approx(V_AT_T_SC, abs=1e-9)
 
     def test_extract_visibility_agrees_with_harmonics(self, ref_jsa, ref_filter,
                                                       ref_medium, ref_grid):
+        # 721 angles per fringe period trust the extrema to ~1e-5
         thetas = np.linspace(0.0, math.pi, 2881)
-        curve = simulate_fringe_scan(ref_jsa, ref_filter, ref_medium, thetas,
-                                     grid=ref_grid)
-        v = extract_visibility(curve)
-        assert v == pytest.approx(V_AT_T_SC, abs=2e-5)
-
-    def test_extract_visibility_rejects_sparse_scans(self, ref_jsa, ref_filter,
-                                                     ref_medium, ref_grid):
-        thetas = np.linspace(0.0, math.pi, 100)
-        curve = simulate_fringe_scan(ref_jsa, ref_filter, ref_medium, thetas,
-                                     grid=ref_grid)
-        with pytest.raises(ValueError, match="sparse"):
-            extract_visibility(curve)
-
-    def test_extract_visibility_needs_a_full_period(self, ref_jsa, ref_filter,
-                                                    ref_medium, ref_grid):
-        thetas = np.linspace(0.0, 0.5 * math.pi / 4.0, 1000)
-        curve = simulate_fringe_scan(ref_jsa, ref_filter, ref_medium, thetas,
-                                     grid=ref_grid)
-        with pytest.raises(ValueError, match="period"):
-            extract_visibility(curve)
+        values = simulate_fringe_scan(ref_jsa, ref_filter, ref_medium, thetas,
+                                      grid=ref_grid).values
+        hi, lo = values.max(), values.min()
+        h = fringe_harmonics(ref_jsa, ref_filter, ref_medium, ref_grid)
+        assert (hi - lo) / (hi + lo) == pytest.approx(h.visibility, abs=2e-5)
 
 
 class TestGeneralPath:
@@ -300,8 +269,9 @@ class TestGeneralPath:
 
     def test_symmetric_wrapper_matches_general(self, ref_jsa, ref_filter,
                                                ref_medium, ref_grid):
-        a = coincidence_probability_symmetric(ref_jsa, ref_filter, ref_medium,
-                                              0.7, ref_grid)
+        # the harmonic form at one angle of an exchange-symmetric pair
+        a = float(fringe_harmonics(ref_jsa, ref_filter, ref_medium,
+                                   ref_grid).at(0.7))
         b = coincidence_probability_general(ref_jsa, ref_filter, ref_medium,
                                             0.7, ref_grid)
         assert a == pytest.approx(b, rel=1e-12)
@@ -511,10 +481,11 @@ class TestClosedFormQuality:
     def test_frozen_shortfall_at_the_reference_configuration(
             self, ref_jsa, ref_filter, ref_medium, ref_grid, delta_omega,
             t_self_consistent):
-        engine = harmonic_visibility(ref_jsa, ref_filter, ref_medium, ref_grid)
-        law = analytic_visibility(0.14, t_self_consistent / delta_omega,
-                                  delta_omega)
-        shortfall = engine / law.visibility - 1.0
+        engine = fringe_harmonics(ref_jsa, ref_filter, ref_medium,
+                                  ref_grid).visibility
+        law = math.exp(-closed_form_sigma_phi(
+            0.14, t_self_consistent / delta_omega, delta_omega) / 2.0)
+        shortfall = engine / law - 1.0
         assert shortfall == pytest.approx(CLOSED_FORM_SHORTFALL, abs=2e-4)
         # the engine's fringe is always a touch dimmer than the Gaussian
         # surrogate predicts: the surrogate underestimates the phase spread

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from noonfringe import (angular_to_wavelength_nm, bandwidth_nm_to_angular,
-                        fwhm_to_sigma, wavelength_nm_to_angular)
+                        wavelength_nm_to_angular)
 
 C = 299792458.0
 
@@ -23,12 +23,8 @@ def test_bandwidth_conversion_matches_first_order_dispersion():
                                                                 rel=1e-9)
 
 
-def test_fwhm_to_sigma():
-    assert fwhm_to_sigma(math.sqrt(8.0 * math.log(2.0))) == pytest.approx(1.0)
-
-
 @pytest.mark.parametrize("fn", [wavelength_nm_to_angular,
-                                angular_to_wavelength_nm, fwhm_to_sigma])
+                                angular_to_wavelength_nm])
 def test_nonpositive_rejected(fn):
     with pytest.raises(ValueError):
         fn(0.0)
