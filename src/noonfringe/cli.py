@@ -25,7 +25,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -39,8 +39,7 @@ from .config import (ConfigError, ExperimentConfig, load_config_file,
                      merge_config)
 from .engine import _sum_axis, fringe_harmonics
 from .spectral import (DispersionWindowError, FrequencyGrid,
-                       QuadratureAccuracyError, TaylorMedium,
-                       bbo_crystal, linearize_phase)
+                       QuadratureAccuracyError, TaylorMedium)
 from .sumfreq import (default_nu_grid, gaussian_approximation, kl_divergence,
                       moment_matched_gaussian, phase_distribution_moments,
                       sum_frequency_density_exact, sum_frequency_density_numeric)
@@ -332,24 +331,25 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_UNDERFLOWING_SLOPE = ("gives a group-delay slope whose squared strength "
-                       "(phi_prime*delta_omega)^2 underflows")
+_SLOPE_OUT_OF_RANGE = ("gives a group-delay slope whose squared strength "
+                       "(phi_prime*delta_omega)^2 underflows or overflows")
 
 
-def _slope_underflows(phi_prime: float, delta_omega: float) -> bool:
+def _slope_out_of_range(phi_prime: float, delta_omega: float) -> bool:
     """Whether a nonzero slope's closed-form strength (phi_prime*delta_omega)^2,
-    which the law divides by, falls below the normal float range."""
+    which the law divides by and squares with ``**``, leaves the normal float
+    range."""
     t = phi_prime * delta_omega
-    return phi_prime != 0 and t * t < sys.float_info.min
+    return phi_prime != 0 and not sys.float_info.min <= t * t < math.inf
 
 
 def _medium_slope(config: ExperimentConfig) -> float:
     """Group-delay slope of the configured medium, refused where its
-    closed-form strength underflows."""
+    closed-form strength leaves the normal float range."""
     phi_prime = config.medium_phi_prime_effective()
-    if _slope_underflows(phi_prime, config.delta_omega()):
+    if _slope_out_of_range(phi_prime, config.delta_omega()):
         raise ConfigError("medium_length_mm" if config.medium_variant == "bbo"
-                          else "medium_phi_prime", _UNDERFLOWING_SLOPE)
+                          else "medium_phi_prime", _SLOPE_OUT_OF_RANGE)
     return phi_prime
 
 
@@ -359,18 +359,17 @@ def _calibration_block(config: ExperimentConfig, source: str,
     if source == "self-consistent":
         phi_prime = self_consistent_calibration() / delta_omega
     elif source == "sellmeier":
-        crystal = bbo_crystal(config.medium_length_mm * 1e-3)
-        reference = wavelength_nm_to_angular(config.filter_center_nm)
-        phi_prime = linearize_phase(crystal, reference).phi_prime
-        if phi_prime == 0 or _slope_underflows(phi_prime, delta_omega):
+        as_crystal = replace(config, medium_variant="bbo")
+        phi_prime = as_crystal.medium_phi_prime_effective()
+        if phi_prime == 0 or _slope_out_of_range(phi_prime, delta_omega):
             raise ConfigError("medium_length_mm", "gives a Sellmeier slope "
                               "that is zero or whose squared strength "
-                              "underflows")
+                              "underflows or overflows")
     elif source == "user":
         if user_phi_prime is None:
             raise CliInputError("--calibration user requires --phi-prime-cal")
-        if _slope_underflows(user_phi_prime, delta_omega):
-            raise CliInputError(f"--phi-prime-cal {_UNDERFLOWING_SLOPE}")
+        if _slope_out_of_range(user_phi_prime, delta_omega):
+            raise CliInputError(f"--phi-prime-cal {_SLOPE_OUT_OF_RANGE}")
         phi_prime = user_phi_prime
     else:  # config-medium
         phi_prime = _medium_slope(config)
@@ -432,6 +431,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.phi_prime_cal is not None \
             and not (math.isfinite(args.phi_prime_cal) and args.phi_prime_cal):
         raise CliInputError("--phi-prime-cal must be finite and nonzero")
+    if args.bootstrap < 0:
+        raise CliInputError("--bootstrap must be nonnegative (0 disables it)")
     warnings: list[str] = []
     fit = None
     scan = None

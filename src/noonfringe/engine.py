@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (DispersiveMedium, FilterProfile, FrequencyGrid,
-                       JointSpectrum, QuadratureAccuracyError,
-                       filter_transmission, jsa_amplitude, medium_phase)
+                       JointSpectrum, _check_refinement, filter_transmission,
+                       jsa_amplitude, medium_phase)
 
 __all__ = [
     "ProbabilityCurve",
@@ -44,7 +44,7 @@ __all__ = [
     "single_photon_visibility",
 ]
 
-#: default relative tolerance for the node-thinning accuracy estimate
+#: relative tolerance for the node-thinning accuracy estimate
 ACCURACY_TOL = 1e-5
 
 
@@ -54,7 +54,6 @@ class ProbabilityCurve:
 
     thetas: np.ndarray
     values: np.ndarray
-    normalization: str = "raw"
 
     def __post_init__(self) -> None:
         th = np.asarray(self.thetas, dtype=float)
@@ -73,10 +72,6 @@ class ProbabilityCurve:
         if np.any(v < 0):
             v = np.where(v < 0, 0.0, v)
             object.__setattr__(self, "values", v)
-        if self.normalization not in ("raw", "mean-one"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.normalization == "mean-one" and abs(v.mean() - 1.0) > 1e-12:
-            raise ValueError("mean-one curve does not average to 1")
 
 
 # --------------------------------------------------------------------------
@@ -118,23 +113,6 @@ def _thinned(grid: FrequencyGrid) -> int:
     return max(16, (3 * grid.nodes_per_axis) // 4)
 
 
-def _check_shift(shift: float, flux: float, grid: FrequencyGrid, n_thin: int,
-                 accuracy_tol: float) -> None:
-    """Refuse a probability that thinning the nodes moves by more than
-    accuracy_tol of the pair flux, and one with no finite flux or shift."""
-    if not (0.0 < flux < math.inf and math.isfinite(shift)):
-        raise FloatingPointError(
-            f"no finite fringe: pair flux {flux!r} and thinning shift "
-            f"{shift!r} on the mesh; the spectrum, the filters or the medium "
-            "phase leave floating-point range")
-    err = shift / flux
-    if err > accuracy_tol:
-        raise QuadratureAccuracyError(
-            f"grid too coarse: {grid.nodes_per_axis} vs {n_thin} nodes move "
-            f"P(theta) by {err:.2e} of the pair flux "
-            f"(tolerance {accuracy_tol:.1e})")
-
-
 def _general_value(jsa, filt, medium, theta, grid, n=None):
     o1, o2, w = _rotated_mesh(jsa, filt, grid, n)
     with np.errstate(over="ignore", invalid="ignore"):     # as in _harmonics
@@ -155,22 +133,20 @@ def _general_value(jsa, filt, medium, theta, grid, n=None):
 
 def coincidence_probability_general(jsa: JointSpectrum, filt: FilterProfile,
                                     medium: DispersiveMedium, theta: float,
-                                    grid: FrequencyGrid, *,
-                                    accuracy_tol: float = ACCURACY_TOL,
-                                    check: bool = True) -> float:
+                                    grid: FrequencyGrid) -> float:
     """Coincidence probability from the general bilinear form.
 
     Handles asymmetric and complex spectral amplitudes. The value is
-    re-estimated with a thinned node set; disagreement beyond accuracy_tol
+    re-estimated with a thinned node set; disagreement beyond ACCURACY_TOL
     (relative to the total pair flux, so fringe nulls don't divide by zero)
     raises QuadratureAccuracyError; a mesh with no finite, nonzero flux or a
     non-finite value raises FloatingPointError.
     """
     p, flux = _general_value(jsa, filt, medium, theta, grid)
-    if check:
-        n_thin = _thinned(grid)
-        p_thin, _ = _general_value(jsa, filt, medium, theta, grid, n_thin)
-        _check_shift(abs(p - p_thin), flux, grid, n_thin, accuracy_tol)
+    n_thin = _thinned(grid)
+    p_thin, _ = _general_value(jsa, filt, medium, theta, grid, n_thin)
+    _check_refinement("fringe", p, p_thin, flux, grid.nodes_per_axis, n_thin,
+                      ACCURACY_TOL)
     return p
 
 
@@ -207,7 +183,7 @@ def _harmonics(jsa, filt, medium, grid, n=None) -> tuple[FringeHarmonics, float]
     """
     o1, o2, w = _rotated_mesh(jsa, filt, grid, n)
     # steep filter powers overflow to an exact zero transmission; a phase
-    # that overflows ends in NaN, which _check_shift refuses
+    # that overflows ends in NaN, which _check_refinement refuses
     with np.errstate(over="ignore", invalid="ignore"):
         wtt = w * (filter_transmission(filt, o1) * filter_transmission(filt, o2))
         phi1, phi2 = medium_phase(medium, o1), medium_phase(medium, o2)
@@ -225,8 +201,7 @@ def _harmonics(jsa, filt, medium, grid, n=None) -> tuple[FringeHarmonics, float]
     return h, float(np.sum(flux))
 
 
-def _checked_harmonics(jsa, filt, medium, grid, thetas, accuracy_tol,
-                       check) -> FringeHarmonics:
+def _checked_harmonics(jsa, filt, medium, grid, thetas=None) -> FringeHarmonics:
     """_harmonics, re-estimated on a thinned node set.
 
     The shift is max(|dN|, |dZ|), which bounds the move of P(theta) at every
@@ -235,38 +210,35 @@ def _checked_harmonics(jsa, filt, medium, grid, thetas, accuracy_tol,
     each of them.
     """
     h, flux = _harmonics(jsa, filt, medium, grid)
-    if check:
-        n_thin = _thinned(grid)
-        h_thin, _ = _harmonics(jsa, filt, medium, grid, n_thin)
-        if thetas is None or jsa.symmetric:
-            # np.maximum, unlike max, keeps a NaN for _check_shift to refuse
-            shift = float(np.maximum(abs(h.offset - h_thin.offset),
-                                     abs(h.amplitude - h_thin.amplitude)))
-        else:
-            shift = float(np.max(np.abs(h.at(thetas) - h_thin.at(thetas))))
-        _check_shift(shift, flux, grid, n_thin, accuracy_tol)
+    n_thin = _thinned(grid)
+    h_thin, _ = _harmonics(jsa, filt, medium, grid, n_thin)
+    if thetas is None or jsa.symmetric:
+        value = [h.offset, h.amplitude]
+        check_value = [h_thin.offset, h_thin.amplitude]
+    else:
+        value, check_value = h.at(thetas), h_thin.at(thetas)
+    _check_refinement("fringe", value, check_value, flux, grid.nodes_per_axis,
+                      n_thin, ACCURACY_TOL)
     return h
 
 
 def fringe_harmonics(jsa: JointSpectrum, filt: FilterProfile,
-                     medium: DispersiveMedium, grid: FrequencyGrid, *,
-                     accuracy_tol: float = ACCURACY_TOL,
-                     check: bool = True) -> FringeHarmonics:
+                     medium: DispersiveMedium,
+                     grid: FrequencyGrid) -> FringeHarmonics:
     """Fringe components of any pair: P(theta) = (N + Re(Z e^{8 i theta}))/2.
 
     N is the fringe offset (the filtered pair flux for a symmetric spectrum)
     and Z its phase-weighted counterpart, so visibility |Z|/N is free of
     theta sampling. Raises QuadratureAccuracyError when thinning the nodes
-    moves N or Z by more than accuracy_tol of the pair flux, and
+    moves N or Z by more than ACCURACY_TOL of the pair flux, and
     FloatingPointError when the flux, N or Z is not finite or no flux
     reaches the filters.
     """
-    return _checked_harmonics(jsa, filt, medium, grid, None, accuracy_tol, check)
+    return _checked_harmonics(jsa, filt, medium, grid)
 
 
 def simulate_fringe_scan(jsa: JointSpectrum, filt: FilterProfile,
                          medium: DispersiveMedium, thetas,
-                         normalization: str = "raw",
                          grid: FrequencyGrid | None = None) -> ProbabilityCurve:
     """Evaluate the fringe over a list of analyzer angles.
 
@@ -279,19 +251,12 @@ def simulate_fringe_scan(jsa: JointSpectrum, filt: FilterProfile,
         raise ValueError("need at least one angle")
     if grid is None:
         grid = FrequencyGrid(center=jsa.pump_center / 2.0)
-    values = _checked_harmonics(jsa, filt, medium, grid, th, ACCURACY_TOL,
-                                True).at(th)
-    if normalization == "mean-one":
-        mean = values.mean()
-        if mean <= 0:
-            raise ValueError("cannot normalize a vanishing curve")
-        values = values / mean
-    return ProbabilityCurve(th, values, normalization)
+    return ProbabilityCurve(th, _checked_harmonics(jsa, filt, medium, grid,
+                                                   th).at(th))
 
 
 def single_photon_visibility(filt: FilterProfile, medium: DispersiveMedium,
-                             grid: FrequencyGrid | None = None, *,
-                             accuracy_tol: float = ACCURACY_TOL) -> float:
+                             grid: FrequencyGrid | None = None) -> float:
     """Fringe visibility of one photon through the same filter and medium.
 
     |integral T(w) e^{i phi(w)}| / integral T(w): the single-photon dephasing
@@ -314,13 +279,8 @@ def single_photon_visibility(filt: FilterProfile, medium: DispersiveMedium,
             return abs(np.sum(t * np.exp(1j * phi))) / np.sum(t)
 
     v = value()
-    shift = abs(v - value(_thinned(grid)))
-    if not math.isfinite(shift):
-        raise FloatingPointError(
-            f"no finite single-photon visibility: thinning shift {shift!r}; "
-            "the filters or the medium phase leave floating-point range")
-    if shift > accuracy_tol:
-        raise QuadratureAccuracyError(
-            f"grid too coarse for the single-photon integral "
-            f"(shift {shift:.2e})")
+    n_thin = _thinned(grid)
+    # v is already relative to the transmitted flux: its scale is 1
+    _check_refinement("single-photon visibility", v, value(n_thin), 1.0,
+                      grid.nodes_per_axis, n_thin, ACCURACY_TOL)
     return float(v)

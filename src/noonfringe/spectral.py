@@ -43,6 +43,31 @@ class QuadratureAccuracyError(RuntimeError):
     """An integral's estimated quadrature error exceeds the requested tolerance."""
 
 
+def _check_refinement(what: str, value, check_value, scale, nodes: int,
+                      check_nodes: int, tol: float) -> None:
+    """Refuse a quadrature value that its re-estimate does not confirm.
+
+    value was computed on `nodes` nodes and check_value on `check_nodes`; the
+    error is the largest |value - check_value| / scale. Either may be an
+    array, and scale a scalar or one scale per value. Raises
+    FloatingPointError when a shift or a scale is not finite or a scale is
+    not positive (a NaN fails every comparison, so it is refused here), and
+    QuadratureAccuracyError when the error exceeds tol.
+    """
+    shift = np.abs(np.subtract(value, check_value))
+    if not (np.all(np.isfinite(shift))
+            and np.all((0.0 < scale) & (scale < math.inf))):
+        raise FloatingPointError(
+            f"no finite {what}: on {nodes} vs {check_nodes} nodes the shift is "
+            f"{float(np.max(shift))!r} and the scale {float(np.min(scale))!r}; "
+            "its inputs leave floating-point range")
+    err = float(np.max(shift / scale))
+    if err > tol:
+        raise QuadratureAccuracyError(
+            f"{what} unconverged, grid too coarse: {nodes} vs {check_nodes} "
+            f"nodes move it by {err:.2e} (tolerance {tol:.1e})")
+
+
 class DispersionWindowError(ValueError):
     """A frequency lies outside the validity window of the embedded
     dispersion coefficients."""

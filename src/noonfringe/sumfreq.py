@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besselk import bessel_k_quarter_scaled
-from .spectral import (FilterProfile, FrequencyGrid, JointSpectrum,
-                       DispersiveMedium, QuadratureAccuracyError, _even_power,
+from .spectral import (FilterProfile, JointSpectrum, DispersiveMedium,
+                       QuadratureAccuracyError, _check_refinement, _even_power,
                        medium_phase)
 
 LN2 = math.log(2.0)
@@ -140,6 +140,12 @@ _CONV_TOL = 1e-8
 #: 2^-_TAIL_BITS of its value at s = 0
 _TAIL_BITS = 60
 
+#: points of the phase-moment grid; the check doubles its resolution
+_MOMENT_POINTS = 4001
+
+#: the phase variance on the doubled grid must agree to this fraction of itself
+_MOMENT_TOL = 1e-8
+
 
 def _node_sum(order: int, x: np.ndarray, b: np.ndarray, t: np.ndarray,
               w: np.ndarray) -> np.ndarray:
@@ -172,7 +178,7 @@ def _self_convolution(order: int, x_bytes: bytes) -> np.ndarray:
     (of the smallest normal float, below it); each halving keeps every
     node, so it evaluates only the new midpoints. The finer table is
     returned. A rule not converged at _MAX_INTERVALS intervals raises
-    QuadratureAccuracyError.
+    QuadratureAccuracyError, and a NaN abscissa FloatingPointError.
 
     Memoised on (order, float64 abscissa bytes): the density checks and the
     phase moments ask for the same tabulation, which is therefore shared
@@ -195,13 +201,14 @@ def _self_convolution(order: int, x_bytes: bytes) -> np.ndarray:
             total += _node_sum(order, x, b, (np.arange(m) + 0.5) / m, np.ones(m))
             m *= 2
             coarse, table = table, total * b / m
-            shift = np.abs(table - coarse) / np.maximum(table, np.finfo(float).tiny)
-            if shift.max() <= _CONV_TOL:
+            try:
+                _check_refinement("sum-frequency convolution", table, coarse,
+                                  np.maximum(table, np.finfo(float).tiny),
+                                  m + 1, m // 2 + 1, _CONV_TOL)
                 break
-            if m >= _MAX_INTERVALS:
-                raise QuadratureAccuracyError(
-                    f"convolution unconverged: halving the step to {m + 1} "
-                    f"nodes moves values by {shift.max():.2e} of themselves")
+            except QuadratureAccuracyError:
+                if m >= _MAX_INTERVALS:
+                    raise
     table.flags.writeable = False
     return table
 
@@ -396,8 +403,7 @@ class PhaseMoments:
 
 
 def phase_distribution_moments(jsa: JointSpectrum, filt: FilterProfile,
-                               medium: DispersiveMedium,
-                               grid: FrequencyGrid | None = None) -> PhaseMoments:
+                               medium: DispersiveMedium) -> PhaseMoments:
     """Central moments of the total fringe phase.
 
     The fringe phase inherits the sum-frequency distribution: the density of
@@ -406,21 +412,13 @@ def phase_distribution_moments(jsa: JointSpectrum, filt: FilterProfile,
     linear-dispersion medium this makes the variance exactly
     phi'^2 * Var(omega_p).
 
-    The moments are integrated by trapezoid on the standard nu grid (or one
-    sized per the given FrequencyGrid), over the same checked and memoised
-    F table that sum_frequency_density_numeric returns; a
-    resolution-doubling check guards the result and raises
+    The moments are integrated by trapezoid on the standard nu grid, over the
+    same checked and memoised F table that sum_frequency_density_numeric
+    returns; a resolution-doubling check guards the variance and raises
     QuadratureAccuracyError on disagreement.
     """
-    if grid is None:
-        points, half = 4001, 4.0
-    else:
-        points = grid.nodes_per_axis if grid.nodes_per_axis % 2 else grid.nodes_per_axis + 1
-        points = max(points, 257)
-        half = grid.half_range
-
     def compute(n_points: int) -> tuple[float, float, float, float]:
-        nu = default_nu_grid(n_points, half)
+        nu = default_nu_grid(n_points)
         x = nu / NU_SCALE                                    # (omega_p - 2*center)/fwhm
         omega_p = 2.0 * filt.center + x * filt.fwhm
         # out-of-range values end as 0, inf or NaN, which the checks below
@@ -444,8 +442,9 @@ def phase_distribution_moments(jsa: JointSpectrum, filt: FilterProfile,
             m4 = float(np.trapezoid(d ** 4 * w, x))
         return mean, m2, m3, m4
 
-    mean, m2, m3, m4 = compute(points)
-    _, m2b, _, _ = compute(2 * points - 1)
+    fine = 2 * _MOMENT_POINTS - 1
+    mean, m2, m3, m4 = compute(_MOMENT_POINTS)
+    _, m2b, _, _ = compute(fine)
     if not all(map(math.isfinite, (mean, m2, m3, m4, m2b))):
         raise FloatingPointError("phase moments are not finite: the medium "
                                  "phase leaves floating-point range")
@@ -453,8 +452,7 @@ def phase_distribution_moments(jsa: JointSpectrum, filt: FilterProfile,
     floor = (1e-12 * (1.0 + abs(mean))) ** 2
     if m2 <= floor and m2b <= floor:
         return PhaseMoments(0.0, 0.0, 0.0)
-    if abs(m2 - m2b) > 1e-8 * m2b:
-        raise QuadratureAccuracyError(
-            f"moment grid unconverged: variance moved by {abs(m2 - m2b):.2e}")
+    _check_refinement("phase variance", m2, m2b, m2b, _MOMENT_POINTS, fine,
+                      _MOMENT_TOL)
     return PhaseMoments(variance=m2, skewness=m3 / m2 ** 1.5,
                         excess_kurtosis=m4 / m2 ** 2 - 3.0)

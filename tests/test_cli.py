@@ -286,6 +286,13 @@ class TestEstimate:
         assert code == EXIT_OK
         assert json.loads(out)["bootstrap"]["n_resamples"] == 100
 
+    def test_negative_bootstrap_count_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, ["estimate", WITHCRYSTAL_CSV,
+                                      "--bootstrap", "-7"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: --bootstrap ")
+
     def test_sellmeier_calibration_reports_both_inversions(self, capsys):
         code, out, _ = run(capsys, ["estimate", "--visibility", "0.568",
                                     "--calibration", "sellmeier"])
@@ -593,9 +600,23 @@ class TestConfigPlumbing:
          "'medium_length_mm'"),
         (["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
           "--length-mm", "0"], "error: config field ", "'medium_length_mm'"),
+        # (phi_prime*delta_omega)^2 overflows
+        (["estimate", "--visibility", "0.5", "--calibration", "user",
+          "--phi-prime-cal", "1e200"], "error: ", "--phi-prime-cal"),
+        (["estimate", "--visibility", "0.5", "--calibration",
+          "config-medium", "--phi-prime", "1e200"], "error: config field ",
+         "'medium_phi_prime'"),
+        # the crystal's phase at the filter center overflows
+        (["validate", "--medium", "bbo", "--length-mm", "1e300"],
+         "error: config field ", "'medium_length_mm'"),
+        (["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
+          "--length-mm", "1e300"], "error: config field ",
+         "'medium_length_mm'"),
     ], ids=["pump-wavelength", "detuned-pump", "off-mesh-pump",
             "off-mesh-pump-synth", "user-slope", "sellmeier-length",
-            "sellmeier-zero-length"])
+            "sellmeier-zero-length", "user-slope-overflow",
+            "config-medium-slope-overflow", "crystal-phase-overflow",
+            "sellmeier-phase-overflow"])
     def test_numeric_dead_ends_name_their_field(self, capsys, argv, prefix,
                                                 key):
         code, out, err = run(capsys, argv)
@@ -798,18 +819,30 @@ def test_scipy_loads_only_for_the_order_four_closed_form():
     assert not any("scipy.linalg" in loaded for _, loaded in steps)
 
 
-def test_traced_benchmark_child_runs():
-    # perfbench's tracer wraps package names at start-up; a name it expects
-    # that the package no longer has kills every traced run
+@pytest.mark.parametrize("argv,noted", [
+    (["estimate", "--visibility", "0.6"], None),
+    # the benchmark's lab-estimate shape: fit, bootstrap and F
+    (["estimate", CALIBRATION_CSV, "--bootstrap", "100"], "analysis.bootstrap"),
+    (["validate", "--json"], None),
+    (["simulate"], "spectral.nodes"),
+], ids=["estimate-visibility", "estimate-csv", "validate", "simulate"])
+def test_traced_benchmark_child_runs(argv, noted):
+    # perfbench's tracer wraps package names at start-up, and notes what the
+    # node generators and the bootstrap return; a name it expects that the
+    # package no longer has, or a return value it cannot read, kills every
+    # traced run
     root = os.path.dirname(os.path.dirname(os.path.dirname(noonfringe.__file__)))
     child = os.path.join(root, "perfbench", "child.py")
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
     env.pop(CONFIG_ENV_VAR, None)
     proc = subprocess.run(
-        [sys.executable, child, "1", "0", "estimate", "--visibility", "0.6"],
+        [sys.executable, child, "1", "0", *argv],
         capture_output=True, text=True, env=env, cwd=root, timeout=300)
     assert proc.returncode == 0, proc.stderr
     marks = [json.loads(line[len("@perfbench "):])
              for line in proc.stderr.splitlines()
              if line.startswith("@perfbench ")]
-    assert any(mark.get("spans") for mark in marks), proc.stderr
+    spans = [span for mark in marks for span in mark.get("spans", [])]
+    assert spans, proc.stderr
+    if noted is not None:
+        assert any(span[1] == noted and span[6] is not None for span in spans)

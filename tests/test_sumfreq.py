@@ -17,7 +17,6 @@ from noonfringe import (
     DensityCurve,
     F_EXACT_AT_ZERO,
     FilterProfile,
-    FrequencyGrid,
     JointSpectrum,
     NU_SCALE,
     QuadratureAccuracyError,
@@ -160,6 +159,13 @@ class TestNumericConvolution:
     def test_grid_must_reach_three_widths(self, ref_filter):
         with pytest.raises(ValueError, match="at least"):
             sum_frequency_density_numeric(ref_filter, np.linspace(-2.5, 2.5, 101))
+
+    def test_nan_abscissa_is_refused(self, ref_filter):
+        nu = np.linspace(-4.0, 4.0, 9)
+        nu[3] = math.nan
+        with pytest.raises(FloatingPointError,
+                           match="no finite sum-frequency convolution"):
+            sum_frequency_density_numeric(ref_filter, nu)
 
     def test_unconverged_inner_rule_is_reported(self, ref_filter, nu,
                                                 monkeypatch):
@@ -502,10 +508,12 @@ class TestPhaseMoments:
         with pytest.raises(FloatingPointError, match="not finite"):
             phase_distribution_moments(ref_jsa, ref_filter, steep)
 
-    def test_grid_override_matches_the_default(self, ref_jsa, ref_filter, ref_medium,
-                                               omega0):
-        default = phase_distribution_moments(ref_jsa, ref_filter, ref_medium)
-        custom = phase_distribution_moments(
-            ref_jsa, ref_filter, ref_medium,
-            grid=FrequencyGrid(center=omega0, nodes_per_axis=801))
-        assert custom.variance == pytest.approx(default.variance, rel=1e-6)
+    def test_unconverged_moment_grid_is_reported(self, ref_jsa, ref_filter,
+                                                 ref_medium, monkeypatch):
+        # doubling the grid leaves the variance as it is here; a negative
+        # tolerance refuses even exact agreement
+        monkeypatch.setattr(noonfringe.sumfreq, "_MOMENT_TOL", -1.0)
+        with pytest.raises(QuadratureAccuracyError,
+                           match="phase variance unconverged") as info:
+            phase_distribution_moments(ref_jsa, ref_filter, ref_medium)
+        assert "4001 vs 8001 nodes" in str(info.value)
