@@ -8,12 +8,11 @@ correlation.
 
 __version__ = "0.1.0"
 
-from .analysis import (BootstrapResult, CorrelationEstimate,
-                       FitConvergenceError, FitResult, FringeScan,
-                       InfeasibleVisibilityError, bootstrap_kappa_uncertainty,
-                       closed_form_sigma_phi, fit_fringe,
-                       kappa_from_visibility, self_consistent_calibration,
-                       sigma_phi_from_visibility)
+from .analysis import (BootstrapResult, CorrelationEstimate, FitResult,
+                       FringeScan, InfeasibleVisibilityError,
+                       bootstrap_kappa_uncertainty, closed_form_sigma_phi,
+                       fit_fringe, kappa_from_visibility,
+                       self_consistent_calibration, sigma_phi_from_visibility)
 from .besselk import bessel_k_quarter_scaled
 from .config import ConfigError, ExperimentConfig, load_config_file
 from .engine import (FringeHarmonics, ProbabilityCurve,
@@ -47,7 +46,7 @@ __all__ = [
     "simulate_fringe_scan", "fringe_harmonics", "single_photon_visibility",
     # fitting and estimation
     "FringeScan", "FitResult", "CorrelationEstimate", "BootstrapResult",
-    "FitConvergenceError", "InfeasibleVisibilityError", "fit_fringe",
+    "InfeasibleVisibilityError", "fit_fringe",
     "closed_form_sigma_phi", "sigma_phi_from_visibility",
     "kappa_from_visibility",
     "bootstrap_kappa_uncertainty", "self_consistent_calibration",

@@ -40,7 +40,6 @@ __all__ = [
     "FitResult",
     "CorrelationEstimate",
     "BootstrapResult",
-    "FitConvergenceError",
     "InfeasibleVisibilityError",
     "fit_fringe",
     "closed_form_sigma_phi",
@@ -49,14 +48,6 @@ __all__ = [
     "bootstrap_kappa_uncertainty",
     "self_consistent_calibration",
 ]
-
-
-class FitConvergenceError(RuntimeError):
-    """Fringe fit did not converge; carries the best iterate found."""
-
-    def __init__(self, message: str, best: "FitResult | None" = None):
-        super().__init__(message)
-        self.best = best
 
 
 class InfeasibleVisibilityError(ValueError):
@@ -257,32 +248,25 @@ def _weights(counts, normalized):
 
 
 def fit_fringe(scan: FringeScan, fix_harmonic: float | None = None) -> FitResult:
-    """Weighted nonlinear least-squares fringe fit.
+    """Weighted least-squares fringe fit inside the box 0 <= v <= 1.
 
     Count data gets Poisson weights (variance = counts, floored at one);
     normalized data gets unit weights, with the covariance rescaled by the
-    residual variance. The starting point comes from the discrete Fourier
-    component at the dominant fringe frequency. The scan is fitted as a
-    one-row stack by the bounded batched Levenberg-Marquardt solver that the
-    bootstrap uses; a fit that does not converge raises FitConvergenceError,
-    carrying the solver's best iterate. The covariance is pinv(J'J) on the
-    analytic Jacobian at the fitted point. A visibility within three
+    residual variance. The scan is fitted as a one-row stack by the batched
+    variable-projection fit the bootstrap uses: a fixed harmonic is one
+    linear solve, and a free one a search for the zero of the cost's slope
+    in m from the dominant Fourier frequency. The covariance is
+    V diag(1/s^2) V' over the singular values s of the analytic Jacobian at
+    the fitted point that pinv(J'J) would keep. A visibility within three
     standard errors of zero sets the degenerate flag — the fringe is
     indistinguishable from noise.
     """
     if fix_harmonic is not None and fix_harmonic <= 0:
         raise ValueError("fix_harmonic must be positive")
     harmonic = None if fix_harmonic is None else float(fix_harmonic)
-    y = scan.counts[None, :]
-    start = _start_points(scan.thetas, y, harmonic)
-    params, converged = _fit_stack(start, scan.thetas, y, scan.normalized,
-                                   harmonic)
-    result = _fit_result(scan, harmonic, params[0])
-    if not converged[0]:
-        raise FitConvergenceError(
-            f"fringe fit did not converge; its best iterate has visibility "
-            f"{result.visibility!r}", best=result)
-    return result
+    params = _fit_stack(scan.thetas, scan.counts[None, :], scan.normalized,
+                        harmonic)
+    return _fit_result(scan, harmonic, params[0])
 
 
 def _fit_result(scan, harmonic, x):
@@ -298,92 +282,184 @@ def _fit_result(scan, harmonic, x):
 
     r, jac = _residuals_and_jacobian(x[None], th, y,
                                      _weights(y, scan.normalized), harmonic)
-    r, jac = r[0], jac[0]
-    cov_free = np.linalg.pinv(jac.T @ jac)
+    r = r[0]
+    # pinv(J'J) from J's own SVD: positive semidefinite by construction
+    _, s, vt = np.linalg.svd(jac[0], full_matrices=False)
+    keep = s * s > 1e-15 * s[0] ** 2               # pinv's default cutoff
+    cov_free = (vt[keep].T / s[keep] ** 2) @ vt[keep]
     if scan.normalized and n > p:
         cov_free = cov_free * (float(r @ r) / (n - p))     # 2*cost/(n - p)
     cov = np.zeros((4, 4))
     cov[:p, :p] = cov_free
     cov = (cov + cov.T) / 2.0
 
-    model = off * (1.0 + v * np.cos(m * th + ph))
-    rms = float(np.sqrt(np.mean((model - scan.counts) ** 2)))
+    resid = off * (1.0 + v * np.cos(m * th + ph)) - scan.counts
+    peak = float(np.max(np.abs(resid)))      # the squares overflow past 1e154
+    rms = peak * float(np.sqrt(np.mean((resid / peak) ** 2))) if peak else 0.0
     v_se = math.sqrt(max(cov[1, 1], 0.0))
     return FitResult(offset=float(off), visibility=float(v), phase0=float(ph),
                      harmonic=float(m), covariance=cov, residual_rms=rms,
                      degenerate=bool(v < 3.0 * v_se))
 
 
-#: batched Levenberg-Marquardt: iteration cap, step tolerance relative to
-#: each parameter, and the damping at which a row counts as run away. Rows
-#: that walk a long valley to a bound take up to ~2900 iterations (near-floor
-#: free-harmonic resamples); a bundled-scan resample takes at most ~30.
-_LM_MAX_ITER = 3000
-_LM_XTOL = 1e-13
-_LM_MAX_DAMPING = 1e16
+#: v <= 1 on the coefficients z of the columns (1, 1 - cos(m theta),
+#: sin(m theta)): a = z0 + z1, c = -z1, s = z2, and c^2 + s^2 <= a^2 reads
+#: z' _CONE z <= 0
+_CONE = np.array([[-1.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+
+#: the harmonic search's first downhill step, and its tolerance relative to m
+_HARMONIC_STEP = 0.1
+_HARMONIC_TOL = 1e-13
 
 
-def _fit_stack(start, thetas, counts, normalized, harmonic=None):
-    """Fit a stack of scans (R, n) at once by bounded Levenberg-Marquardt
-    from the start rows (R, p), which lie in the fit box.
+def _project(thetas, counts, weight, m):
+    """Rows (offset, v, phase0, m) of the best fringe of each scan (R, n) at
+    its harmonic m (R,), and the slope and curvature of its cost J in m.
 
-    Damped Gauss-Newton (More, LNM 630, 1978) on the analytic Jacobian: each
-    iteration solves (J'J + lam*diag J'J) d = -J'r for every active row in
-    one call; a row takes its step if its cost does not rise (lam *= 0.3)
-    and otherwise keeps its point (lam *= 10). The box _LOWER/_UPPER is kept
-    by a projected, active-set step (Kanzow, Yamashita & Fukushima, J.
-    Comput. Appl. Math. 172:375, 2004): a parameter on a bound whose
-    gradient points out of the box, or whose Jacobian column is zero, is
-    held there, its row and column of the damped equations replaced by the
-    identity's and its right-hand side by zero, and every trial point is
-    clipped onto the box. A row converges when an accepted step is at most
-    _LM_XTOL of every parameter; where the cost no longer resolves a
-    Gauss-Newton step, rejections raise lam until the step is that small. A
-    row that runs out of iterations, or whose lam runs away, is unconverged. Returns the parameter rows (R, p), each the
-    lowest-cost point its row reached, and a mask of the rows that
-    converged.
+    a + c cos(m theta) + s sin(m theta) is fitted on the columns
+    (1, 2 sin^2(m theta/2), sin(m theta)) at unit peak, independent as
+    m -> 0. A column within numpy's rank tolerance n*eps of its rounding is
+    dropped: where cos(m theta) is 1 to that tolerance, the fit is the
+    constant alone (v = 0); where sin(m theta) is rounding noise, as at the
+    scan's Nyquist harmonic, the sine. A row outside the cone v <= 1 solves
+    (H + mu D) z = g for the mu > 0 that puts it on the face (_multiplier).
+    dJ/dm = -2 r'W dmodel/dm, and d^2J/dm^2 differentiates (H + mu D) z = g
+    and, on the face, z'Dz = 0.
     """
-    x = start.copy()
-    rows, p = x.shape
-    lower, upper = _LOWER[:p], _UPPER[:p]
-    sigma = _weights(counts, normalized)
-    r, jac = _residuals_and_jacobian(x, thetas, counts, sigma, harmonic)
-    cost = np.einsum("kn,kn->k", r, r)
-    lam = np.full(rows, 1e-3)
-    converged = np.zeros(rows, dtype=bool)
-    failed = np.zeros(rows, dtype=bool)
-    eye = np.eye(p)
-    for _ in range(_LM_MAX_ITER):
-        act = np.flatnonzero(~converged & ~failed)
-        if act.size == 0:
+    half = m[:, None] * thetas / 2.0
+    vers, sin = 2.0 * np.sin(half) ** 2, np.sin(2.0 * half)   # vers = 1 - cos
+    cos = 1.0 - vers
+    design = np.stack([np.ones_like(vers), vers, sin], 2) * weight[..., None]
+    # counts in units of a power of two near their peak, so no product
+    # below overflows; J and its derivatives are in those units squared
+    unit = np.exp2(np.ceil(np.log2(np.maximum(counts.max(1), _TINY))))
+    y = counts / unit[:, None] * weight
+    scale = np.stack([np.ones(len(m)), vers.max(1), np.abs(sin).max(1)], 1)
+    # a column within n*eps of its rounding (m*theta to eps) is dropped
+    drop = scale[:, 1:] <= thetas.size * _EPS * np.stack(
+        [np.ones(len(m)), m * np.abs(thetas).max()], 1)
+    scale[:, 1:][drop | drop[:, :1]] = np.inf
+    outer = scale[:, :, None] * scale[:, None, :]
+    # a basis B of H's numerical range with B'HB = I and B'DB = diag(lam)
+    ev, vec = np.linalg.eigh(design.transpose(0, 2, 1) @ design / outer)
+    root = vec * np.where(ev > thetas.size * _EPS * ev[:, -1:],
+                          np.maximum(ev, _TINY) ** -0.5, 0.0)[:, None, :]
+    lam, rot = np.linalg.eigh(root.transpose(0, 2, 1) @ (_CONE / outer) @ root)
+    basis = root @ rot / scale[:, :, None]
+    grad = np.einsum("rnk,rn->rk", design, y)
+    mu = _multiplier(lam, np.einsum("rkj,rk->rj", basis, grad))
+
+    def solve(rhs):                                    # (H + mu D)^+ rhs
+        return np.einsum("rkj,rj->rk", basis, np.einsum(
+            "rkj,rk->rj", basis, rhs) / (1.0 + mu[:, None] * lam))
+
+    z = solve(grad)
+    a, c, s = z[:, 0] + z[:, 1], -z[:, 1], z[:, 2]
+    offset = np.maximum(a * unit, _LOWER[0])
+    v = np.minimum(np.hypot(c, s) * unit / offset, 1.0)
+    wr = y - np.einsum("rnk,rk->rn", design, z)
+    dm = thetas * (s[:, None] * cos - c[:, None] * sin) * weight
+    tw = thetas * wr * weight
+    b = np.stack([np.zeros_like(m), np.sum(tw * sin, 1), np.sum(tw * cos, 1)],
+                 1) - np.einsum("rnk,rn->rk", design, dm)
+    cz = z @ _CONE
+    u, w = solve(b), solve(cz)
+    dmu = np.sum(cz * u, 1) / np.where(mu > 0, np.sum(cz * w, 1), np.inf)
+    curvature = 2.0 * (np.sum(dm * dm + tw * thetas * (
+        c[:, None] * cos + s[:, None] * sin), 1)
+        - np.sum(b * (u - dmu[:, None] * w), 1))
+    return (np.stack([offset, v, np.where(v > 0, np.arctan2(-s, c), 0.0), m],
+                     1), -2.0 * np.sum(wr * dm, 1), curvature)
+
+
+def _multiplier(lam, h):
+    """The mu >= 0 putting z = h/(1 + mu*lam), in _project's basis, on the
+    cone; a row whose z'Dz = sum lam h^2 is <= 0 at mu = 0 keeps mu = 0.
+
+    With lam0 < 0 the cone's one negative direction, the root solves
+    1 + mu*lam0 = |h0| sqrt(-lam0/S(mu)), S = sum_{k>0} lam h^2/(1 +
+    mu*lam)^2. S^(-1/2) is concave (More & Sorensen, SIAM J. Sci. Stat.
+    Comput. 4:553, 1983), so Newton steps from mu = 0 rise monotonically to
+    the root, which they reach to rounding.
+    """
+    mu = np.zeros(len(lam))
+    rows = np.flatnonzero((np.sum(lam * h * h, 1) > 0.0) & (lam[:, 0] < 0.0))
+    lam, h2 = lam[rows], h[rows] ** 2
+    x = np.zeros(rows.size)
+    for _ in range(100):
+        t = 1.0 + x[:, None] * lam[:, 1:]
+        share = np.sum(lam[:, 1:] * h2[:, 1:] / t ** 2, 1)
+        target = np.sqrt(-lam[:, 0] * h2[:, 0] / share)
+        gap = 1.0 + x * lam[:, 0] - target
+        new = np.where(np.abs(gap) <= 8.0 * _EPS, x, x - gap / (
+            lam[:, 0] - target / share
+            * np.sum(lam[:, 1:] ** 2 * h2[:, 1:] / t ** 3, 1)))
+        if np.all(new == x):
             break
-        j = jac[act]
-        jtj = j.transpose(0, 2, 1) @ j
-        diag = np.diagonal(jtj, axis1=1, axis2=2)
-        grad = np.einsum("knp,kn->kp", j, r[act])
-        x_act = x[act]
-        # a zero column (phase and harmonic at v = 0) has no gradient either
-        free = (diag > 0.0) & ~(((x_act <= lower) & (grad > 0.0))
-                                | ((x_act >= upper) & (grad < 0.0)))
-        damped = jtj + lam[act, None, None] * diag[:, :, None] * eye
-        damped = np.where(free[:, :, None] & free[:, None, :], damped, eye)
-        step = np.linalg.solve(damped, -(grad * free)[:, :, None])[:, :, 0]
-        unclipped = x_act + step
-        trial = np.clip(unclipped, lower, upper)
-        # a clipped parameter moves only as far as its bound
-        step = np.where(trial == unclipped, step, trial - x_act)
-        r_t, jac_t = _residuals_and_jacobian(trial, thetas, counts[act],
-                                             sigma[act], harmonic)
-        cost_t = np.einsum("kn,kn->k", r_t, r_t)
-        accept = cost_t <= cost[act]             # NaN never passes
-        small = np.all(np.abs(step) <= _LM_XTOL * np.abs(trial), axis=1)
-        converged[act] = accept & small
-        took = act[accept]
-        x[took], r[took], jac[took], cost[took] = (
-            trial[accept], r_t[accept], jac_t[accept], cost_t[accept])
-        lam[act] = np.where(accept, lam[act] * 0.3, lam[act] * 10.0)
-        failed |= lam > _LM_MAX_DAMPING
-    return x, converged
+        x = new
+    mu[rows] = x
+    return mu
+
+
+def _fit_stack(thetas, counts, normalized, harmonic=None):
+    """Fit a stack of scans (R, n) at once by variable projection (Golub &
+    Pereyra, SIAM J. Numer. Anal. 10:413, 1973): rows (offset, v, phase0[,
+    m]).
+
+    A fixed harmonic is one _project call. A free one starts at the
+    _start_points harmonic and steps downhill in J(m), 0.1 and doubling,
+    clipped to the box, until dJ/dm changes sign, or ends on the box. It
+    then takes Newton steps from the bracket's end of smaller slope where
+    they stay inside it and it has halved within two steps, else bisects,
+    until a Newton step is sqrt(_HARMONIC_TOL) of m (quadratic convergence
+    leaves ~_HARMONIC_TOL) or the bracket is _HARMONIC_TOL of m. Every row
+    ends at a zero of dJ/dm or on the box.
+    """
+    weight = 1.0 / _weights(counts, normalized)
+    if harmonic is not None:
+        return _project(thetas, counts, weight,
+                        np.full(len(counts), harmonic))[0][:, :3]
+    params = np.empty((len(counts), 4))
+    # (m, slope, curvature) at each row's last point of slope < 0 and > 0
+    ends = np.full((3, len(counts), 2), np.nan)
+
+    def move(rows, trial):
+        params[rows], slope, curv = _project(thetas, counts[rows],
+                                             weight[rows], trial)
+        ends[:, rows, (slope > 0).astype(int)] = trial, slope, curv
+        return slope
+
+    rows = np.arange(len(counts))
+    downhill = -np.sign(move(rows, np.clip(_start_points(thetas, counts)[:, 3],
+                                           _LOWER[3], _UPPER[3])))
+    side, step = (downhill < 0).astype(int), _HARMONIC_STEP
+    edge = np.where(downhill > 0, _UPPER[3], _LOWER[3])
+    rows = rows[downhill != 0]
+    while rows.size:
+        rows = rows[ends[0, rows, side[rows]] != edge[rows]]
+        trial = np.clip(ends[0, rows, side[rows]] + downhill[rows] * step,
+                        _LOWER[3], _UPPER[3])
+        rows = rows[np.sign(move(rows, trial)) == -downhill[rows]]
+        step *= 2.0
+
+    rows = np.flatnonzero(~np.isnan(ends[0]).any(1))
+    span = np.full((2, len(counts)), np.inf)   # the bracket 1 and 2 steps ago
+    while rows.size:
+        at, slope, curv = ends[:, rows]
+        k = np.arange(rows.size), np.argmin(np.abs(slope), 1)
+        newton = np.clip(at[k] - slope[k] / np.where(curv[k] > 0, curv[k],
+                                                     np.inf), *at.T)
+        width = at[:, 1] - at[:, 0]
+        last = ((curv[k] > 0) & (np.abs(newton - at[k])
+                                 <= math.sqrt(_HARMONIC_TOL) * at[k])) \
+            | (width <= _HARMONIC_TOL * at[k])
+        take = last | ((curv[k] > 0) & (at[:, 0] < newton)
+                       & (newton < at[:, 1]) & (width <= span[1, rows] / 2.0))
+        span[:, rows] = width, span[0, rows]
+        slope = move(rows, np.where(take, newton, at.mean(1)))
+        rows = rows[~last & (slope != 0)]
+    return params
 
 
 # --------------------------------------------------------------------------
@@ -504,12 +580,12 @@ def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
     then reruns the full fit-and-invert pipeline. The fitted model is
     `base`, the fit_fringe result of this scan with this fix_harmonic, when
     the caller already has it; otherwise the scan is fitted here. The
-    resamples are fitted in blocks by fit_fringe's bounded batched
-    Levenberg-Marquardt solver. Resamples whose fit does not converge, whose
-    visibility is zero, or that land in the infeasible region are counted;
-    a failure fraction above 10% flags the spread as unreliable. Invalid
-    arguments raise. Deterministic for a fixed seed: each resample uses its
-    own generator derived from (seed, index).
+    resamples are fitted in blocks by fit_fringe's batched
+    variable-projection fit. Resamples whose visibility or redrawn phi_prime
+    the law cannot invert (v = 0, v below the floor, phi_prime = 0) are
+    counted; a failure fraction above 10% flags the spread as unreliable.
+    Invalid arguments raise. Deterministic for a fixed seed: each resample
+    uses its own generator derived from (seed, index).
     """
     if n_resamples < 100:
         raise ValueError("need at least 100 resamples")
@@ -536,20 +612,13 @@ def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
             else:
                 counts[row] = rng.poisson(model)
             pps.append(rng.normal(phi_prime, phi_prime_uncertainty))
-        start = _start_points(scan.thetas, counts, harmonic)
-        params, converged = _fit_stack(start, scan.thetas, counts,
-                                       scan.normalized, harmonic)
+        params = _fit_stack(scan.thetas, counts, scan.normalized, harmonic)
         for row, pp in enumerate(pps):
-            visibility = float(params[row, 1])
-            if not converged[row] or visibility <= 0 or pp == 0:
+            try:      # v = 0 lies below every floor; pp = 0 has no inverse
+                kappas.append(kappa_from_visibility(float(params[row, 1]), pp,
+                                                    delta_omega).kappa_bar)
+            except ValueError:
                 failures += 1
-                continue
-            try:
-                est = kappa_from_visibility(visibility, pp, delta_omega)
-            except InfeasibleVisibilityError:
-                failures += 1
-                continue
-            kappas.append(est.kappa_bar)
 
     frac = failures / n_resamples
     if not kappas:

@@ -30,16 +30,15 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import __version__
-from .analysis import (FitConvergenceError, FringeScan,
-                       InfeasibleVisibilityError,
+from .analysis import (FringeScan, InfeasibleVisibilityError,
                        bootstrap_kappa_uncertainty, closed_form_sigma_phi,
                        fit_fringe, kappa_from_visibility,
                        self_consistent_calibration, sigma_phi_from_visibility)
 from .config import (ConfigError, ExperimentConfig, load_config_file,
                      merge_config)
-from .engine import _sum_axis, fringe_harmonics
+from .engine import _rotated_mesh, _sum_axis, fringe_harmonics
 from .spectral import (DispersionWindowError, FrequencyGrid,
-                       QuadratureAccuracyError, TaylorMedium)
+                       QuadratureAccuracyError, TaylorMedium, medium_phase)
 from .sumfreq import (default_nu_grid, gaussian_approximation, kl_divergence,
                       moment_matched_gaussian, phase_distribution_moments,
                       sum_frequency_density_exact, sum_frequency_density_numeric)
@@ -178,19 +177,14 @@ def read_fringe_csv(path: str):
 
 
 def _fit_csv(path: str, normalized: bool, fix_harmonic: float | None):
-    """The scan in a fringe CSV and its fit. A malformed scan, or a fit that
-    does not converge, is refused like bad input."""
+    """The scan in a fringe CSV and its fit. A malformed scan is refused
+    like bad input."""
     theta_deg, counts, _ = read_fringe_csv(path)
     try:
         scan = FringeScan(np.radians(theta_deg), counts, normalized=normalized)
     except ValueError as exc:
         raise CliInputError(f"{path}: {exc}") from exc
-    try:
-        return scan, fit_fringe(scan, fix_harmonic=fix_harmonic)
-    except FitConvergenceError as exc:
-        raise CliInputError(f"fringe fit of {path} did not converge; its "
-                            f"best iterate has visibility "
-                            f"{exc.best.visibility!r}") from exc
+    return scan, fit_fringe(scan, fix_harmonic=fix_harmonic)
 
 
 # --------------------------------------------------------------------------
@@ -253,6 +247,28 @@ def _refuse_unpaired_pump(config: ExperimentConfig,
                           "the engine's sum-frequency window")
 
 
+def _refuse_overflowing_phase(config: ExperimentConfig,
+                              grid: FrequencyGrid) -> None:
+    """Refuse, naming its field, a medium whose phase sum phi1 + phi2 leaves
+    the float range at the corners of the engine's mesh: a crystal names its
+    length, a Taylor medium its largest term there."""
+    medium, corner = config.medium(), np.ix_([0, -1], [0, -1])
+    o1, o2, _ = _rotated_mesh(config.joint_spectrum(),
+                              config.filter_profile(), grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.all(np.isfinite(medium_phase(medium, o1[corner])
+                              + medium_phase(medium, o2[corner]))):
+            return
+        key = "medium_length_mm"
+        if config.medium_variant != "bbo":
+            d = np.max(np.abs(o1[corner] - medium.reference))
+            key = ("medium_phi0", "medium_phi_prime", "medium_phi_double_prime")[
+                int(np.argmax([abs(medium.phi0), abs(medium.phi_prime) * d,
+                               abs(medium.phi_double_prime) * d * d / 2.0]))]
+    raise ConfigError(key, "gives a medium phase that overflows on the "
+                      "engine's mesh")
+
+
 def _model_curve(config: ExperimentConfig):
     """Mean-one fringe values at the configured angles, plus exact visibility."""
     grid = _default_grid(config)
@@ -262,6 +278,7 @@ def _model_curve(config: ExperimentConfig):
                                      grid)
     except FloatingPointError:
         _refuse_unpaired_pump(config, grid)
+        _refuse_overflowing_phase(config, grid)
         raise
     thetas = config.thetas_rad()
     values = harmonics.at(thetas)

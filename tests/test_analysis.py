@@ -19,7 +19,6 @@ import noonfringe.analysis
 from noonfringe import (
     BootstrapResult,
     CorrelationEstimate,
-    FitConvergenceError,
     FitResult,
     FringeScan,
     InfeasibleVisibilityError,
@@ -30,8 +29,9 @@ from noonfringe import (
     self_consistent_calibration,
     sigma_phi_from_visibility,
 )
-from noonfringe.analysis import (_LOWER, _UPPER, _residuals_and_jacobian,
-                                 _start_points, _weights)
+from noonfringe.analysis import (_LOWER, _UPPER, _fit_stack, _project,
+                                 _residuals_and_jacobian, _start_points,
+                                 _weights)
 from noonfringe.cli import read_fringe_csv
 
 LN2 = math.log(2.0)
@@ -177,10 +177,11 @@ class TestFitFringe:
         assert b.visibility == pytest.approx(a.visibility, abs=1e-12)
         assert b.harmonic == pytest.approx(a.harmonic, abs=1e-12)
 
-    def test_count_scale_moves_only_the_offset(self):
+    @pytest.mark.parametrize("scale", [3.0, 1e150])
+    def test_count_scale_moves_only_the_offset(self, scale):
         a = fit_fringe(FringeScan(THETAS, model_counts()))
-        b = fit_fringe(FringeScan(THETAS, 3.0 * model_counts()))
-        assert b.offset == pytest.approx(3.0 * a.offset, rel=1e-9)
+        b = fit_fringe(FringeScan(THETAS, scale * model_counts()))
+        assert b.offset == pytest.approx(scale * a.offset, rel=1e-9)
         assert b.visibility == pytest.approx(a.visibility, abs=1e-12)
         assert b.phase0 == pytest.approx(a.phase0, abs=1e-12)
 
@@ -202,24 +203,61 @@ class TestFitFringe:
         assert fit.degenerate
         assert fit.visibility < 3.0 * fit.stderr("visibility")
 
-    def test_convergence_failure_carries_the_best_iterate(self, monkeypatch):
-        scan = full_visibility_scan()
-        assert fit_fringe(scan).visibility == 1.0     # held on its bound
-        # the batched solver runs out of iterations on its way there
-        monkeypatch.setattr(noonfringe.analysis, "_LM_MAX_ITER", 3)
-        with pytest.raises(FitConvergenceError) as err:
-            fit_fringe(scan)
-        best = err.value.best
-        assert isinstance(best, FitResult)
-        assert best.offset > 0 and 0.0 <= best.visibility <= 1.0
-        assert repr(best.visibility) in str(err.value)
-        start = _start_points(scan.thetas, scan.counts[None, :])[0]
-        x = np.array([best.offset, best.visibility, best.phase0, best.harmonic])
-        sigma = _weights(scan.counts, False)
-        costs = [float(np.sum(_residuals_and_jacobian(
-            p[None], scan.thetas, scan.counts[None, :], sigma)[0] ** 2))
-            for p in (start, x)]
-        assert costs[1] < costs[0]
+    @pytest.mark.parametrize("fix_harmonic", [None, 8.0],
+                             ids=["free", "fixed"])
+    def test_every_fit_ends_in_the_box_at_a_root_of_the_slope(self,
+                                                              fix_harmonic):
+        # v = 1 resamples, flat noise and a fringe clipped at zero counts in
+        # one stack: each row ends inside the box, no worse than its start,
+        # and a free harmonic at a zero of the cost's slope unless it sits
+        # on the box
+        rng = np.random.default_rng(11)
+        counts = np.concatenate([
+            rng.poisson(model_counts(v=1.0), (20, THETAS.size)),
+            rng.poisson(1000.0, (10, THETAS.size)),
+            np.round(np.maximum(model_counts(v=1.2), 0.0))[None]]).astype(float)
+        params = _fit_stack(THETAS, counts, False, fix_harmonic)
+        p = params.shape[1]
+        assert np.all((params >= _LOWER[:p]) & (params <= _UPPER[:p]))
+        sigma = _weights(counts, False)
+        start = _start_points(THETAS, counts, fix_harmonic)
+        start_cost, cost = (np.sum(_residuals_and_jacobian(
+            x, THETAS, counts, sigma, fix_harmonic)[0] ** 2, axis=1)
+            for x in (start, params))
+        assert np.all(cost <= start_cost)
+        if fix_harmonic is None:
+            m = params[:, 3]
+            _, slope, curvature = _project(THETAS, counts, 1.0 / sigma, m)
+            on_box = (m == _LOWER[3]) | (m == _UPPER[3])
+            assert np.all(on_box | (np.abs(slope)
+                                    <= 1e-11 * m * np.abs(curvature)))
+
+    def test_a_sine_of_rounding_noise_is_dropped(self):
+        # at the scan's Nyquist harmonic cos(m*theta) = (-1)^k and sin(m*theta)
+        # is rounding noise: the fit is the weighted least-squares fit of the
+        # offset and the alternating term alone
+        m = math.pi * (THETAS.size - 1) / THETAS[-1]
+        counts = model_counts()
+        fit = fit_fringe(FringeScan(THETAS, counts), fix_harmonic=m)
+        sigma = _weights(counts, False)
+        design = np.stack([np.ones_like(THETAS), (-1.0) ** np.arange(
+            THETAS.size)], 1) / sigma[:, None]
+        a, c = np.linalg.lstsq(design, counts / sigma, rcond=None)[0]
+        assert fit.offset == pytest.approx(a, rel=1e-12)
+        assert fit.visibility == pytest.approx(abs(c) / a, abs=1e-12)
+
+    @pytest.mark.parametrize("fix_harmonic,seed", [(1e-300, 0), (1e-8, 1)])
+    def test_a_constant_cosine_column_fits_visibility_zero(self, fix_harmonic,
+                                                           seed):
+        # cos(m*theta) is 1 to rounding at every angle: the fringe term is
+        # indistinguishable from the offset, so the fit is the weighted mean
+        theta = np.radians(np.linspace(0.0, 180.0, 50))
+        counts = np.random.default_rng(seed).poisson(100, 50).astype(float)
+        fit = fit_fringe(FringeScan(theta, counts), fix_harmonic=fix_harmonic)
+        assert fit.visibility == 0.0 and fit.phase0 == 0.0 and fit.degenerate
+        assert fit.offset == pytest.approx(
+            np.sum(counts / np.maximum(counts, 1.0))
+            / np.sum(1.0 / np.maximum(counts, 1.0)), rel=1e-12)
 
 
 class TestVisibilityInversion:
@@ -484,6 +522,14 @@ def clipped_scan():
         1000.0 * (1.0 + 1.2 * np.cos(8.0 * theta + 0.244)), 0.0)))
 
 
+def eight_point_scan():
+    """Flat noise on 8 points over 45 degrees: its free fit ends on the
+    harmonic's lower bound."""
+    rng = np.random.default_rng(79)
+    return FringeScan(np.radians(np.linspace(0.0, 45.0, 8)),
+                      rng.poisson(100, 8).astype(float))
+
+
 def near_floor_scan(calibration, delta_omega):
     floor = math.exp(-(calibration * delta_omega) ** 2 / (16.0 * LN2))
     truth = 300.0 * (1.0 + 1.05 * floor * np.cos(8.0 * THETAS + 0.244))
@@ -614,7 +660,7 @@ class TestBatchedBootstrap:
 TRF_PARITY_SCANS = [f"{name}-{kind}" for name in ("withcrystal.csv",
                                                    "calibration.csv")
                     for kind in ("counts", "normalized")] + [
-    "full-visibility", "near-floor", "clipped"] + [
+    "full-visibility", "near-floor", "clipped", "eight-points"] + [
     f"flat-noise-{seed}" for seed in range(5)]
 
 
@@ -627,7 +673,7 @@ def parity_scan(case, calibration, delta_omega):
         return FringeScan(THETAS, rng.poisson(1000.0, THETAS.size).astype(float))
     return {"full-visibility": full_visibility_scan,
             "near-floor": lambda: near_floor_scan(calibration, delta_omega),
-            "clipped": clipped_scan}[case]()
+            "clipped": clipped_scan, "eight-points": eight_point_scan}[case]()
 
 
 @pytest.mark.parametrize("fix_harmonic", [None, 8.0], ids=["free", "fixed"])

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import noonfringe
-import noonfringe.analysis
 import noonfringe.cli
 from noonfringe.cli import (CONFIG_ENV_VAR, EXIT_INPUT, EXIT_IO, EXIT_OK,
                             EXIT_VALIDATION, main, read_fringe_csv)
@@ -215,16 +214,6 @@ class TestFit:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("error: ") and "latin.csv" in err
-
-    @pytest.mark.parametrize("command", ["fit", "estimate"])
-    def test_unconverged_fit_is_an_input_error(self, capsys, monkeypatch,
-                                               command):
-        monkeypatch.setattr(noonfringe.analysis, "_LM_MAX_ITER", 2)
-        code, out, err = run(capsys, [command, WITHCRYSTAL_CSV])
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert err.startswith(f"error: fringe fit of {WITHCRYSTAL_CSV} did "
-                              f"not converge; its best iterate has visibility ")
 
     def test_too_few_rows(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
@@ -612,11 +601,19 @@ class TestConfigPlumbing:
         (["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
           "--length-mm", "1e300"], "error: config field ",
          "'medium_length_mm'"),
+        # the medium's phase overflows at the corners of the engine's mesh
+        (["simulate", "--medium", "bbo", "--length-mm", "1e300"],
+         "error: config field ", "'medium_length_mm'"),
+        (["synth", "--phi-prime", "1e300"], "error: config field ",
+         "'medium_phi_prime'"),
+        (["simulate", "--phi-double-prime", "1e300"], "error: config field ",
+         "'medium_phi_double_prime'"),
     ], ids=["pump-wavelength", "detuned-pump", "off-mesh-pump",
             "off-mesh-pump-synth", "user-slope", "sellmeier-length",
             "sellmeier-zero-length", "user-slope-overflow",
             "config-medium-slope-overflow", "crystal-phase-overflow",
-            "sellmeier-phase-overflow"])
+            "sellmeier-phase-overflow", "simulate-crystal-phase-overflow",
+            "synth-slope-phase-overflow", "simulate-curvature-phase-overflow"])
     def test_numeric_dead_ends_name_their_field(self, capsys, argv, prefix,
                                                 key):
         code, out, err = run(capsys, argv)

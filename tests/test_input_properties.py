@@ -116,6 +116,7 @@ def test_structured_csv_text(csv_path, text):
 DATA_DIR = os.path.join(os.path.dirname(noonfringe.__file__), "data")
 CSVS = [os.path.join(DATA_DIR, name)
         for name in ("calibration.csv", "withcrystal.csv")]
+FLAT_CSV = os.path.join(os.path.dirname(__file__), "data", "flat_scan.csv")
 
 NUMBERS = ["0", "-1", "0.5", "2", "810", "1e300", "-1e300", "1e-300",
            "-1e-300", "5e-324", "nan", "inf", "-inf"]
@@ -177,6 +178,8 @@ ARGV = st.sampled_from(sorted(COMMANDS)).flatmap(command_line)
           "--theta-stop-deg", "22.5000000001"])     # every angle at a null
 @example(["estimate", os.path.join(DATA_DIR, "calibration.csv"),
           "--fix-harmonic", "1e-300"])              # a fit held at v = 0
+@example(["fit", FLAT_CSV, "--fix-harmonic", "1e-8"])   # cos(m theta) == 1:
+@example(["estimate", FLAT_CSV, "--fix-harmonic", "1e-8"])  # J'J is singular
 def test_command_lines_end_in_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), warnings.catch_warnings(), \

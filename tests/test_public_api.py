@@ -10,7 +10,8 @@ import noonfringe
 # each restated a quantity another public name already gives
 REMOVED = ("VisibilityLaw", "analytic_visibility",
            "coincidence_probability_symmetric", "harmonic_visibility",
-           "extract_visibility", "bessel_k_quarter", "fwhm_to_sigma")
+           "extract_visibility", "bessel_k_quarter", "fwhm_to_sigma",
+           "FitConvergenceError")
 
 MODULES = ["noonfringe"] + [
     f"noonfringe.{name}" for name in ("analysis", "besselk", "config",
