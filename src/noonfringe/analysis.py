@@ -211,9 +211,12 @@ def _start_points(thetas, counts, harmonic=None):
     de-meaned data: a coarse scan over [0.5, 24], then +-0.1 around its best
     frequency b through exp(-i(b+d)theta) = exp(-i d theta)*exp(-i b theta),
     so every row shares one fine matrix. Visibility and phase come from the
-    Fourier component at the start harmonic.
+    Fourier component at the start harmonic. The sums run on counts in
+    units of a power of two near their peak, so none overflows.
     """
     n = thetas.size
+    unit = _power_of_two(counts.max(1))
+    counts = counts / unit[:, None]
     mean = counts.mean(axis=1)
     resid = counts - mean[:, None]
     if harmonic is None:
@@ -234,11 +237,26 @@ def _start_points(thetas, counts, harmonic=None):
     else:
         m0 = np.full(len(counts), float(harmonic))
     c = np.sum(resid * np.exp(-1j * m0[:, None] * thetas), axis=1)
-    y0 = np.maximum(mean, 1e-300)
-    columns = [y0, np.clip(2.0 * np.abs(c) / (n * y0), 1e-3, 1.0), np.angle(c)]
+    y0 = np.maximum(mean, 1e-300 / unit)
+    columns = [y0 * unit, np.clip(2.0 * np.abs(c) / (n * y0), 1e-3, 1.0),
+               np.angle(c)]
     if harmonic is None:
         columns.append(m0)
     return np.stack(columns, axis=1)
+
+
+def _power_of_two(a):
+    """The power of two at or below each a (floored at the smallest normal
+    float): a scale by which a division is exact and that brings a to
+    [1, 2)."""
+    return np.exp2(np.floor(np.log2(np.maximum(a, _TINY))))
+
+
+def _rms(a) -> float:
+    """Root mean square of a, taken over its peak: the squares overflow
+    past 1e154."""
+    peak = float(np.max(np.abs(a)))
+    return peak * float(np.sqrt(np.mean((a / peak) ** 2))) if peak else 0.0
 
 
 def _weights(counts, normalized):
@@ -257,7 +275,12 @@ def fit_fringe(scan: FringeScan, fix_harmonic: float | None = None) -> FitResult
     linear solve, and a free one a search for the zero of the cost's slope
     in m from the dominant Fourier frequency. The covariance is
     V diag(1/s^2) V' over the singular values s of the analytic Jacobian at
-    the fitted point that pinv(J'J) would keep. A visibility within three
+    the fitted point that pinv(J'J) would keep, the offset taken in units of
+    a power of two near it, so the offset's column is of the size of the
+    others at any count scale. A covariance beyond floating-point range
+    raises FloatingPointError naming the counts: normalized counts past
+    ~1e170 have an offset variance past ~1e308, and Poisson counts far
+    below one a visibility variance past it. A visibility within three
     standard errors of zero sets the degenerate flag — the fringe is
     indistinguishable from noise.
     """
@@ -282,20 +305,31 @@ def _fit_result(scan, harmonic, x):
 
     r, jac = _residuals_and_jacobian(x[None], th, y,
                                      _weights(y, scan.normalized), harmonic)
-    r = r[0]
-    # pinv(J'J) from J's own SVD: positive semidefinite by construction
-    _, s, vt = np.linalg.svd(jac[0], full_matrices=False)
+    r, jac = r[0], jac[0]
+    # the offset's column in units of a power of two near the offset is of
+    # the size of the others, so pinv's cutoff keeps it; J over a power of
+    # two near its peak leaves neither the SVD nor B below to overflow
+    unit = _power_of_two(off)
+    jac[:, 0] *= unit
+    peak = _power_of_two(np.max(np.abs(jac)))
+    # pinv(J'J) from J's own SVD as B'B: positive semidefinite by construction
+    _, s, vt = np.linalg.svd(jac / peak, full_matrices=False)
     keep = s * s > 1e-15 * s[0] ** 2               # pinv's default cutoff
-    cov_free = (vt[keep].T / s[keep] ** 2) @ vt[keep]
-    if scan.normalized and n > p:
-        cov_free = cov_free * (float(r @ r) / (n - p))     # 2*cost/(n - p)
-    cov = np.zeros((4, 4))
-    cov[:p, :p] = cov_free
-    cov = (cov + cov.T) / 2.0
+    scale = 1.0 / peak
+    if scan.normalized and n > p:          # sqrt(2*cost/(n - p)) / peak
+        scale = _rms(r) / peak * math.sqrt(n / (n - p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = vt[keep] * (scale / s[keep, None])
+        b[:, 0] *= unit
+        cov = np.zeros((4, 4))
+        cov[:p, :p] = b.T @ b
+        cov = (cov + cov.T) / 2.0
+    if not np.all(np.isfinite(cov)):
+        raise FloatingPointError(
+            f"counts up to {float(np.max(y))!r} give a fit covariance beyond "
+            "floating-point range")
 
-    resid = off * (1.0 + v * np.cos(m * th + ph)) - scan.counts
-    peak = float(np.max(np.abs(resid)))      # the squares overflow past 1e154
-    rms = peak * float(np.sqrt(np.mean((resid / peak) ** 2))) if peak else 0.0
+    rms = _rms(off * (1.0 + v * np.cos(m * th + ph)) - scan.counts)
     v_se = math.sqrt(max(cov[1, 1], 0.0))
     return FitResult(offset=float(off), visibility=float(v), phase0=float(ph),
                      harmonic=float(m), covariance=cov, residual_rms=rms,
@@ -327,13 +361,15 @@ def _project(thetas, counts, weight, m):
     dJ/dm = -2 r'W dmodel/dm, and d^2J/dm^2 differentiates (H + mu D) z = g
     and, on the face, z'Dz = 0.
     """
+    # weights and counts in units of powers of two near their peaks, so no
+    # product below overflows or underflows; J and its derivatives are in
+    # those units squared, which moves no zero of dJ/dm
+    weight = weight / _power_of_two(weight.max(1))[:, None]
     half = m[:, None] * thetas / 2.0
     vers, sin = 2.0 * np.sin(half) ** 2, np.sin(2.0 * half)   # vers = 1 - cos
     cos = 1.0 - vers
     design = np.stack([np.ones_like(vers), vers, sin], 2) * weight[..., None]
-    # counts in units of a power of two near their peak, so no product
-    # below overflows; J and its derivatives are in those units squared
-    unit = np.exp2(np.ceil(np.log2(np.maximum(counts.max(1), _TINY))))
+    unit = _power_of_two(counts.max(1))
     y = counts / unit[:, None] * weight
     scale = np.stack([np.ones(len(m)), vers.max(1), np.abs(sin).max(1)], 1)
     # a column within n*eps of its rounding (m*theta to eps) is dropped

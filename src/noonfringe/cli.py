@@ -253,11 +253,12 @@ def _refuse_overflowing_phase(config: ExperimentConfig,
     the float range at the corners of the engine's mesh: a crystal names its
     length, a Taylor medium its largest term there."""
     medium, corner = config.medium(), np.ix_([0, -1], [0, -1])
-    o1, o2, _ = _rotated_mesh(config.joint_spectrum(),
-                              config.filter_profile(), grid)
+    o1, _, _ = _rotated_mesh(config.joint_spectrum(),
+                             config.filter_profile(), grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.all(np.isfinite(medium_phase(medium, o1[corner])
-                              + medium_phase(medium, o2[corner]))):
+        # o2 is o1 mirrored along the difference axis, and so its corners
+        phi = medium_phase(medium, o1[corner])
+        if np.all(np.isfinite(phi + phi[:, ::-1])):
             return
         key = "medium_length_mm"
         if config.medium_variant != "bbo":
@@ -516,10 +517,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         n = max(args.bootstrap, 100)
         unc = abs(calibration["phi_prime_s"]) \
             * config.phi_prime_fractional_uncertainty
-        boot = bootstrap_kappa_uncertainty(
-            scan, calibration["phi_prime_s"], unc,
-            calibration["delta_omega_rad_per_s"], n_resamples=n,
-            seed=config.seed, fix_harmonic=config.fix_harmonic, base=fit)
+        try:
+            boot = bootstrap_kappa_uncertainty(
+                scan, calibration["phi_prime_s"], unc,
+                calibration["delta_omega_rad_per_s"], n_resamples=n,
+                seed=config.seed, fix_harmonic=config.fix_harmonic, base=fit)
+        except ValueError as exc:   # numpy caps the Poisson mean near 9.2e18
+            raise CliInputError(
+                f"counts up to {float(np.max(scan.counts))!r} are too large "
+                f"to resample ({exc}); --bootstrap 0 skips the bootstrap"
+            ) from exc
         report["kappa_uncertainty"] = boot.kappa_std
         report["bootstrap"] = {
             "n_resamples": boot.n_resamples,

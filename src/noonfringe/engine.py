@@ -88,20 +88,22 @@ def _sum_axis(jsa: JointSpectrum, filt: FilterProfile) -> tuple[float, float]:
 
 def _rotated_mesh(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
                   n: int | None = None):
-    """Photon frequencies, sum-frequency offsets and weights on a rotated mesh.
+    """Photon frequencies omega1, omega2 and weights on a rotated mesh.
 
     Sum axis: half-range*min(pump_fwhm, filter_fwhm) about the narrower
-    feature's center. Difference axis: wide enough for the filter product.
-    Jacobian 1/2 from (w1, w2) -> (w_p, w_-) is folded into the weights.
+    feature's center. Difference axis: wide enough for the filter product,
+    and exactly odd, so omega2 is omega1 mirrored along it bit for bit
+    (omega1[:, ::-1], a view): a function of one photon's frequency is
+    evaluated on omega1 only. Jacobian 1/2 from (w1, w2) -> (w_p, w_-) is
+    folded into the weights, which are even in the difference axis.
     """
     center_p, scale_p = _sum_axis(jsa, filt)
     up, wp = grid.axis(scale_p, n)
     um, wm = grid.axis(2.0 * filt.fwhm, n)
-    omega_p = center_p + up[:, None]
-    omega1 = (omega_p + um[None, :]) / 2.0
-    omega2 = (omega_p - um[None, :]) / 2.0
+    um = (um - um[::-1]) / 2.0       # a - b is exactly -(b - a)
+    omega1 = (center_p + up[:, None] + um[None, :]) / 2.0
     weights = 0.5 * wp[:, None] * wm[None, :]
-    return omega1, omega2, weights
+    return omega1, omega1[:, ::-1], weights
 
 
 # --------------------------------------------------------------------------
@@ -178,22 +180,33 @@ def _harmonics(jsa, filt, medium, grid, n=None) -> tuple[FringeHarmonics, float]
     With A = |a12|^2, B = |a21|^2, C = Re(a12 a21*) and S = (A + B)/2, the
     bilinear form integrates to N = sum w T T [S + (S - C) cos(phi1 - phi2)/2]
     and Z = sum w T T (S + C) e^{i(phi1 + phi2)}/2; the pair flux is
-    sum w T T S. A symmetric spectrum has A = B = C, so N is the flux and the
-    swapped amplitude and the beat term are not computed.
+    sum w T T S. The filter and the medium are evaluated on the first
+    photon's frequencies only, and the second photon's values are theirs
+    mirrored, as is a21 = a12 mirrored. A symmetric spectrum has A = B = C,
+    so N is the flux, and its integrand is even in the difference axis: it
+    is summed over the first ceil(m/2) of the m difference columns with
+    weight 2, an odd mesh's centre column with weight 1.
     """
     o1, o2, w = _rotated_mesh(jsa, filt, grid, n)
     # steep filter powers overflow to an exact zero transmission; a phase
     # that overflows ends in NaN, which _check_refinement refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        wtt = w * (filter_transmission(filt, o1) * filter_transmission(filt, o2))
-        phi1, phi2 = medium_phase(medium, o1), medium_phase(medium, o2)
+        t1, phi1 = filter_transmission(filt, o1), medium_phase(medium, o1)
+        t2, phi2 = t1[:, ::-1], phi1[:, ::-1]
+        if jsa.symmetric:
+            m = o1.shape[1]
+            k = (m + 1) // 2
+            w = w[:, :k] * np.where(np.arange(k) == m // 2, 1.0, 2.0)
+            o1, o2, t1, t2, phi1, phi2 = (
+                a[:, :k] for a in (o1, o2, t1, t2, phi1, phi2))
+        wtt = w * (t1 * t2)
         a12 = np.asarray(jsa_amplitude(jsa, o1, o2))
         flux = wtt * np.abs(a12) ** 2
         offset = bright = flux
         if not jsa.symmetric:
-            a21 = np.asarray(jsa_amplitude(jsa, o2, o1))
-            flux = (flux + wtt * np.abs(a21) ** 2) / 2.0
-            overlap = wtt * np.real(a12 * np.conj(a21))
+            # wtt is even in the difference axis: wtt |a21|^2 is flux mirrored
+            flux = (flux + flux[:, ::-1]) / 2.0
+            overlap = wtt * np.real(a12 * np.conj(a12[:, ::-1]))
             offset = flux + (flux - overlap) * np.cos(phi1 - phi2) / 2.0
             bright = (flux + overlap) / 2.0
         h = FringeHarmonics(float(np.sum(offset)),

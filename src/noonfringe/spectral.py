@@ -86,6 +86,11 @@ class FrequencyGrid:
     integrands are smooth and vanish to that level at both ends of the
     window, where the equally spaced trapezoid rule converges geometrically
     in the node count (Trefethen & Weideman, SIAM Rev. 56:385, 2014).
+
+    No integral reads center: the fringe engine places its mesh about the
+    narrower of the pump and the filter pair, and the single-photon
+    integral about the filter. The field stays for the callers that pass
+    it.
     """
 
     center: float
@@ -173,6 +178,12 @@ class JointSpectrum:
     2^(-2 u^2 / pump_fwhm^2) with u the sum-frequency offset.
     phasematch_fwhm is the analogous width in the difference frequency;
     infinity means the envelope is dropped.
+
+    spectral_phase(omega1, omega2) must be pointwise: its value at each
+    element depends on that element's pair of frequencies only. The fringe
+    engine takes a21 as a12 mirrored along the difference axis of its mesh,
+    which is the amplitude at the swapped frequencies only for such a
+    callable.
     """
 
     pump_center: float

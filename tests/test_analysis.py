@@ -7,6 +7,7 @@ from the interference engine.
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -177,13 +178,52 @@ class TestFitFringe:
         assert b.visibility == pytest.approx(a.visibility, abs=1e-12)
         assert b.harmonic == pytest.approx(a.harmonic, abs=1e-12)
 
-    @pytest.mark.parametrize("scale", [3.0, 1e150])
-    def test_count_scale_moves_only_the_offset(self, scale):
-        a = fit_fringe(FringeScan(THETAS, model_counts()))
-        b = fit_fringe(FringeScan(THETAS, scale * model_counts()))
+    @pytest.mark.parametrize("scale,normalized", [
+        (3.0, False), (1e150, False), (1e300, False), (1e150, True)])
+    def test_count_scale_moves_only_the_offset(self, scale, normalized):
+        a = fit_fringe(FringeScan(THETAS, model_counts(), normalized=normalized))
+        b = fit_fringe(FringeScan(THETAS, scale * model_counts(),
+                                  normalized=normalized))
         assert b.offset == pytest.approx(scale * a.offset, rel=1e-9)
         assert b.visibility == pytest.approx(a.visibility, abs=1e-12)
         assert b.phase0 == pytest.approx(a.phase0, abs=1e-12)
+        if not normalized:
+            # Poisson weights: every relative variance falls as 1/scale
+            root = math.sqrt(scale)
+            assert b.stderr("offset") == pytest.approx(
+                root * a.stderr("offset"), rel=1e-6)
+            for name in ("visibility", "phase0", "harmonic"):
+                assert b.stderr(name) == pytest.approx(a.stderr(name) / root,
+                                                       rel=1e-6)
+
+    @pytest.mark.parametrize("level", [1e308, 1.7e308])
+    def test_a_flat_scan_near_the_largest_float_fits(self, level):
+        # Poisson weights near 1e-154 square to subnormals unless the fit
+        # takes them in units of their peak
+        scan = FringeScan(THETAS, np.full(THETAS.size, level))
+        fit = fit_fringe(scan, fix_harmonic=8.0)
+        assert fit.offset == pytest.approx(level, rel=1e-12)
+        assert fit.visibility < 1e-12
+        assert fit.stderr("offset") == pytest.approx(
+            math.sqrt(level / THETAS.size), rel=1e-3)
+        # a free harmonic wanders to where offset and visibility trade, so
+        # the offset variance may pass the largest float: then it is named
+        try:
+            fit = fit_fringe(scan)
+        except FloatingPointError as exc:
+            assert f"counts up to {level!r}" in str(exc)
+        else:
+            assert 0.0 < fit.stderr("offset") < math.inf
+
+    def test_an_offset_variance_beyond_float_range_is_refused(self):
+        # normalized counts near 1e250 (a 1000-count fringe times 1e250)
+        # leave residuals of rounding size, ~1e237, so the offset variance
+        # is ~1e472: no float holds it
+        scan = FringeScan(THETAS, 1e250 * model_counts(), normalized=True)
+        named = re.escape(f"counts up to {float(scan.counts.max())!r}")
+        for fix_harmonic in (None, 8.0):
+            with pytest.raises(FloatingPointError, match=named):
+                fit_fringe(scan, fix_harmonic=fix_harmonic)
 
     def test_poisson_scatter_matches_the_reported_stderr(self):
         truth = model_counts()

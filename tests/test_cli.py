@@ -215,6 +215,37 @@ class TestFit:
         assert out == ""
         assert err.startswith("error: ") and "latin.csv" in err
 
+    @pytest.mark.parametrize("scale", [1e250, 1e307])
+    @pytest.mark.parametrize("argv", [
+        ["fit"], ["estimate", "--bootstrap", "0"], ["estimate"],
+        ["fit", "--normalized"], ["estimate", "--normalized"]],
+        ids=["fit", "estimate-no-bootstrap", "estimate", "fit-normalized",
+             "estimate-normalized"])
+    def test_huge_counts_give_a_finite_report_or_name_the_counts(
+            self, tmp_path, capsys, scale, argv):
+        # scale*(1 + 0.5 cos 8 theta) over 60 angles: a Poisson fit has
+        # finite standard errors; a normalized one's offset variance and a
+        # Poisson resample of such counts leave floating-point range
+        theta = np.linspace(0.0, 180.0, 60, endpoint=False)
+        counts = scale * (1.0 + 0.5 * np.cos(8.0 * np.radians(theta)))
+        csv = tmp_path / "huge.csv"
+        csv.write_text("theta_deg,counts\n" + "".join(
+            f"{float(t)!r},{float(c)!r}\n" for t, c in zip(theta, counts)))
+        code, out, err = run(capsys, [argv[0], str(csv)] + argv[1:])
+        if "--normalized" in argv or argv == ["estimate"]:
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert f"counts up to {float(counts.max())!r}" in err
+            return
+        assert code == EXIT_OK
+        fit = json.loads(out)["fit"]
+        assert fit["visibility"] == pytest.approx(0.5, abs=1e-9)
+        assert fit["offset_stderr"] == pytest.approx(math.sqrt(scale / 60.0),
+                                                     rel=0.05)
+        for name in ("visibility_stderr", "phase0_stderr_rad",
+                     "harmonic_stderr"):
+            assert 0.0 < fit[name] < 1.0 / math.sqrt(scale)
+
     def test_too_few_rows(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text("theta_deg,counts\n" + "".join(

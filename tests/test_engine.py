@@ -29,9 +29,12 @@ from noonfringe import (
     filter_transmission,
     fit_fringe,
     fringe_harmonics,
+    jsa_amplitude,
+    medium_phase,
     simulate_fringe_scan,
     single_photon_visibility,
 )
+from noonfringe.engine import _rotated_mesh, _thinned
 
 LN2 = math.log(2.0)
 
@@ -172,14 +175,17 @@ class TestSymmetricEngine:
         assert abs(h.offset - ref.offset) <= 1e-11 * ref.offset
         assert abs(h.amplitude - ref.amplitude) <= 1e-11 * ref.offset
 
+    @pytest.mark.parametrize("nodes", [96, 97, 128, 129])
     def test_asymmetric_flag_keeps_the_harmonics(self, ref_jsa, ref_filter,
-                                                 ref_grid, ref_medium):
-        # the general harmonics of a symmetric pair flagged asymmetric are
-        # its symmetric ones
+                                                 ref_medium, omega0, nodes):
+        # the general harmonics of a symmetric pair flagged asymmetric, summed
+        # over the whole mesh, are its symmetric ones, summed over the folded
+        # half; an odd mesh weighs its centre column once
+        grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
         flagged = JointSpectrum(pump_center=ref_jsa.pump_center,
                                 pump_fwhm=ref_jsa.pump_fwhm, symmetric=False)
-        h = fringe_harmonics(flagged, ref_filter, ref_medium, ref_grid)
-        twin = fringe_harmonics(ref_jsa, ref_filter, ref_medium, ref_grid)
+        h = fringe_harmonics(flagged, ref_filter, ref_medium, grid)
+        twin = fringe_harmonics(ref_jsa, ref_filter, ref_medium, grid)
         assert abs(h.offset - twin.offset) / twin.offset < 1e-12
         assert abs(h.amplitude - twin.amplitude) / twin.offset < 1e-12
         assert h.visibility == pytest.approx(V_AT_T_SC, abs=1e-9)
@@ -253,14 +259,17 @@ class TestGeneralPath:
             with pytest.raises(FloatingPointError, match="no finite fringe"):
                 compute()
 
+    @pytest.mark.parametrize("nodes", [96, 97, 128, 129])
     def test_symmetric_wrapper_matches_general(self, ref_jsa, ref_filter,
-                                               ref_medium, ref_grid):
-        # the harmonic form at one angle of an exchange-symmetric pair
-        a = float(fringe_harmonics(ref_jsa, ref_filter, ref_medium,
-                                   ref_grid).at(0.7))
-        b = coincidence_probability_general(ref_jsa, ref_filter, ref_medium,
-                                            0.7, ref_grid)
-        assert a == pytest.approx(b, rel=1e-12)
+                                               ref_medium, omega0, nodes):
+        # the folded harmonic form at one angle of an exchange-symmetric
+        # pair against the unfolded per-angle form
+        grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
+        h = fringe_harmonics(ref_jsa, ref_filter, ref_medium, grid)
+        for theta in (0.0, 0.2, 0.7):
+            b = coincidence_probability_general(ref_jsa, ref_filter,
+                                                ref_medium, theta, grid)
+            assert abs(float(h.at(theta)) - b) <= 1e-12 * h.offset
 
 
 class TestSimulateScan:
@@ -423,6 +432,94 @@ class TestGeneralScan:
             scan = refuses(lambda: simulate_fringe_scan(jsa, ref_filter, medium,
                                                         thetas, grid=grid))
             assert float(scan.split(" by ")[1].split()[0]) == max(shifts)
+
+
+def full_mesh_harmonics(jsa, filt, medium, grid):
+    """N and Z of a symmetric pair summed over the whole rotated mesh, each
+    photon's filter and phase evaluated at its own frequency."""
+    if jsa.pump_fwhm <= filt.fwhm:
+        center, scale = jsa.pump_center, jsa.pump_fwhm
+    else:
+        center, scale = 2.0 * filt.center, filt.fwhm
+    up, wp = grid.axis(scale)
+    um, wm = grid.axis(2.0 * filt.fwhm)
+    o1 = (center + up[:, None] + um[None, :]) / 2.0
+    o2 = (center + up[:, None] - um[None, :]) / 2.0
+    flux = (0.5 * wp[:, None] * wm[None, :] * filter_transmission(filt, o1)
+            * filter_transmission(filt, o2) * jsa_amplitude(jsa, o1, o2) ** 2)
+    phase = medium_phase(medium, o1) + medium_phase(medium, o2)
+    return np.sum(flux), np.sum(flux * np.exp(1j * phase))
+
+
+class TestMirroredMesh:
+    """omega2 is omega1 mirrored, and a symmetric pair's sum is folded."""
+
+    @pytest.mark.parametrize("nodes", [96, 97, 128, 129])
+    @pytest.mark.parametrize("kappa", [0.14, 3.0])
+    def test_the_second_photon_is_the_first_mirrored(self, ref_filter, omega0,
+                                                     delta_omega, nodes, kappa):
+        jsa = make_jsa(omega0, delta_omega, kappa)
+        grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
+        for n in (None, _thinned(grid)):
+            o1, o2, w = _rotated_mesh(jsa, ref_filter, grid, n)
+            assert o1.shape == (n or nodes,) * 2
+            assert np.array_equal(o2, o1[:, ::-1])
+            assert np.array_equal(w, w[:, ::-1])
+            # and it is the second photon: o1 - o2 runs over the
+            # difference-axis nodes, the same in every row
+            um, _ = grid.axis(2.0 * ref_filter.fwhm, n)
+            assert np.allclose(o1 - o2, um, rtol=0.0, atol=1e-15 * omega0)
+
+    @pytest.mark.parametrize("medium", ["taylor", "curved", "bbo"])
+    @pytest.mark.parametrize("nodes", [97, 128])
+    @pytest.mark.parametrize("kappa", [0.14, 3.0])
+    def test_matches_a_full_mesh_sum(self, ref_filter, omega0, delta_omega,
+                                     medium, nodes, kappa):
+        media = {"taylor": make_medium(omega0, delta_omega, 7.0, phi0=0.4),
+                 "curved": TaylorMedium(reference=omega0, phi0=1.3,
+                                        phi_prime=-2.0 / delta_omega,
+                                        phi_double_prime=1.5 / delta_omega ** 2),
+                 "bbo": bbo_crystal(0.001)}
+        jsa = make_jsa(omega0, delta_omega, kappa)
+        grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
+        h = fringe_harmonics(jsa, ref_filter, media[medium], grid)
+        offset, amplitude = full_mesh_harmonics(jsa, ref_filter, media[medium],
+                                                grid)
+        assert abs(h.offset - offset) <= 1e-13 * offset
+        assert abs(h.amplitude - amplitude) <= 1e-13 * offset
+
+    @pytest.mark.parametrize("pair", ["symmetric", "chirped"])
+    def test_each_pass_evaluates_one_photon_once(self, monkeypatch, ref_jsa,
+                                                 ref_filter, ref_medium,
+                                                 ref_grid, omega0,
+                                                 delta_omega, pair):
+        # the second photon's filter, phase and a21 are mirrored, never
+        # evaluated; a symmetric pair's amplitude is taken on the folded half
+        jsa = ref_jsa if pair == "symmetric" else chirped_pair(
+            omega0, delta_omega, 0.3, 3.0, 0.7, -0.4)
+        shapes = {"filter_transmission": [], "medium_phase": [],
+                  "jsa_amplitude": []}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                shapes[name].append(np.shape(args[1]))
+                return fn(*args)
+            return wrapper
+
+        for name in shapes:
+            monkeypatch.setattr(noonfringe.engine, name,
+                                counted(name, getattr(noonfringe.engine, name)))
+        n = ref_grid.nodes_per_axis
+        half = (n, (n + 1) // 2) if pair == "symmetric" else (n, n)
+        noonfringe.engine._harmonics(jsa, ref_filter, ref_medium, ref_grid)
+        assert shapes == {"filter_transmission": [(n, n)],
+                          "medium_phase": [(n, n)], "jsa_amplitude": [half]}
+        for name in shapes:
+            shapes[name].clear()
+        simulate_fringe_scan(jsa, ref_filter, ref_medium, [0.0, 0.3],
+                             grid=ref_grid)
+        assert {name: len(calls) for name, calls in shapes.items()} == {
+            "filter_transmission": 2, "medium_phase": 2, "jsa_amplitude": 2}
 
 
 class TestSinglePhoton:
