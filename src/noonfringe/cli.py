@@ -36,7 +36,7 @@ from .analysis import (FringeScan, InfeasibleVisibilityError,
                        self_consistent_calibration, sigma_phi_from_visibility)
 from .config import (ConfigError, ExperimentConfig, load_config_file,
                      merge_config)
-from .engine import _rotated_mesh, _sum_axis, fringe_harmonics
+from .engine import _mesh_axes, fringe_harmonics
 from .spectral import (DispersionWindowError, FrequencyGrid,
                        QuadratureAccuracyError, TaylorMedium, medium_phase)
 from .sumfreq import (default_nu_grid, gaussian_approximation, kl_divergence,
@@ -239,9 +239,9 @@ def _refuse_unpaired_pump(config: ExperimentConfig,
                           "filters pass no pairs at this pump")
     if grid is None:
         return
-    center, width = _sum_axis(jsa, filt)
+    s = _mesh_axes(jsa, filt, grid)[0]
     peak = 2.0 * filt.center + t[np.argmin(exponent)] * detuning
-    if abs(peak - center) > grid.half_range * width:
+    if peak < s[0] or peak > s[-1]:
         raise ConfigError("pump_wavelength_nm", "gives no finite fringe: the "
                           "pairs the filters pass at this pump lie outside "
                           "the engine's sum-frequency window")
@@ -252,17 +252,19 @@ def _refuse_overflowing_phase(config: ExperimentConfig,
     """Refuse, naming its field, a medium whose phase sum phi1 + phi2 leaves
     the float range at the corners of the engine's mesh: a crystal names its
     length, a Taylor medium its largest term there."""
-    medium, corner = config.medium(), np.ix_([0, -1], [0, -1])
-    o1, _, _ = _rotated_mesh(config.joint_spectrum(),
-                             config.filter_profile(), grid)
+    medium = config.medium()
+    s, _, um, _ = _mesh_axes(config.joint_spectrum(), config.filter_profile(),
+                             grid)
+    corners = (s[[0, -1], None] + um[[0, -1]]) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
-        # o2 is o1 mirrored along the difference axis, and so its corners
-        phi = medium_phase(medium, o1[corner])
+        # the corners of omega1; omega2 is omega1 mirrored along the
+        # difference axis, and so are its corners
+        phi = medium_phase(medium, corners)
         if np.all(np.isfinite(phi + phi[:, ::-1])):
             return
         key = "medium_length_mm"
         if config.medium_variant != "bbo":
-            d = np.max(np.abs(o1[corner] - medium.reference))
+            d = np.max(np.abs(corners - medium.reference))
             key = ("medium_phi0", "medium_phi_prime", "medium_phi_double_prime")[
                 int(np.argmax([abs(medium.phi0), abs(medium.phi_prime) * d,
                                abs(medium.phi_double_prime) * d * d / 2.0]))]

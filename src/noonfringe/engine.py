@@ -13,8 +13,9 @@ over frequency, the bilinear form is P(theta) = (N + Re(Z e^{8i theta}))/2
 for any pair: its 4-theta component is odd under exchange of the photons,
 which pass the same filter and medium, and vanishes on the symmetric
 difference-axis rule. One quadrature of N and Z gives the exact visibility
-|Z|/N and a whole scan; for exchange-symmetric pairs it is the reduction
-|Phi|^2 T T cos^2(theta_1 + theta_2).
+|Z|/N and a whole scan. On the mesh every pair's |a12|^2 = |a21|^2 is rank
+one and its integrand even in the difference frequency, so one folded pass
+over half the mesh, in row blocks, serves symmetric and asymmetric pairs.
 
 Both integrate in rotated coordinates (sum and difference frequency) on a
 trapezoid-rule mesh whose sum-frequency half-range adapts to the narrower of
@@ -27,13 +28,13 @@ equally spaced trapezoid rule converges geometrically in the node count
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .spectral import (DispersiveMedium, FilterProfile, FrequencyGrid,
-                       JointSpectrum, _check_refinement, filter_transmission,
-                       jsa_amplitude, medium_phase)
+                       JointSpectrum, _check_refinement, _real_phase,
+                       filter_transmission, jsa_amplitude, medium_phase)
 
 __all__ = [
     "ProbabilityCurve",
@@ -46,6 +47,9 @@ __all__ = [
 
 #: relative tolerance for the node-thinning accuracy estimate
 ACCURACY_TOL = 1e-5
+
+#: mesh elements per row block of the harmonic pass: cache-sized temporaries
+_MESH_BLOCK = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,32 +82,29 @@ class ProbabilityCurve:
 # rotated-coordinate mesh
 # --------------------------------------------------------------------------
 
-def _sum_axis(jsa: JointSpectrum, filt: FilterProfile) -> tuple[float, float]:
-    """Center and width unit of the mesh's sum-frequency axis: those of the
-    narrower of the pump and the filter pair."""
-    if jsa.pump_fwhm <= filt.fwhm:
-        return jsa.pump_center, jsa.pump_fwhm
-    return 2.0 * filt.center, filt.fwhm
+def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
+               n: int | None = None):
+    """Sum frequencies, their weights (with the Jacobian 1/2 of (w1, w2) ->
+    (w_p, w_-)), difference frequencies and theirs. The sum axis spans
+    half_range*min(pump_fwhm, filter_fwhm) about the narrower feature's
+    center; the difference axis is wide enough for the filter product and
+    exactly odd (a - b is exactly -(b - a)). Both weight vectors are even.
+    """
+    center_p, scale_p = ((jsa.pump_center, jsa.pump_fwhm) if jsa.pump_fwhm
+                         <= filt.fwhm else (2.0 * filt.center, filt.fwhm))
+    up, wp = grid.axis(scale_p, n)
+    um, wm = grid.axis(2.0 * filt.fwhm, n)
+    return center_p + up, 0.5 * wp, (um - um[::-1]) / 2.0, wm
 
 
 def _rotated_mesh(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
                   n: int | None = None):
-    """Photon frequencies omega1, omega2 and weights on a rotated mesh.
-
-    Sum axis: half-range*min(pump_fwhm, filter_fwhm) about the narrower
-    feature's center. Difference axis: wide enough for the filter product,
-    and exactly odd, so omega2 is omega1 mirrored along it bit for bit
-    (omega1[:, ::-1], a view): a function of one photon's frequency is
-    evaluated on omega1 only. Jacobian 1/2 from (w1, w2) -> (w_p, w_-) is
-    folded into the weights, which are even in the difference axis.
-    """
-    center_p, scale_p = _sum_axis(jsa, filt)
-    up, wp = grid.axis(scale_p, n)
-    um, wm = grid.axis(2.0 * filt.fwhm, n)
-    um = (um - um[::-1]) / 2.0       # a - b is exactly -(b - a)
-    omega1 = (center_p + up[:, None] + um[None, :]) / 2.0
-    weights = 0.5 * wp[:, None] * wm[None, :]
-    return omega1, omega1[:, ::-1], weights
+    """Photon frequencies omega1, omega2 and weights on the mesh of
+    _mesh_axes, whose odd difference axis makes omega2 omega1 mirrored
+    along it bit for bit (omega1[:, ::-1], a view)."""
+    s, wp, um, wm = _mesh_axes(jsa, filt, grid, n)
+    omega1 = (s[:, None] + um) / 2.0
+    return omega1, omega1[:, ::-1], wp[:, None] * wm
 
 
 # --------------------------------------------------------------------------
@@ -175,43 +176,42 @@ class FringeHarmonics:
 
 
 def _harmonics(jsa, filt, medium, grid, n=None) -> tuple[FringeHarmonics, float]:
-    """Fringe harmonics of any spectrum in one mesh pass, and the pair flux.
+    """Fringe harmonics of any spectrum in one folded pass, and the pair flux.
 
-    With A = |a12|^2, B = |a21|^2, C = Re(a12 a21*) and S = (A + B)/2, the
-    bilinear form integrates to N = sum w T T [S + (S - C) cos(phi1 - phi2)/2]
-    and Z = sum w T T (S + C) e^{i(phi1 + phi2)}/2; the pair flux is
-    sum w T T S. The filter and the medium are evaluated on the first
-    photon's frequencies only, and the second photon's values are theirs
-    mirrored, as is a21 = a12 mirrored. A symmetric spectrum has A = B = C,
-    so N is the flux, and its integrand is even in the difference axis: it
-    is summed over the first ceil(m/2) of the m difference columns with
-    weight 2, an odd mesh's centre column with weight 1.
+    a12 = E(w_p) M(w_-) e^{i chi12}: on the mesh |a12|^2 = |a21|^2 = P_i Q_j
+    and Re(a12 a21*) = P_i Q_j cos(dchi), dchi = chi12 - chi21 (0 without a
+    spectral phase). With p, q the weighted P, Q, the flux is sum p q T T,
+    N = sum p q T T [1 + (1 - cos dchi) cos(phi1 - phi2)/2] and Z = sum
+    p q T T (1 + cos dchi)/2 e^{i(phi1 + phi2)}. All are even in w_-, so the
+    first ceil(m/2) columns count twice, an odd mesh's centre column once.
+    Row blocks of _MESH_BLOCK elements take the filter, medium and chi at
+    the first photon's frequencies; the second's are these mirrored.
     """
-    o1, o2, w = _rotated_mesh(jsa, filt, grid, n)
+    s, wp, um, wm = _mesh_axes(jsa, filt, grid, n)
+    m, k = um.size, (um.size + 1) // 2
+    rows, sums = max(1, _MESH_BLOCK // m), np.zeros(4)
     # steep filter powers overflow to an exact zero transmission; a phase
     # that overflows ends in NaN, which _check_refinement refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        t1, phi1 = filter_transmission(filt, o1), medium_phase(medium, o1)
-        t2, phi2 = t1[:, ::-1], phi1[:, ::-1]
-        if jsa.symmetric:
-            m = o1.shape[1]
-            k = (m + 1) // 2
-            w = w[:, :k] * np.where(np.arange(k) == m // 2, 1.0, 2.0)
-            o1, o2, t1, t2, phi1, phi2 = (
-                a[:, :k] for a in (o1, o2, t1, t2, phi1, phi2))
-        wtt = w * (t1 * t2)
-        a12 = np.asarray(jsa_amplitude(jsa, o1, o2))
-        flux = wtt * np.abs(a12) ** 2
-        offset = bright = flux
-        if not jsa.symmetric:
-            # wtt is even in the difference axis: wtt |a21|^2 is flux mirrored
-            flux = (flux + flux[:, ::-1]) / 2.0
-            overlap = wtt * np.real(a12 * np.conj(a12[:, ::-1]))
-            offset = flux + (flux - overlap) * np.cos(phi1 - phi2) / 2.0
-            bright = (flux + overlap) / 2.0
-        h = FringeHarmonics(float(np.sum(offset)),
-                            complex(np.sum(bright * np.exp(1j * (phi1 + phi2)))))
-    return h, float(np.sum(flux))
+        # P and Q: E and M of a pair about zero frequency, on the two axes
+        env, u = replace(jsa, pump_center=0.0, spectral_phase=None), s - jsa.pump_center
+        p = wp * jsa_amplitude(env, u / 2.0, u / 2.0) ** 2
+        q = wm[:k] * jsa_amplitude(env, um[:k] / 2.0, -um[:k] / 2.0) ** 2
+        q[:m // 2] *= 2.0
+        for i in range(0, s.size, rows):
+            o1 = (s[i:i + rows, None] + um) / 2.0
+            t, phi = filter_transmission(filt, o1), medium_phase(medium, o1)
+            tt = bright = offset = t[:, :k] * t[:, ::-1][:, :k]
+            phi1, phi2 = phi[:, :k], phi[:, ::-1][:, :k]
+            if jsa.spectral_phase is not None:
+                chi = np.broadcast_to(_real_phase(jsa, o1, o1[:, ::-1]), o1.shape)
+                bright = tt * (1.0 + np.cos(chi[:, :k] - chi[:, ::-1][:, :k])) / 2.0
+                offset = tt + (tt - bright) * np.cos(phi1 - phi2)
+            psi = phi1 + phi2
+            terms = (tt, offset, bright * np.cos(psi), bright * np.sin(psi))
+            sums += np.array([a @ q for a in terms]) @ p[i:i + rows]
+    flux, offset, re, im = sums
+    return FringeHarmonics(float(offset), complex(re, im)), float(flux)
 
 
 def _checked_harmonics(jsa, filt, medium, grid, thetas=None) -> FringeHarmonics:

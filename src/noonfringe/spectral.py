@@ -179,11 +179,11 @@ class JointSpectrum:
     phasematch_fwhm is the analogous width in the difference frequency;
     infinity means the envelope is dropped.
 
-    spectral_phase(omega1, omega2) must be pointwise: its value at each
-    element depends on that element's pair of frequencies only. The fringe
-    engine takes a21 as a12 mirrored along the difference axis of its mesh,
-    which is the amplitude at the swapped frequencies only for such a
-    callable.
+    spectral_phase(omega1, omega2) must be real and pointwise: a real phase
+    at each element that depends on that element's pair of frequencies only.
+    The fringe engine takes the swapped phase as this one mirrored along the
+    difference axis of its mesh, and |a12| = |a21|; jsa_amplitude refuses a
+    complex phase with a ValueError.
     """
 
     pump_center: float
@@ -201,6 +201,16 @@ class JointSpectrum:
             raise ValueError("a symmetric spectrum cannot carry a spectral phase")
 
 
+def _real_phase(jsa: JointSpectrum, omega1, omega2):
+    """jsa.spectral_phase at (omega1, omega2), refused unless real: a
+    complex phase would change |amplitude|."""
+    chi = jsa.spectral_phase(omega1, omega2)
+    if np.iscomplexobj(chi):
+        raise ValueError("spectral_phase must return a real phase, "
+                         "got complex values")
+    return chi
+
+
 def jsa_amplitude(jsa: JointSpectrum, omega1, omega2):
     """Two-photon amplitude at (omega1, omega2); real for symmetric spectra."""
     w1 = np.asarray(omega1, dtype=float)
@@ -214,7 +224,7 @@ def jsa_amplitude(jsa: JointSpectrum, omega1, omega2):
         um = w1 - w2
         amp = amp * np.exp2(-2.0 * um * um / jsa.phasematch_fwhm ** 2)
     if jsa.spectral_phase is not None:
-        amp = amp * np.exp(1j * jsa.spectral_phase(w1, w2))
+        amp = amp * np.exp(1j * _real_phase(jsa, w1, w2))
     return complex(amp) if amp.ndim == 0 and np.iscomplexobj(amp) else (
         float(amp) if amp.ndim == 0 else amp)
 

@@ -6,6 +6,7 @@ The frozen visibilities below come from converged runs of this same engine
 rebuilt inline.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -34,7 +35,7 @@ from noonfringe import (
     simulate_fringe_scan,
     single_photon_visibility,
 )
-from noonfringe.engine import _rotated_mesh, _thinned
+from noonfringe.engine import _harmonics, _rotated_mesh, _thinned
 
 LN2 = math.log(2.0)
 
@@ -435,8 +436,9 @@ class TestGeneralScan:
 
 
 def full_mesh_harmonics(jsa, filt, medium, grid):
-    """N and Z of a symmetric pair summed over the whole rotated mesh, each
-    photon's filter and phase evaluated at its own frequency."""
+    """N and Z of any pair summed over the whole rotated mesh from the
+    bilinear form's A = |a12|^2, B = |a21|^2 and C = Re(a12 a21*), each
+    photon's filter, phase and amplitude evaluated at its own frequency."""
     if jsa.pump_fwhm <= filt.fwhm:
         center, scale = jsa.pump_center, jsa.pump_fwhm
     else:
@@ -445,14 +447,19 @@ def full_mesh_harmonics(jsa, filt, medium, grid):
     um, wm = grid.axis(2.0 * filt.fwhm)
     o1 = (center + up[:, None] + um[None, :]) / 2.0
     o2 = (center + up[:, None] - um[None, :]) / 2.0
-    flux = (0.5 * wp[:, None] * wm[None, :] * filter_transmission(filt, o1)
-            * filter_transmission(filt, o2) * jsa_amplitude(jsa, o1, o2) ** 2)
-    phase = medium_phase(medium, o1) + medium_phase(medium, o2)
-    return np.sum(flux), np.sum(flux * np.exp(1j * phase))
+    a12 = np.asarray(jsa_amplitude(jsa, o1, o2))
+    a21 = np.asarray(jsa_amplitude(jsa, o2, o1))
+    a, b, c = np.abs(a12) ** 2, np.abs(a21) ** 2, np.real(a12 * np.conj(a21))
+    s = (a + b) / 2.0
+    wtt = (0.5 * wp[:, None] * wm[None, :] * filter_transmission(filt, o1)
+           * filter_transmission(filt, o2))
+    phi1, phi2 = medium_phase(medium, o1), medium_phase(medium, o2)
+    return (np.sum(wtt * (s + (s - c) * np.cos(phi1 - phi2) / 2.0)),
+            np.sum(wtt * (s + c) / 2.0 * np.exp(1j * (phi1 + phi2))))
 
 
 class TestMirroredMesh:
-    """omega2 is omega1 mirrored, and a symmetric pair's sum is folded."""
+    """omega2 is omega1 mirrored, and every pair's sum is folded."""
 
     @pytest.mark.parametrize("nodes", [96, 97, 128, 129])
     @pytest.mark.parametrize("kappa", [0.14, 3.0])
@@ -470,17 +477,21 @@ class TestMirroredMesh:
             um, _ = grid.axis(2.0 * ref_filter.fwhm, n)
             assert np.allclose(o1 - o2, um, rtol=0.0, atol=1e-15 * omega0)
 
+    @pytest.mark.parametrize("pair", ["symmetric", "chirped"])
     @pytest.mark.parametrize("medium", ["taylor", "curved", "bbo"])
     @pytest.mark.parametrize("nodes", [97, 128])
     @pytest.mark.parametrize("kappa", [0.14, 3.0])
     def test_matches_a_full_mesh_sum(self, ref_filter, omega0, delta_omega,
-                                     medium, nodes, kappa):
+                                     medium, nodes, kappa, pair):
+        # an odd node count puts a centre column on the folded difference
+        # axis; the chirped pair has finite phase matching
         media = {"taylor": make_medium(omega0, delta_omega, 7.0, phi0=0.4),
                  "curved": TaylorMedium(reference=omega0, phi0=1.3,
                                         phi_prime=-2.0 / delta_omega,
                                         phi_double_prime=1.5 / delta_omega ** 2),
                  "bbo": bbo_crystal(0.001)}
-        jsa = make_jsa(omega0, delta_omega, kappa)
+        jsa = make_jsa(omega0, delta_omega, kappa) if pair == "symmetric" else (
+            chirped_pair(omega0, delta_omega, kappa, 3.0, 0.7, -0.4))
         grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
         h = fringe_harmonics(jsa, ref_filter, media[medium], grid)
         offset, amplitude = full_mesh_harmonics(jsa, ref_filter, media[medium],
@@ -489,37 +500,107 @@ class TestMirroredMesh:
         assert abs(h.amplitude - amplitude) <= 1e-13 * offset
 
     @pytest.mark.parametrize("pair", ["symmetric", "chirped"])
+    @pytest.mark.parametrize("nodes", [97, 128])
+    def test_row_blocks_match_one_block(self, monkeypatch, ref_filter, omega0,
+                                        delta_omega, nodes, pair):
+        # blocks of one row, and of 7 rows, which divide neither node count
+        jsa = make_jsa(omega0, delta_omega, 0.14) if pair == "symmetric" else (
+            chirped_pair(omega0, delta_omega, 0.3, 3.0, 0.7, -0.4))
+        medium = TaylorMedium(reference=omega0, phi0=1.3,
+                              phi_prime=-2.0 / delta_omega,
+                              phi_double_prime=1.5 / delta_omega ** 2)
+        grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
+        monkeypatch.setattr(noonfringe.engine, "_MESH_BLOCK", nodes * nodes)
+        whole, flux = _harmonics(jsa, ref_filter, medium, grid)
+        for block in (1, 7 * nodes):
+            monkeypatch.setattr(noonfringe.engine, "_MESH_BLOCK", block)
+            h, h_flux = _harmonics(jsa, ref_filter, medium, grid)
+            assert abs(h.offset - whole.offset) <= 1e-13 * whole.offset
+            assert abs(h.amplitude - whole.amplitude) <= 1e-13 * whole.offset
+            assert abs(h_flux - flux) <= 1e-13 * whole.offset
+
+    @pytest.mark.parametrize("pair", ["symmetric", "chirped"])
     def test_each_pass_evaluates_one_photon_once(self, monkeypatch, ref_jsa,
                                                  ref_filter, ref_medium,
                                                  ref_grid, omega0,
                                                  delta_omega, pair):
-        # the second photon's filter, phase and a21 are mirrored, never
-        # evaluated; a symmetric pair's amplitude is taken on the folded half
+        # the filter and the medium see the first photon's rows of the mesh
+        # in blocks of full width, never the second photon's; the amplitude
+        # envelope sees the sum axis and the folded difference axis only,
+        # and the spectral phase each mesh element once
         jsa = ref_jsa if pair == "symmetric" else chirped_pair(
             omega0, delta_omega, 0.3, 3.0, 0.7, -0.4)
-        shapes = {"filter_transmission": [], "medium_phase": [],
-                  "jsa_amplitude": []}
+        args = {"filter_transmission": [], "medium_phase": [],
+                "jsa_amplitude": [], "_harmonics": []}
 
         def counted(name, fn):
-            def wrapper(*args):
-                shapes[name].append(np.shape(args[1]))
-                return fn(*args)
+            def wrapper(*a):
+                args[name].append(a[1])
+                return fn(*a)
             return wrapper
 
-        for name in shapes:
+        for name in args:
             monkeypatch.setattr(noonfringe.engine, name,
                                 counted(name, getattr(noonfringe.engine, name)))
+        if jsa.spectral_phase is not None:
+            jsa = dataclasses.replace(jsa, spectral_phase=counted(
+                "spectral_phase", jsa.spectral_phase))
+        args["spectral_phase"] = []
         n = ref_grid.nodes_per_axis
-        half = (n, (n + 1) // 2) if pair == "symmetric" else (n, n)
+        # 48-row blocks: the last of the three is partial
+        monkeypatch.setattr(noonfringe.engine, "_MESH_BLOCK", 48 * n)
         noonfringe.engine._harmonics(jsa, ref_filter, ref_medium, ref_grid)
-        assert shapes == {"filter_transmission": [(n, n)],
-                          "medium_phase": [(n, n)], "jsa_amplitude": [half]}
-        for name in shapes:
-            shapes[name].clear()
+        o1, _, _ = _rotated_mesh(jsa, ref_filter, ref_grid)
+        for name in ("filter_transmission", "medium_phase"):
+            assert [np.shape(a) for a in args[name]] == [(48, n), (48, n),
+                                                         (32, n)]
+            assert np.array_equal(np.vstack(args[name]), o1)
+        assert [np.shape(a) for a in args["jsa_amplitude"]] == [
+            (n,), ((n + 1) // 2,)]
+        assert sum(np.size(a) for a in args["spectral_phase"]) == (
+            0 if pair == "symmetric" else n * n)
+        for calls in args.values():
+            calls.clear()
         simulate_fringe_scan(jsa, ref_filter, ref_medium, [0.0, 0.3],
                              grid=ref_grid)
-        assert {name: len(calls) for name, calls in shapes.items()} == {
-            "filter_transmission": 2, "medium_phase": 2, "jsa_amplitude": 2}
+        assert len(args["_harmonics"]) == 2
+        assert len(args["jsa_amplitude"]) == 4
+        n_thin = _thinned(ref_grid)
+        for name in ("filter_transmission", "medium_phase"):
+            assert sum(len(a) for a in args[name]) == n + n_thin
+        assert sum(np.size(a) for a in args["spectral_phase"]) == (
+            0 if pair == "symmetric" else n * n + n_thin * n_thin)
+
+    def test_a_constant_spectral_phase_drops_out(self, ref_filter, ref_medium,
+                                                 ref_grid, omega0,
+                                                 delta_omega):
+        # a phase callable may return a scalar; a constant phase is common
+        # to a12 and a21 and leaves the fringe as it is without one
+        bare = JointSpectrum(pump_center=2.0 * omega0, pump_fwhm=delta_omega,
+                             phasematch_fwhm=3.0 * delta_omega, symmetric=False)
+        const = dataclasses.replace(bare, spectral_phase=lambda a, b: 0.7)
+        h = fringe_harmonics(const, ref_filter, ref_medium, ref_grid)
+        h_bare = fringe_harmonics(bare, ref_filter, ref_medium, ref_grid)
+        assert abs(h.offset - h_bare.offset) <= 1e-15 * h_bare.offset
+        assert abs(h.amplitude - h_bare.amplitude) <= 1e-15 * h_bare.offset
+
+    @pytest.mark.parametrize("path", ["harmonics", "scan", "per-angle"])
+    def test_a_complex_spectral_phase_is_refused(self, ref_filter, ref_medium,
+                                                 ref_grid, omega0, delta_omega,
+                                                 path):
+        # Im(chi) would scale |a12| and |a21| differently; the fold takes
+        # them equal
+        jsa = JointSpectrum(pump_center=2.0 * omega0, pump_fwhm=delta_omega,
+                            symmetric=False,
+                            spectral_phase=lambda a, b: 0.3j * (a - b) / delta_omega)
+        calls = {"harmonics": lambda: fringe_harmonics(
+                     jsa, ref_filter, ref_medium, ref_grid),
+                 "scan": lambda: simulate_fringe_scan(
+                     jsa, ref_filter, ref_medium, [0.0, 0.3], grid=ref_grid),
+                 "per-angle": lambda: coincidence_probability_general(
+                     jsa, ref_filter, ref_medium, 0.3, ref_grid)}
+        with pytest.raises(ValueError, match="spectral_phase"):
+            calls[path]()
 
 
 class TestSinglePhoton:

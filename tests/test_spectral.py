@@ -164,6 +164,19 @@ class TestJointSpectrum:
         assert a12 == pytest.approx(np.conj(a21), rel=1e-12)
         assert abs(a12.imag) > 0
 
+    @pytest.mark.parametrize("shape", [(), (3, 4)])
+    def test_complex_spectral_phase_is_refused(self, omega0, delta_omega,
+                                               shape):
+        # an imaginary part would change |amplitude|, and |a12| and |a21|
+        # apart; the phase must be real
+        jsa = JointSpectrum(pump_center=2 * omega0, pump_fwhm=delta_omega,
+                            symmetric=False,
+                            spectral_phase=lambda a, b: (a - b) / delta_omega
+                            + 0.2j)
+        w = np.full(shape, omega0)
+        with pytest.raises(ValueError, match="spectral_phase"):
+            jsa_amplitude(jsa, w + delta_omega, w - delta_omega)
+
 
 # --------------------------------------------------------------------------
 # dispersive media
