@@ -20,15 +20,18 @@ its inverse, its visibility floor and its calibration are defined here only.
 The inversion needs the calibration product phi_prime*delta_omega. It can
 come from a dispersion model, from the user, or from the self-consistent
 choice that makes a reference (visibility, kappa) pair satisfy the law
-exactly; estimates record which one was used.
+exactly; the estimate report records which one was used.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
+
+from .units import _fold_phase
 
 LN2 = math.log(2.0)
 
@@ -71,12 +74,10 @@ class InfeasibleVisibilityError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FringeScan:
-    """A measured or synthetic fringe: angles, counts, and provenance."""
+    """A measured or synthetic fringe: angles and counts, or normalized rates."""
 
     thetas: np.ndarray
     counts: np.ndarray
-    exposure: float | None = None
-    seed: int | None = None
     normalized: bool = False
 
     def __post_init__(self) -> None:
@@ -95,8 +96,6 @@ class FringeScan:
             raise ValueError("scan must span at least one full fringe period")
         if np.any(c < 0):
             raise ValueError("counts must be nonnegative")
-        if self.exposure is not None and self.exposure <= 0:
-            raise ValueError("exposure must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +113,6 @@ class FitResult:
     harmonic: float
     covariance: np.ndarray
     residual_rms: float
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         cov = np.asarray(self.covariance, dtype=float)
@@ -135,6 +133,12 @@ class FitResult:
         if self.residual_rms < 0:
             raise ValueError("residual_rms must be nonnegative")
 
+    @property
+    def degenerate(self) -> bool:
+        """Whether the visibility lies within three standard errors of
+        zero: the fringe is indistinguishable from noise."""
+        return bool(self.visibility < 3.0 * self.stderr("visibility"))
+
     def stderr(self, name: str) -> float:
         index = {"offset": 0, "visibility": 1, "phase0": 2, "harmonic": 3}[name]
         return math.sqrt(max(self.covariance[index, index], 0.0))
@@ -154,20 +158,14 @@ class CorrelationEstimate:
     what that bounds: a lower bound on the correlation strength.
     """
 
+    bound_kind: ClassVar[str] = "lower bound"
+
     kappa_bar: float
     sigma_phi_sq: float
-    visibility_used: float
-    phi_prime_used: float
-    delta_omega_used: float
-    kappa_uncertainty: float | None = None
-    bound_kind: str = field(default="lower bound")
 
     def __post_init__(self) -> None:
         if self.kappa_bar < 0:
             raise ValueError("kappa_bar must be nonnegative")
-        if self.bound_kind != "lower bound":
-            raise ValueError("bound_kind is fixed: every non-ideality damps "
-                             "the fringe, so the estimate is a lower bound")
 
 
 # --------------------------------------------------------------------------
@@ -299,9 +297,7 @@ def _fit_result(scan, harmonic, x):
     n, p = y.size, x.size
     off, v, ph = x[0], x[1], x[2]
     m = x[3] if harmonic is None else harmonic
-    ph = ph % (2.0 * math.pi)
-    if ph >= 2.0 * math.pi:       # a hair-negative phase rounds up to 2*pi
-        ph = 0.0
+    ph = _fold_phase(ph)
 
     r, jac = _residuals_and_jacobian(x[None], th, y,
                                      _weights(y, scan.normalized), harmonic)
@@ -330,10 +326,8 @@ def _fit_result(scan, harmonic, x):
             "floating-point range")
 
     rms = _rms(off * (1.0 + v * np.cos(m * th + ph)) - scan.counts)
-    v_se = math.sqrt(max(cov[1, 1], 0.0))
-    return FitResult(offset=float(off), visibility=float(v), phase0=float(ph),
-                     harmonic=float(m), covariance=cov, residual_rms=rms,
-                     degenerate=bool(v < 3.0 * v_se))
+    return FitResult(offset=float(off), visibility=float(v), phase0=ph,
+                     harmonic=float(m), covariance=cov, residual_rms=rms)
 
 
 #: v <= 1 on the coefficients z of the columns (1, 1 - cos(m theta),
@@ -542,8 +536,7 @@ def sigma_phi_from_visibility(visibility: float) -> float:
 
 
 def kappa_from_visibility(visibility: float, phi_prime: float,
-                          delta_omega: float,
-                          kappa_uncertainty: float | None = None) -> CorrelationEstimate:
+                          delta_omega: float) -> CorrelationEstimate:
     """Invert the closed-form visibility law into the correlation bound.
 
     kappa_bar = x/(1-x) with x = -2 ln(v) * 8 ln2 / (phi_prime*delta_omega)^2,
@@ -560,11 +553,7 @@ def kappa_from_visibility(visibility: float, phi_prime: float,
     if x >= 1.0:
         raise InfeasibleVisibilityError(visibility,
                                         math.exp(-t_sq / (2.0 * _EIGHT_LN2)))
-    return CorrelationEstimate(kappa_bar=x / (1.0 - x), sigma_phi_sq=s2,
-                               visibility_used=visibility,
-                               phi_prime_used=phi_prime,
-                               delta_omega_used=delta_omega,
-                               kappa_uncertainty=kappa_uncertainty)
+    return CorrelationEstimate(kappa_bar=x / (1.0 - x), sigma_phi_sq=s2)
 
 
 def self_consistent_calibration(visibility: float = 0.568,
@@ -595,7 +584,11 @@ class BootstrapResult:
     kappa_mean: float
     failure_fraction: float
     n_resamples: int
-    flagged_unreliable: bool
+
+    @property
+    def flagged_unreliable(self) -> bool:
+        """Whether more than 10% of the resamples failed."""
+        return bool(self.failure_fraction > 0.10)
 
 
 #: resamples drawn and fitted together
@@ -659,10 +652,8 @@ def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
     frac = failures / n_resamples
     if not kappas:
         return BootstrapResult(kappa_std=math.nan, kappa_mean=math.nan,
-                               failure_fraction=frac, n_resamples=n_resamples,
-                               flagged_unreliable=True)
+                               failure_fraction=frac, n_resamples=n_resamples)
     arr = np.asarray(kappas)
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return BootstrapResult(kappa_std=std, kappa_mean=float(arr.mean()),
-                           failure_fraction=frac, n_resamples=n_resamples,
-                           flagged_unreliable=frac > 0.10)
+                           failure_fraction=frac, n_resamples=n_resamples)

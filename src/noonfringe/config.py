@@ -131,6 +131,9 @@ class ExperimentConfig:
         if self.theta_stop_deg <= self.theta_start_deg:
             raise ConfigError("theta_stop_deg",
                               "must exceed theta_start_deg")
+        if not math.isfinite(self.theta_stop_deg - self.theta_start_deg):
+            raise ConfigError("theta_stop_deg", "gives a scan span "
+                              "theta_stop_deg - theta_start_deg that overflows")
         if self.fix_harmonic is not None and self.fix_harmonic <= 0:
             raise ConfigError("fix_harmonic", "must be positive")
 
@@ -204,30 +207,12 @@ def _parse_optional_float(text: str) -> float | None:
     return None if text.strip().lower() == "none" else float(text)
 
 
-_PARSERS = {
-    "schema": int,
-    "pump_wavelength_nm": float,
-    "filter_center_nm": float,
-    "filter_fwhm_nm": float,
-    "filter_order": int,
-    "medium_variant": str.strip,
-    "medium_phi0": float,
-    "medium_phi_prime": float,
-    "medium_phi_double_prime": float,
-    "medium_length_mm": float,
-    "phi_prime_fractional_uncertainty": float,
-    "kappa": _parse_optional_float,
-    "pump_fwhm": _parse_optional_float,
-    "theta_start_deg": float,
-    "theta_stop_deg": float,
-    "points": int,
-    "mean_counts": float,
-    "seed": int,
-    "fix_harmonic": _parse_optional_float,
-    "normalize_calibration": _parse_bool,
-}
+#: the parser of each annotation an ExperimentConfig field carries (the
+#: annotations are strings under postponed evaluation)
+_BY_TYPE = {"int": int, "float": float, "str": str.strip,
+            "float | None": _parse_optional_float, "bool": _parse_bool}
 
-assert set(_PARSERS) == {f.name for f in fields(ExperimentConfig)}
+_PARSERS = {f.name: _BY_TYPE[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:

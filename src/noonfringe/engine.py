@@ -35,6 +35,7 @@ import numpy as np
 from .spectral import (DispersiveMedium, FilterProfile, FrequencyGrid,
                        JointSpectrum, _check_refinement, _real_phase,
                        filter_transmission, jsa_amplitude, medium_phase)
+from .units import _fold_phase
 
 __all__ = [
     "ProbabilityCurve",
@@ -166,7 +167,7 @@ class FringeHarmonics:
 
     @property
     def phase(self) -> float:
-        return math.atan2(self.amplitude.imag, self.amplitude.real) % (2.0 * math.pi)
+        return _fold_phase(math.atan2(self.amplitude.imag, self.amplitude.real))
 
     def at(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
@@ -268,20 +269,19 @@ def simulate_fringe_scan(jsa: JointSpectrum, filt: FilterProfile,
                                                    th).at(th))
 
 
-def single_photon_visibility(filt: FilterProfile, medium: DispersiveMedium,
-                             grid: FrequencyGrid | None = None) -> float:
+def single_photon_visibility(filt: FilterProfile,
+                             medium: DispersiveMedium) -> float:
     """Fringe visibility of one photon through the same filter and medium.
 
     |integral T(w) e^{i phi(w)}| / integral T(w): the single-photon dephasing
     carries the full filter bandwidth, with no pair correlation to cancel it.
 
-    The default grid is much denser than the two-photon one: a millimeter-scale
+    The grid is much denser than the two-photon one: a millimeter-scale
     crystal wraps the phase through tens of cycles across the filter window,
     and the quadrature must resolve every one of them. Its 4096 trapezoid
     nodes pass the thinning check through ~27 cm of BBO.
     """
-    if grid is None:
-        grid = FrequencyGrid(center=filt.center, nodes_per_axis=4096)
+    grid = FrequencyGrid(center=filt.center, nodes_per_axis=4096)
 
     def value(n=None):
         x, w = grid.axis(filt.fwhm, n)

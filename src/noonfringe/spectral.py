@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .units import SPEED_OF_LIGHT, TWO_PI, angular_to_wavelength_nm
+from .units import SPEED_OF_LIGHT, TWO_PI, _fold_phase
 
 LN2 = math.log(2.0)
 
@@ -81,11 +81,12 @@ class DispersionWindowError(ValueError):
 class FrequencyGrid:
     """Trapezoid-rule specification for frequency integrals.
 
-    half_range is dimensionless, in multiples of the filter FWHM; the filter
-    tails go as 2^(-(2x)^4) so +-4 filter widths truncate below 1e-70. The
-    integrands are smooth and vanish to that level at both ends of the
-    window, where the equally spaced trapezoid rule converges geometrically
-    in the node count (Trefethen & Weideman, SIAM Rev. 56:385, 2014).
+    The window is +-half_range axis scales, a class constant: in filter
+    widths, the filter tails go as 2^(-(2x)^4) so +-4 widths truncate below
+    1e-70. The integrands are smooth and vanish to that level at both ends
+    of the window, where the equally spaced trapezoid rule converges
+    geometrically in the node count (Trefethen & Weideman, SIAM Rev. 56:385,
+    2014).
 
     No integral reads center: the fringe engine places its mesh about the
     narrower of the pump and the filter pair, and the single-photon
@@ -93,15 +94,14 @@ class FrequencyGrid:
     it.
     """
 
+    half_range: ClassVar[float] = 4.0
+
     center: float
-    half_range: float = 4.0
     nodes_per_axis: int = 128
 
     def __post_init__(self) -> None:
         if self.nodes_per_axis < 16:
             raise ValueError(f"nodes_per_axis must be >= 16, got {self.nodes_per_axis}")
-        if self.half_range < 3.0:
-            raise ValueError(f"half_range must be >= 3, got {self.half_range}")
 
     def axis(self, scale: float, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Trapezoid nodes and weights on [-half_range*scale, +half_range*scale]:
@@ -359,7 +359,4 @@ def linearize_phase(medium: DispersiveMedium, omega0: float) -> LinearizedPhase:
         dng = (medium.extraordinary.group_index(lam_um)
                - medium.ordinary.group_index(lam_um))
         slope = dng * medium.length / SPEED_OF_LIGHT
-    phi0 = float(np.mod(phi0, TWO_PI))
-    if phi0 >= TWO_PI:        # a hair-negative phase rounds up to 2*pi
-        phi0 = 0.0
-    return LinearizedPhase(phi0, float(slope), float(omega0))
+    return LinearizedPhase(_fold_phase(phi0), float(slope), float(omega0))

@@ -113,11 +113,12 @@ class DensityCurve:
         return DensityCurve(self.nu, self.density / total, normalized=True)
 
 
-def default_nu_grid(points: int = 4001, half_range: float = 4.0) -> np.ndarray:
-    """The standard abscissa for divergence and moment computations."""
+def default_nu_grid(points: int = 4001) -> np.ndarray:
+    """The standard abscissa for divergence and moment computations:
+    nu in [-4, 4]."""
     if points < 9 or points % 2 == 0:
         raise ValueError("need an odd point count >= 9 so nu = 0 is on the grid")
-    return np.linspace(-half_range, half_range, points)
+    return np.linspace(-4.0, 4.0, points)
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,13 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 TWO_PI = 2.0 * math.pi
 
 
+def _fold_phase(phase: float) -> float:
+    """phase folded into [0, 2*pi). A hair-negative phase, whose remainder
+    rounds up to 2*pi, folds to 0."""
+    folded = float(phase % TWO_PI)
+    return 0.0 if folded >= TWO_PI else folded
+
+
 def wavelength_nm_to_angular(lambda_nm: float) -> float:
     """Angular frequency (rad/s) of a vacuum wavelength given in nm."""
     if lambda_nm <= 0:

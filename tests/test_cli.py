@@ -5,6 +5,8 @@ the samples are versioned artifacts (their generating configuration is in
 their # cfg: headers), so their fits are exactly reproducible.
 """
 
+import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -19,6 +21,7 @@ import noonfringe
 import noonfringe.cli
 from noonfringe.cli import (CONFIG_ENV_VAR, EXIT_INPUT, EXIT_IO, EXIT_OK,
                             EXIT_VALIDATION, main, read_fringe_csv)
+from noonfringe.config import ExperimentConfig, merge_config, parse_config_text
 from noonfringe.spectral import QuadratureAccuracyError
 
 DATA_DIR = os.path.join(os.path.dirname(noonfringe.__file__), "data")
@@ -69,6 +72,12 @@ class TestSimulate:
         _, first, _ = run(capsys, ["simulate", "--phi-prime", "1e-13"])
         _, second, _ = run(capsys, ["simulate", "--phi-prime", "1e-13"])
         assert first == second
+
+    def test_rounding_dust_phase_prints_zero(self, capsys):
+        # Im(Z) is rounding dust below zero, whose angle folds to 0, not 2*pi
+        _, out, _ = run(capsys, ["simulate", "--kappa", "0.01",
+                                 "--phi-prime", "3e-13"])
+        assert "# fringe_phase_rad = 0.0\n" in out
 
     def test_point_count_flag(self, capsys):
         code, out, _ = run(capsys, ["simulate", "--points", "64"])
@@ -767,6 +776,41 @@ class TestConfigPlumbing:
         assert "# cfg: seed = 3" in text
         assert "# generated-by = noonfringe synth" in text
 
+    @pytest.mark.parametrize("flags,expected", [
+        ([], ExperimentConfig()),
+        (["--pump-wavelength-nm", "404", "--filter-center-nm", "808",
+          "--filter-fwhm-nm", "7", "--filter-order", "6", "--medium", "bbo",
+          "--phi0", "0.25", "--phi-prime", "-3e-13",
+          "--phi-double-prime", "1e-27", "--length-mm", "2.5",
+          "--phi-prime-frac-unc", "0.05", "--pump-fwhm", "8e12",
+          "--theta-start-deg", "10", "--theta-stop-deg", "100",
+          "--points", "64", "--mean-counts", "500", "--seed", "7",
+          "--fix-harmonic", "8", "--normalize-calibration"],
+         ExperimentConfig(pump_wavelength_nm=404.0, filter_center_nm=808.0,
+                          filter_fwhm_nm=7.0, filter_order=6,
+                          medium_variant="bbo", medium_phi0=0.25,
+                          medium_phi_prime=-3e-13,
+                          medium_phi_double_prime=1e-27,
+                          medium_length_mm=2.5,
+                          phi_prime_fractional_uncertainty=0.05, kappa=None,
+                          pump_fwhm=8e12, theta_start_deg=10.0,
+                          theta_stop_deg=100.0, points=64, mean_counts=500.0,
+                          seed=7, fix_harmonic=8.0,
+                          normalize_calibration=True)),
+    ], ids=["defaults", "every-field-off-its-default"])
+    def test_cfg_block_parses_back_to_the_config(self, capsys, flags,
+                                                 expected):
+        if flags:
+            default = ExperimentConfig()
+            assert [f.name for f in dataclasses.fields(expected)
+                    if getattr(expected, f.name) == getattr(default, f.name)
+                    ] == ["schema"]
+        code, out, _ = run(capsys, ["simulate", *flags])
+        assert code == EXIT_OK
+        block = "\n".join(line[len("# cfg: "):] for line in out.splitlines()
+                          if line.startswith("# cfg: "))
+        assert merge_config(parse_config_text(block)) == expected
+
 
 class TestIoErrors:
     def test_unwritable_output_is_exit_three(self, tmp_path, capsys):
@@ -874,3 +918,26 @@ def test_traced_benchmark_child_runs(argv, noted):
     assert spans, proc.stderr
     if noted is not None:
         assert any(span[1] == noted and span[6] is not None for span in spans)
+
+
+def _perfbench_module(monkeypatch, name):
+    root = os.path.dirname(os.path.dirname(os.path.dirname(noonfringe.__file__)))
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(root, "perfbench", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["engine-sweep", "general-scan"])
+def test_benchmark_library_deck_passes_its_oracles(monkeypatch, workload):
+    # the library workloads build package objects themselves; a change to
+    # what they pass the engine shows here, not only at benchmark time
+    _perfbench_module(monkeypatch, "oracle")
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    runner = workloads.LibraryRunner()
+    deck = workloads.library_deck(workload, workloads.deck_rng(1, workload))
+    for op in deck:
+        prepared = runner.prepare(op)
+        assert runner.check(op, prepared, runner.run(op, prepared)) == [], op

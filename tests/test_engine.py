@@ -19,6 +19,7 @@ import noonfringe
 from noonfringe import (
     FilterProfile,
     FrequencyGrid,
+    FringeHarmonics,
     FringeScan,
     JointSpectrum,
     ProbabilityCurve,
@@ -160,6 +161,14 @@ class TestSymmetricEngine:
         medium = make_medium(omega0, delta_omega, T_STAR, phi0=0.122)
         h = fringe_harmonics(ref_jsa, ref_filter, medium, ref_grid)
         assert h.phase == pytest.approx(0.244, abs=1e-12)
+
+    @pytest.mark.parametrize("imag,phase", [
+        (-1e-17, 0.0), (-1e-300, 0.0), (-0.0, 0.0), (-1.0, 1.75 * math.pi)])
+    def test_negative_angle_folds_into_one_period(self, imag, phase):
+        # rounding dust below zero leaves a remainder modulo 2*pi that
+        # rounds up to exactly 2*pi; it folds to 0
+        assert FringeHarmonics(1.0, complex(1.0, imag)).phase == \
+            pytest.approx(phase, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("kappa", [0.01, 0.05, 0.14, 1.0, 5.0])
     @pytest.mark.parametrize("t", [2.0, 7.147, 12.0])

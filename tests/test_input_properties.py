@@ -180,6 +180,8 @@ ARGV = st.sampled_from(sorted(COMMANDS)).flatmap(command_line)
           "--fix-harmonic", "1e-300"])              # a fit held at v = 0
 @example(["fit", FLAT_CSV, "--fix-harmonic", "1e-8"])   # cos(m theta) == 1:
 @example(["estimate", FLAT_CSV, "--fix-harmonic", "1e-8"])  # J'J is singular
+@example(["simulate", "--theta-start-deg", "-1e308",
+          "--theta-stop-deg", "1e308"])     # the scan span overflows
 def test_command_lines_end_in_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), warnings.catch_warnings(), \

@@ -35,7 +35,7 @@ class TestFrequencyGrid:
         assert integral(96) == pytest.approx(reference, rel=1e-14)
 
     def test_trapezoid_scheme(self, omega0):
-        grid = FrequencyGrid(center=omega0, half_range=4.0, nodes_per_axis=1001)
+        grid = FrequencyGrid(center=omega0, nodes_per_axis=1001)
         x, w = grid.axis(scale=1.0)
         assert np.sum(w) == pytest.approx(8.0, rel=1e-12)
         # limited by the Gaussian tail beyond +-4, not by the rule itself
@@ -49,7 +49,6 @@ class TestFrequencyGrid:
 
     @pytest.mark.parametrize("kwargs", [
         dict(nodes_per_axis=8),
-        dict(half_range=2.0),
     ])
     def test_invalid_construction(self, omega0, kwargs):
         with pytest.raises(ValueError):
