@@ -239,7 +239,7 @@ def _refuse_unpaired_pump(config: ExperimentConfig,
                           "filters pass no pairs at this pump")
     if grid is None:
         return
-    s = _mesh_axes(jsa, filt, grid)[0]
+    s = _mesh_axes(jsa, filt, grid).s
     peak = 2.0 * filt.center + t[np.argmin(exponent)] * detuning
     if peak < s[0] or peak > s[-1]:
         raise ConfigError("pump_wavelength_nm", "gives no finite fringe: the "
@@ -249,22 +249,19 @@ def _refuse_unpaired_pump(config: ExperimentConfig,
 
 def _refuse_overflowing_phase(config: ExperimentConfig,
                               grid: FrequencyGrid) -> None:
-    """Refuse, naming its field, a medium whose phase sum phi1 + phi2 leaves
-    the float range at the corners of the engine's mesh: a crystal names its
-    length, a Taylor medium its largest term there."""
+    """Refuse, naming its field, a medium whose phase leaves the float range
+    at the ends of the engine's photon-frequency lattice, the outermost
+    frequencies of its mesh: a crystal names its length, a Taylor medium
+    its largest term there."""
     medium = config.medium()
-    s, _, um, _ = _mesh_axes(config.joint_spectrum(), config.filter_profile(),
-                             grid)
-    corners = (s[[0, -1], None] + um[[0, -1]]) / 2.0
+    ends = _mesh_axes(config.joint_spectrum(), config.filter_profile(),
+                      grid).omega[[0, -1]]
     with np.errstate(over="ignore", invalid="ignore"):
-        # the corners of omega1; omega2 is omega1 mirrored along the
-        # difference axis, and so are its corners
-        phi = medium_phase(medium, corners)
-        if np.all(np.isfinite(phi + phi[:, ::-1])):
+        if np.all(np.isfinite(medium_phase(medium, ends))):
             return
         key = "medium_length_mm"
         if config.medium_variant != "bbo":
-            d = np.max(np.abs(corners - medium.reference))
+            d = np.max(np.abs(ends - medium.reference))
             key = ("medium_phi0", "medium_phi_prime", "medium_phi_double_prime")[
                 int(np.argmax([abs(medium.phi0), abs(medium.phi_prime) * d,
                                abs(medium.phi_double_prime) * d * d / 2.0]))]

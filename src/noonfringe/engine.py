@@ -22,15 +22,23 @@ trapezoid-rule mesh whose sum-frequency half-range adapts to the narrower of
 the pump and filter widths — the pump ridge is the only sharp feature. The
 integrands are smooth and fall to ~1e-70 at the edges of the window, so the
 equally spaced trapezoid rule converges geometrically in the node count
-(Trefethen & Weideman, SIAM Rev. 56:385, 2014).
+(Trefethen & Weideman, SIAM Rev. 56:385, 2014). The difference step is b
+sum steps h, b = floor(2*filter_fwhm/sum scale) >= 2, so every photon
+frequency of the mesh lies on one 1-D lattice of step h/2: the harmonic
+pass evaluates the filter, the medium phase and e^{i phi} once per lattice
+frequency it reaches (at most n*m of them, indexed with stride min(b, n))
+and reads both photons' values on the mesh as views of those. Only a
+spectral phase is evaluated on the 2-D mesh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import (DispersiveMedium, FilterProfile, FrequencyGrid,
                        JointSpectrum, _check_refinement, _real_phase,
@@ -83,29 +91,70 @@ class ProbabilityCurve:
 # rotated-coordinate mesh
 # --------------------------------------------------------------------------
 
+class _Mesh(NamedTuple):
+    """The rotated mesh of _mesh_axes and the photon frequencies it indexes."""
+
+    s: np.ndarray       # sum frequencies, n of them, step h
+    wp: np.ndarray      # their weights, with the Jacobian 1/2
+    um: np.ndarray      # difference frequencies, m of them, step b*h
+    wm: np.ndarray      # their weights
+    omega: np.ndarray   # photon frequencies: omega1[i, j] = omega[i + stride*j]
+    stride: int         # c = min(b, n)
+
+    def photon(self, values) -> np.ndarray:
+        """values, given at omega, at the first photon's mesh frequencies:
+        an (n, m) view whose [i, j] is values[i + stride*j]. The second
+        photon's is its mirror [:, ::-1]."""
+        return sliding_window_view(values, self.s.size)[::self.stride].T
+
+
 def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
-               n: int | None = None):
-    """Sum frequencies, their weights (with the Jacobian 1/2 of (w1, w2) ->
-    (w_p, w_-)), difference frequencies and theirs. The sum axis spans
-    half_range*min(pump_fwhm, filter_fwhm) about the narrower feature's
-    center; the difference axis is wide enough for the filter product and
-    exactly odd (a - b is exactly -(b - a)). Both weight vectors are even.
+               n: int | None = None) -> _Mesh:
+    """The rotated mesh: sum frequencies s_i and difference frequencies u_j,
+    with trapezoid weights (the sum weights carry the Jacobian 1/2 of
+    (w1, w2) -> (w_p, w_-)), and the 1-D lattice of the photon frequencies.
+
+    The sum axis spans half_range*min(pump_fwhm, filter_fwhm) about the
+    narrower feature's center in n nodes of step h. The difference axis has
+    the step b*h, b = floor(2*filter_fwhm/scale) >= 2 for that sum scale,
+    and m = 1 + floor((n - 1)*2*filter_fwhm/(scale*b)) nodes at multiples
+    of b*h/2: exactly odd, never coarser than n nodes over +-2*half_range
+    filter widths and never wider. So w1 = (s_i + u_j)/2 is the point
+    i + b*j of a lattice of step h/2, and w2 = (s_i - u_j)/2 the point
+    i + b*(m - 1 - j): w1 mirrored along the difference axis. At pump
+    widths >= the filter's, b = 2 and m = n. omega holds the lattice
+    points the mesh reaches, indexed i + c*j with c = min(b, n): a wide
+    lattice skips its unreached gaps, so omega never holds more than n*m
+    points. It is built antisymmetric about its centre, so the phases of
+    mirrored points carry no rounding dust of their own.
     """
     center_p, scale_p = ((jsa.pump_center, jsa.pump_fwhm) if jsa.pump_fwhm
                          <= filt.fwhm else (2.0 * filt.center, filt.fwhm))
     up, wp = grid.axis(scale_p, n)
-    um, wm = grid.axis(2.0 * filt.fwhm, n)
-    return center_p + up, 0.5 * wp, (um - um[::-1]) / 2.0, wm
+    n, h = up.size, wp[1]       # an interior trapezoid weight is the step
+    ratio = 2.0 * filt.fwhm / scale_p
+    b = max(2, math.floor(ratio))
+    m = 1 + math.floor((n - 1) * ratio / b)
+    um = np.arange(1 - m, m, 2) * (0.5 * b * h)
+    wm = np.full(m, b * h)
+    wm[[0, -1]] *= 0.5
+    c = min(b, n)
+    j, i = np.divmod(np.arange(n + c * (m - 1)), c)
+    # each point's offset from the centre in steps h/4, 2*(i + b*j) -
+    # (n - 1 + b*(m - 1)), in floats: b may pass 2**63
+    quarters = (2 * i - (n - 1)) + float(b) * (2 * j - (m - 1))
+    omega = 0.5 * center_p + quarters * (0.25 * h)
+    return _Mesh(center_p + up, 0.5 * wp, um, wm, omega, c)
 
 
 def _rotated_mesh(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
                   n: int | None = None):
     """Photon frequencies omega1, omega2 and weights on the mesh of
-    _mesh_axes, whose odd difference axis makes omega2 omega1 mirrored
-    along it bit for bit (omega1[:, ::-1], a view)."""
-    s, wp, um, wm = _mesh_axes(jsa, filt, grid, n)
-    omega1 = (s[:, None] + um) / 2.0
-    return omega1, omega1[:, ::-1], wp[:, None] * wm
+    _mesh_axes: omega1 read off its lattice, omega2 its mirror
+    omega1[:, ::-1] (a view)."""
+    mesh = _mesh_axes(jsa, filt, grid, n)
+    omega1 = np.array(mesh.photon(mesh.omega))
+    return omega1, omega1[:, ::-1], mesh.wp[:, None] * mesh.wm
 
 
 # --------------------------------------------------------------------------
@@ -185,10 +234,15 @@ def _harmonics(jsa, filt, medium, grid, n=None) -> tuple[FringeHarmonics, float]
     N = sum p q T T [1 + (1 - cos dchi) cos(phi1 - phi2)/2] and Z = sum
     p q T T (1 + cos dchi)/2 e^{i(phi1 + phi2)}. All are even in w_-, so the
     first ceil(m/2) columns count twice, an odd mesh's centre column once.
-    Row blocks of _MESH_BLOCK elements take the filter, medium and chi at
-    the first photon's frequencies; the second's are these mirrored.
+    The filter T and g = T e^{i phi} are evaluated once per lattice
+    frequency of _mesh_axes; on the mesh T T, g1 g2 = T T e^{i(phi1 + phi2)}
+    and Re(g1 g2*) = T T cos(phi1 - phi2) are products of two views of
+    them, in row blocks of _MESH_BLOCK elements. Only chi is evaluated on
+    the mesh, in row blocks of the first photon's frequencies; the second's
+    are these mirrored.
     """
-    s, wp, um, wm = _mesh_axes(jsa, filt, grid, n)
+    mesh = _mesh_axes(jsa, filt, grid, n)
+    s, wp, um, wm = mesh.s, mesh.wp, mesh.um, mesh.wm
     m, k = um.size, (um.size + 1) // 2
     rows, sums = max(1, _MESH_BLOCK // m), np.zeros(4)
     # steep filter powers overflow to an exact zero transmission; a phase
@@ -199,18 +253,23 @@ def _harmonics(jsa, filt, medium, grid, n=None) -> tuple[FringeHarmonics, float]
         p = wp * jsa_amplitude(env, u / 2.0, u / 2.0) ** 2
         q = wm[:k] * jsa_amplitude(env, um[:k] / 2.0, -um[:k] / 2.0) ** 2
         q[:m // 2] *= 2.0
+        t = filter_transmission(filt, mesh.omega)
+        g = t * np.exp(1j * medium_phase(medium, mesh.omega))
+        t, g = mesh.photon(t), mesh.photon(g)
         for i in range(0, s.size, rows):
-            o1 = (s[i:i + rows, None] + um) / 2.0
-            t, phi = filter_transmission(filt, o1), medium_phase(medium, o1)
-            tt = bright = offset = t[:, :k] * t[:, ::-1][:, :k]
-            phi1, phi2 = phi[:, :k], phi[:, ::-1][:, :k]
+            block = slice(i, i + rows)
+            tt = offset = t[block, :k] * t[block, ::-1][:, :k]
+            g1, g2 = g[block, :k], g[block, ::-1][:, :k]
+            z = g1 * g2
             if jsa.spectral_phase is not None:
+                o1 = np.array(mesh.photon(mesh.omega)[block])
                 chi = np.broadcast_to(_real_phase(jsa, o1, o1[:, ::-1]), o1.shape)
-                bright = tt * (1.0 + np.cos(chi[:, :k] - chi[:, ::-1][:, :k])) / 2.0
-                offset = tt + (tt - bright) * np.cos(phi1 - phi2)
-            psi = phi1 + phi2
-            terms = (tt, offset, bright * np.cos(psi), bright * np.sin(psi))
-            sums += np.array([a @ q for a in terms]) @ p[i:i + rows]
+                bright = (1.0 + np.cos(chi[:, :k] - chi[:, ::-1][:, :k])) / 2.0
+                offset = tt + (1.0 - bright) * np.real(g1 * np.conj(g2))
+                z = z * bright
+            # one stack, so equal terms sum in the same order: without a
+            # medium phase |Z| is N to the last bit
+            sums += (np.stack([tt, offset, z.real, z.imag]) @ q) @ p[block]
     flux, offset, re, im = sums
     return FringeHarmonics(float(offset), complex(re, im)), float(flux)
 

@@ -75,9 +75,36 @@ class TestSimulate:
 
     def test_rounding_dust_phase_prints_zero(self, capsys):
         # Im(Z) is rounding dust below zero, whose angle folds to 0, not 2*pi
+        config = ExperimentConfig(kappa=0.01, medium_phi_prime=3e-13)
+        harmonics = noonfringe.cli._model_curve(config)[2]
+        assert -1e-15 * harmonics.offset < harmonics.amplitude.imag < 0.0
         _, out, _ = run(capsys, ["simulate", "--kappa", "0.01",
                                  "--phi-prime", "3e-13"])
         assert "# fringe_phase_rad = 0.0\n" in out
+
+    def test_a_tiny_kappa_evaluates_no_more_points_than_the_mesh(
+            self, capsys, monkeypatch):
+        # at kappa = 1e-10 a difference step spans ~2e5 sum steps; the
+        # lattice skips the gaps the mesh never reaches
+        sizes = []
+        transmission = noonfringe.engine.filter_transmission
+
+        def counted(filt, omega):
+            sizes.append(np.size(omega))
+            return transmission(filt, omega)
+
+        monkeypatch.setattr(noonfringe.engine, "filter_transmission", counted)
+        code, out, _ = run(capsys, ["simulate", "--kappa", "1e-10",
+                                    "--phi-prime", "3e-13"])
+        assert code == EXIT_OK
+        v = float(out.split("# visibility_raw = ")[1].split()[0])
+        assert v == pytest.approx(0.9999999996435456, rel=1e-13)
+        config = ExperimentConfig(kappa=1e-10, medium_phi_prime=3e-13)
+        mesh = noonfringe.engine._mesh_axes(
+            config.joint_spectrum(), config.filter_profile(),
+            noonfringe.cli._default_grid(config))
+        assert len(sizes) == 2
+        assert sizes[0] == mesh.omega.size <= mesh.s.size * mesh.um.size
 
     def test_point_count_flag(self, capsys):
         code, out, _ = run(capsys, ["simulate", "--points", "64"])

@@ -36,7 +36,7 @@ from noonfringe import (
     simulate_fringe_scan,
     single_photon_visibility,
 )
-from noonfringe.engine import _harmonics, _rotated_mesh, _thinned
+from noonfringe.engine import _harmonics, _mesh_axes, _rotated_mesh, _thinned
 
 LN2 = math.log(2.0)
 
@@ -445,22 +445,18 @@ class TestGeneralScan:
 
 
 def full_mesh_harmonics(jsa, filt, medium, grid):
-    """N and Z of any pair summed over the whole rotated mesh from the
-    bilinear form's A = |a12|^2, B = |a21|^2 and C = Re(a12 a21*), each
-    photon's filter, phase and amplitude evaluated at its own frequency."""
-    if jsa.pump_fwhm <= filt.fwhm:
-        center, scale = jsa.pump_center, jsa.pump_fwhm
-    else:
-        center, scale = 2.0 * filt.center, filt.fwhm
-    up, wp = grid.axis(scale)
-    um, wm = grid.axis(2.0 * filt.fwhm)
-    o1 = (center + up[:, None] + um[None, :]) / 2.0
-    o2 = (center + up[:, None] - um[None, :]) / 2.0
+    """N and Z of any pair summed over the whole rotated mesh of the engine's
+    axes from the bilinear form's A = |a12|^2, B = |a21|^2 and C =
+    Re(a12 a21*), each photon's filter, phase and amplitude evaluated at its
+    own frequency (s + u)/2 or (s - u)/2, not read off the lattice."""
+    s, wp, um, wm = _mesh_axes(jsa, filt, grid)[:4]
+    o1 = (s[:, None] + um[None, :]) / 2.0
+    o2 = (s[:, None] - um[None, :]) / 2.0
     a12 = np.asarray(jsa_amplitude(jsa, o1, o2))
     a21 = np.asarray(jsa_amplitude(jsa, o2, o1))
     a, b, c = np.abs(a12) ** 2, np.abs(a21) ** 2, np.real(a12 * np.conj(a21))
     s = (a + b) / 2.0
-    wtt = (0.5 * wp[:, None] * wm[None, :] * filter_transmission(filt, o1)
+    wtt = (wp[:, None] * wm[None, :] * filter_transmission(filt, o1)
            * filter_transmission(filt, o2))
     phi1, phi2 = medium_phase(medium, o1), medium_phase(medium, o2)
     return (np.sum(wtt * (s + (s - c) * np.cos(phi1 - phi2) / 2.0)),
@@ -477,14 +473,18 @@ class TestMirroredMesh:
         jsa = make_jsa(omega0, delta_omega, kappa)
         grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
         for n in (None, _thinned(grid)):
+            mesh = _mesh_axes(jsa, ref_filter, grid, n)
             o1, o2, w = _rotated_mesh(jsa, ref_filter, grid, n)
-            assert o1.shape == (n or nodes,) * 2
+            m, c = mesh.um.size, mesh.stride
+            assert o1.shape == (n or nodes, m)
+            # omega1 is read off the lattice: [i, j] is omega[i + c*j]
+            rows, cols = np.indices(o1.shape)
+            assert np.array_equal(o1, mesh.omega[rows + c * cols])
             assert np.array_equal(o2, o1[:, ::-1])
             assert np.array_equal(w, w[:, ::-1])
             # and it is the second photon: o1 - o2 runs over the
             # difference-axis nodes, the same in every row
-            um, _ = grid.axis(2.0 * ref_filter.fwhm, n)
-            assert np.allclose(o1 - o2, um, rtol=0.0, atol=1e-15 * omega0)
+            assert np.allclose(o1 - o2, mesh.um, rtol=0.0, atol=1e-15 * omega0)
 
     @pytest.mark.parametrize("pair", ["symmetric", "chirped"])
     @pytest.mark.parametrize("medium", ["taylor", "curved", "bbo"])
@@ -533,10 +533,10 @@ class TestMirroredMesh:
                                                  ref_filter, ref_medium,
                                                  ref_grid, omega0,
                                                  delta_omega, pair):
-        # the filter and the medium see the first photon's rows of the mesh
-        # in blocks of full width, never the second photon's; the amplitude
-        # envelope sees the sum axis and the folded difference axis only,
-        # and the spectral phase each mesh element once
+        # the filter and the medium see each lattice frequency once, in one
+        # 1-d call; the amplitude envelope sees the sum axis and the folded
+        # difference axis only, and the spectral phase each mesh element
+        # once, in row blocks of the first photon's frequencies
         jsa = ref_jsa if pair == "symmetric" else chirped_pair(
             omega0, delta_omega, 0.3, 3.0, 0.7, -0.4)
         args = {"filter_transmission": [], "medium_phase": [],
@@ -555,30 +555,79 @@ class TestMirroredMesh:
             jsa = dataclasses.replace(jsa, spectral_phase=counted(
                 "spectral_phase", jsa.spectral_phase))
         args["spectral_phase"] = []
-        n = ref_grid.nodes_per_axis
+        mesh = _mesh_axes(jsa, ref_filter, ref_grid)
+        n, m, c = mesh.s.size, mesh.um.size, mesh.stride
+        assert m > n
         # 48-row blocks: the last of the three is partial
-        monkeypatch.setattr(noonfringe.engine, "_MESH_BLOCK", 48 * n)
+        monkeypatch.setattr(noonfringe.engine, "_MESH_BLOCK", 48 * m)
         noonfringe.engine._harmonics(jsa, ref_filter, ref_medium, ref_grid)
-        o1, _, _ = _rotated_mesh(jsa, ref_filter, ref_grid)
         for name in ("filter_transmission", "medium_phase"):
-            assert [np.shape(a) for a in args[name]] == [(48, n), (48, n),
-                                                         (32, n)]
-            assert np.array_equal(np.vstack(args[name]), o1)
+            assert [np.shape(a) for a in args[name]] == [(n + c * (m - 1),)]
+            assert np.array_equal(args[name][0], mesh.omega)
         assert [np.shape(a) for a in args["jsa_amplitude"]] == [
-            (n,), ((n + 1) // 2,)]
-        assert sum(np.size(a) for a in args["spectral_phase"]) == (
-            0 if pair == "symmetric" else n * n)
+            (n,), ((m + 1) // 2,)]
+        if pair == "symmetric":
+            assert args["spectral_phase"] == []
+        else:
+            assert [np.shape(a) for a in args["spectral_phase"]] == [
+                (48, m), (48, m), (32, m)]
+            # the wrapper records the second argument: omega2
+            _, o2, _ = _rotated_mesh(jsa, ref_filter, ref_grid)
+            assert np.array_equal(np.vstack(args["spectral_phase"]), o2)
         for calls in args.values():
             calls.clear()
         simulate_fringe_scan(jsa, ref_filter, ref_medium, [0.0, 0.3],
                              grid=ref_grid)
         assert len(args["_harmonics"]) == 2
         assert len(args["jsa_amplitude"]) == 4
-        n_thin = _thinned(ref_grid)
+        thin = _mesh_axes(jsa, ref_filter, ref_grid, _thinned(ref_grid))
         for name in ("filter_transmission", "medium_phase"):
-            assert sum(len(a) for a in args[name]) == n + n_thin
+            assert [np.size(a) for a in args[name]] == [mesh.omega.size,
+                                                        thin.omega.size]
         assert sum(np.size(a) for a in args["spectral_phase"]) == (
-            0 if pair == "symmetric" else n * n + n_thin * n_thin)
+            0 if pair == "symmetric"
+            else n * m + thin.s.size * thin.um.size)
+
+    @pytest.mark.parametrize("pair", ["symmetric", "asymmetric", "chirped"])
+    def test_no_transcendental_runs_on_the_mesh_without_a_spectral_phase(
+            self, monkeypatch, ref_jsa, ref_filter, omega0, delta_omega, pair):
+        # the filter, the medium and every trig or exponential the pass
+        # calls see 1-d arrays only, unless a spectral phase asks for
+        # cos(chi12 - chi21) on the mesh
+        jsa = {"symmetric": ref_jsa,
+               "asymmetric": JointSpectrum(pump_center=2.0 * omega0,
+                                           pump_fwhm=0.3 * delta_omega,
+                                           phasematch_fwhm=3.0 * delta_omega,
+                                           symmetric=False),
+               "chirped": chirped_pair(omega0, delta_omega, 0.3, 3.0, 0.7,
+                                       -0.4)}[pair]
+        medium = bbo_crystal(0.001)
+        dims = {}
+
+        def recorded(name, fn):
+            def wrapper(*a, **kw):
+                dims.setdefault(name, set()).update(
+                    np.ndim(x) for x in a if isinstance(x, np.ndarray))
+                return fn(*a, **kw)
+            return wrapper
+
+        class Numpy:
+            def __getattr__(self, name):
+                fn = getattr(np, name)
+                if name in ("cos", "sin", "tan", "exp", "exp2", "expm1",
+                            "log", "log2", "power", "sqrt", "arctan2"):
+                    return recorded(name, fn)
+                return fn
+
+        for name in ("filter_transmission", "medium_phase", "jsa_amplitude"):
+            monkeypatch.setattr(noonfringe.engine, name,
+                                recorded(name, getattr(noonfringe.engine, name)))
+        monkeypatch.setattr(noonfringe.engine, "np", Numpy())
+        grid = FrequencyGrid(center=omega0, nodes_per_axis=96)
+        _harmonics(jsa, ref_filter, medium, grid)
+        assert {"filter_transmission", "medium_phase", "exp"} <= set(dims)
+        on_the_mesh = sorted(name for name, d in dims.items() if max(d) > 1)
+        assert on_the_mesh == ([] if pair != "chirped" else ["cos"])
 
     def test_a_constant_spectral_phase_drops_out(self, ref_filter, ref_medium,
                                                  ref_grid, omega0,
@@ -610,6 +659,49 @@ class TestMirroredMesh:
                      jsa, ref_filter, ref_medium, 0.3, ref_grid)}
         with pytest.raises(ValueError, match="spectral_phase"):
             calls[path]()
+
+
+class TestLattice:
+    """The difference axis puts every photon frequency on one 1-d lattice."""
+
+    @pytest.mark.parametrize("nodes", [16, 96, 97, 128, 129, 256])
+    def test_difference_axis_rule(self, ref_filter, omega0, delta_omega,
+                                  nodes):
+        # read off _mesh_axes, nothing evaluated: the step of n nodes over
+        # +-8 filter widths is the axis every kappa had before the lattice
+        fwhm = ref_filter.fwhm
+        grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
+        uniform, step = np.linspace(-8.0 * fwhm, 8.0 * fwhm, nodes,
+                                    retstep=True)
+        for kappa in np.logspace(-12.0, 4.0, 49):
+            mesh = _mesh_axes(make_jsa(omega0, delta_omega, kappa),
+                              ref_filter, grid)
+            n, m, um = mesh.s.size, mesh.um.size, mesh.um
+            h, du = 2.0 * mesh.wp[1], mesh.wm[1]
+            b = round(du / h)
+            assert b >= 2 and abs(du / h - b) <= 1e-12 * b
+            assert du <= step * (1.0 + 1e-15)
+            assert mesh.stride == min(b, n)
+            assert np.array_equal(um, -um[::-1])
+            assert np.all(np.diff(um) > 0)
+            # no wider than +-8 widths, and short of them by under a step
+            assert 8.0 * fwhm - du / 2.0 <= um[-1] <= 8.0 * fwhm * (1.0 + 1e-15)
+            assert mesh.omega.size == n + mesh.stride * (m - 1) <= n * m
+            if kappa >= 1.0:
+                assert m == n
+                assert np.allclose(um, uniform, rtol=0.0,
+                                   atol=2.0 * np.spacing(8.0 * fwhm))
+
+
+    @pytest.mark.parametrize("kappa", [1e-10, 0.14, 3.0])
+    def test_no_medium_phase_gives_a_perfect_fringe_to_the_bit(
+            self, ref_filter, omega0, delta_omega, kappa):
+        # Z sums the same products as N, in the same order
+        h = fringe_harmonics(make_jsa(omega0, delta_omega, kappa), ref_filter,
+                             make_medium(omega0, delta_omega, 0.0),
+                             FrequencyGrid(center=omega0))
+        assert h.amplitude == h.offset
+        assert h.visibility == 1.0
 
 
 class TestSinglePhoton:
