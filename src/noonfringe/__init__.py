@@ -15,8 +15,7 @@ from .analysis import (BootstrapResult, CorrelationEstimate, FitResult,
                        self_consistent_calibration, sigma_phi_from_visibility)
 from .besselk import bessel_k_quarter_scaled
 from .config import ConfigError, ExperimentConfig, load_config_file
-from .engine import (FringeHarmonics, ProbabilityCurve,
-                     coincidence_probability_general, fringe_harmonics,
+from .engine import (FringeHarmonics, ProbabilityCurve, fringe_harmonics,
                      simulate_fringe_scan, single_photon_visibility)
 from .spectral import (BBO_ORDINARY, BBO_EXTRAORDINARY, DispersiveMedium,
                        FilterProfile, FrequencyGrid, JointSpectrum,
@@ -42,8 +41,8 @@ __all__ = [
     "BBO_EXTRAORDINARY", "bbo_crystal", "filter_transmission",
     "jsa_amplitude", "medium_phase", "linearize_phase",
     # fringe engine
-    "ProbabilityCurve", "FringeHarmonics", "coincidence_probability_general",
-    "simulate_fringe_scan", "fringe_harmonics", "single_photon_visibility",
+    "ProbabilityCurve", "FringeHarmonics", "simulate_fringe_scan",
+    "fringe_harmonics", "single_photon_visibility",
     # fitting and estimation
     "FringeScan", "FitResult", "CorrelationEstimate", "BootstrapResult",
     "InfeasibleVisibilityError", "fit_fringe",

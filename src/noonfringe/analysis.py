@@ -594,6 +594,10 @@ class BootstrapResult:
 #: resamples drawn and fitted together
 _BOOTSTRAP_BLOCK = 50
 
+#: the largest mean numpy's Poisson sampler accepts
+_POISSON_MAX = float(np.iinfo(np.int64).max
+                     - 10.0 * math.sqrt(np.iinfo(np.int64).max))
+
 
 def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
                                 phi_prime_uncertainty: float,
@@ -606,7 +610,10 @@ def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
     Each resample redraws the counts around the fitted model — Poisson for
     count data, normal with the fitted residual rms for normalized data — and
     redraws phi_prime from a normal law with the stated placement uncertainty,
-    then reruns the full fit-and-invert pipeline. The fitted model is
+    then reruns the full fit-and-invert pipeline. Counts whose model lies
+    above numpy's Poisson cap (~9.2e18) are drawn from the normal law of
+    variance equal to the mean, which the Poisson law there matches to a
+    relative ~1/sqrt(mean) < 4e-10. The fitted model is
     `base`, the fit_fringe result of this scan with this fix_harmonic, when
     the caller already has it; otherwise the scan is fitted here. The
     resamples are fitted in blocks by fit_fringe's batched
@@ -627,6 +634,10 @@ def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
         base = fit_fringe(scan, fix_harmonic=fix_harmonic)
     model = base.model(scan.thetas)
     harmonic = None if fix_harmonic is None else float(fix_harmonic)
+    # a scan with no count above the cap draws as rng.poisson(model) does
+    big = model > _POISSON_MAX
+    mean_small, mean_big = model[~big], model[big]
+    sd_big = np.sqrt(mean_big)
 
     kappas = []
     failures = 0
@@ -639,7 +650,8 @@ def bootstrap_kappa_uncertainty(scan: FringeScan, phi_prime: float,
             if scan.normalized:
                 counts[row] = np.maximum(rng.normal(model, base.residual_rms), 0.0)
             else:
-                counts[row] = rng.poisson(model)
+                counts[row, ~big] = rng.poisson(mean_small)
+                counts[row, big] = rng.normal(mean_big, sd_big)
             pps.append(rng.normal(phi_prime, phi_prime_uncertainty))
         params = _fit_stack(scan.thetas, counts, scan.normalized, harmonic)
         for row, pp in enumerate(pps):

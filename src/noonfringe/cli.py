@@ -516,16 +516,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         n = max(args.bootstrap, 100)
         unc = abs(calibration["phi_prime_s"]) \
             * config.phi_prime_fractional_uncertainty
-        try:
-            boot = bootstrap_kappa_uncertainty(
-                scan, calibration["phi_prime_s"], unc,
-                calibration["delta_omega_rad_per_s"], n_resamples=n,
-                seed=config.seed, fix_harmonic=config.fix_harmonic, base=fit)
-        except ValueError as exc:   # numpy caps the Poisson mean near 9.2e18
-            raise CliInputError(
-                f"counts up to {float(np.max(scan.counts))!r} are too large "
-                f"to resample ({exc}); --bootstrap 0 skips the bootstrap"
-            ) from exc
+        boot = bootstrap_kappa_uncertainty(
+            scan, calibration["phi_prime_s"], unc,
+            calibration["delta_omega_rad_per_s"], n_resamples=n,
+            seed=config.seed, fix_harmonic=config.fix_harmonic, base=fit)
         report["kappa_uncertainty"] = boot.kappa_std
         report["bootstrap"] = {
             "n_resamples": boot.n_resamples,

@@ -4,12 +4,12 @@ A polarization rotation by angle theta mixes the two circular components of
 each photon; the medium adds a frequency-dependent birefringent phase, so each
 photon carries an effective rotation angle theta_i = 2*theta + phi(omega_i)/2.
 The coincidence probability is a frequency integral over the filtered pair
-spectrum. The direct per-angle form, coincidence_probability_general, is the
-reference: the general bilinear form at one angle, summing the direct,
-swapped and interference contributions of any spectral amplitude.
+spectrum: the bilinear form at one angle sums the direct, swapped and
+interference contributions of any spectral amplitude. The test suite keeps
+that per-angle form as its reference.
 
-One harmonic form serves every spectrum and every other caller. Integrated
-over frequency, the bilinear form is P(theta) = (N + Re(Z e^{8i theta}))/2
+One harmonic form serves every spectrum and every caller. Integrated over
+frequency, the bilinear form is P(theta) = (N + Re(Z e^{8i theta}))/2
 for any pair: its 4-theta component is odd under exchange of the photons,
 which pass the same filter and medium, and vanishes on the symmetric
 difference-axis rule. One quadrature of N and Z gives the exact visibility
@@ -48,7 +48,6 @@ from .units import _fold_phase
 __all__ = [
     "ProbabilityCurve",
     "FringeHarmonics",
-    "coincidence_probability_general",
     "simulate_fringe_scan",
     "fringe_harmonics",
     "single_photon_visibility",
@@ -147,16 +146,6 @@ def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
     return _Mesh(center_p + up, 0.5 * wp, um, wm, omega, c)
 
 
-def _rotated_mesh(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
-                  n: int | None = None):
-    """Photon frequencies omega1, omega2 and weights on the mesh of
-    _mesh_axes: omega1 read off its lattice, omega2 its mirror
-    omega1[:, ::-1] (a view)."""
-    mesh = _mesh_axes(jsa, filt, grid, n)
-    omega1 = np.array(mesh.photon(mesh.omega))
-    return omega1, omega1[:, ::-1], mesh.wp[:, None] * mesh.wm
-
-
 # --------------------------------------------------------------------------
 # probability paths
 # --------------------------------------------------------------------------
@@ -164,43 +153,6 @@ def _rotated_mesh(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
 def _thinned(grid: FrequencyGrid) -> int:
     """Node count of the thinned rule that estimates the quadrature error."""
     return max(16, (3 * grid.nodes_per_axis) // 4)
-
-
-def _general_value(jsa, filt, medium, theta, grid, n=None):
-    o1, o2, w = _rotated_mesh(jsa, filt, grid, n)
-    with np.errstate(over="ignore", invalid="ignore"):     # as in _harmonics
-        tt = filter_transmission(filt, o1) * filter_transmission(filt, o2)
-        a12 = np.asarray(jsa_amplitude(jsa, o1, o2))
-        a21 = np.asarray(jsa_amplitude(jsa, o2, o1))
-        th1 = 2.0 * theta + 0.5 * medium_phase(medium, o1)
-        th2 = 2.0 * theta + 0.5 * medium_phase(medium, o2)
-        c1, s1 = np.cos(th1), np.sin(th1)
-        c2, s2 = np.cos(th2), np.sin(th2)
-        direct = np.abs(a12) ** 2 * c1 * c1 * c2 * c2
-        swapped = np.abs(a21) ** 2 * s1 * s1 * s2 * s2
-        cross = 2.0 * np.real(a12 * np.conj(a21)) * c1 * c2 * s1 * s2
-        p = float(np.sum(w * tt * (direct + swapped - cross)))
-        flux = float(np.sum(w * tt * (np.abs(a12) ** 2 + np.abs(a21) ** 2))) / 2.0
-    return p, flux
-
-
-def coincidence_probability_general(jsa: JointSpectrum, filt: FilterProfile,
-                                    medium: DispersiveMedium, theta: float,
-                                    grid: FrequencyGrid) -> float:
-    """Coincidence probability from the general bilinear form.
-
-    Handles asymmetric and complex spectral amplitudes. The value is
-    re-estimated with a thinned node set; disagreement beyond ACCURACY_TOL
-    (relative to the total pair flux, so fringe nulls don't divide by zero)
-    raises QuadratureAccuracyError; a mesh with no finite, nonzero flux or a
-    non-finite value raises FloatingPointError.
-    """
-    p, flux = _general_value(jsa, filt, medium, theta, grid)
-    n_thin = _thinned(grid)
-    p_thin, _ = _general_value(jsa, filt, medium, theta, grid, n_thin)
-    _check_refinement("fringe", p, p_thin, flux, grid.nodes_per_axis, n_thin,
-                      ACCURACY_TOL)
-    return p
 
 
 @dataclass(frozen=True)
@@ -277,15 +229,15 @@ def _harmonics(jsa, filt, medium, grid, n=None) -> tuple[FringeHarmonics, float]
 def _checked_harmonics(jsa, filt, medium, grid, thetas=None) -> FringeHarmonics:
     """_harmonics, re-estimated on a thinned node set.
 
-    The shift is max(|dN|, |dZ|), which bounds the move of P(theta) at every
-    angle. A scan of an asymmetric spectrum is checked at its angles only,
-    so it refuses exactly where coincidence_probability_general would at
-    each of them.
+    The check is on what the call returns. Without angles it is N and Z,
+    whose shift max(|dN|, |dZ|) bounds the move of P(theta) at every angle.
+    A scan is checked on P at its own angles only, so it refuses exactly
+    where the per-angle form would at each of them, for any pair.
     """
     h, flux = _harmonics(jsa, filt, medium, grid)
     n_thin = _thinned(grid)
     h_thin, _ = _harmonics(jsa, filt, medium, grid, n_thin)
-    if thetas is None or jsa.symmetric:
+    if thetas is None:
         value = [h.offset, h.amplitude]
         check_value = [h_thin.offset, h_thin.amplitude]
     else:
@@ -316,8 +268,9 @@ def simulate_fringe_scan(jsa: JointSpectrum, filt: FilterProfile,
     """Evaluate the fringe over a list of analyzer angles.
 
     One quadrature of the fringe harmonics serves the whole scan of any
-    spectrum. An asymmetric spectrum is checked against a thinned node set
-    at every requested angle, a symmetric one as fringe_harmonics checks it.
+    spectrum. Raises QuadratureAccuracyError when thinning the nodes moves
+    P at one of the requested angles by more than ACCURACY_TOL of the pair
+    flux.
     """
     th = np.asarray(thetas, dtype=float)
     if th.size == 0:

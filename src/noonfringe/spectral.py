@@ -184,6 +184,10 @@ class JointSpectrum:
     The fringe engine takes the swapped phase as this one mirrored along the
     difference axis of its mesh, and |a12| = |a21|; jsa_amplitude refuses a
     complex phase with a ValueError.
+
+    symmetric only asserts that there is no spectral phase: a symmetric
+    spectrum cannot carry one. No integral reads it; the engine treats every
+    pair alike.
     """
 
     pump_center: float
@@ -212,7 +216,8 @@ def _real_phase(jsa: JointSpectrum, omega1, omega2):
 
 
 def jsa_amplitude(jsa: JointSpectrum, omega1, omega2):
-    """Two-photon amplitude at (omega1, omega2); real for symmetric spectra."""
+    """Two-photon amplitude at (omega1, omega2); real when there is no
+    spectral phase."""
     w1 = np.asarray(omega1, dtype=float)
     w2 = np.asarray(omega2, dtype=float)
     up = w1 + w2 - jsa.pump_center

@@ -260,21 +260,28 @@ class TestFit:
     def test_huge_counts_give_a_finite_report_or_name_the_counts(
             self, tmp_path, capsys, scale, argv):
         # scale*(1 + 0.5 cos 8 theta) over 60 angles: a Poisson fit has
-        # finite standard errors; a normalized one's offset variance and a
-        # Poisson resample of such counts leave floating-point range
+        # finite standard errors, and the bootstrap resamples such counts
+        # from the normal law; a normalized fit's offset variance leaves
+        # floating-point range
         theta = np.linspace(0.0, 180.0, 60, endpoint=False)
         counts = scale * (1.0 + 0.5 * np.cos(8.0 * np.radians(theta)))
         csv = tmp_path / "huge.csv"
         csv.write_text("theta_deg,counts\n" + "".join(
             f"{float(t)!r},{float(c)!r}\n" for t, c in zip(theta, counts)))
         code, out, err = run(capsys, [argv[0], str(csv)] + argv[1:])
-        if "--normalized" in argv or argv == ["estimate"]:
+        if "--normalized" in argv:
             assert code == EXIT_INPUT
             assert out == ""
             assert f"counts up to {float(counts.max())!r}" in err
             return
         assert code == EXIT_OK
-        fit = json.loads(out)["fit"]
+        report = json.loads(out)
+        if argv == ["estimate"]:
+            boot = report["bootstrap"]
+            assert boot["failure_fraction"] == 0.0
+            assert math.isfinite(boot["kappa_mean"])
+            assert 0.0 < boot["kappa_std"] < math.inf
+        fit = report["fit"]
         assert fit["visibility"] == pytest.approx(0.5, abs=1e-9)
         assert fit["offset_stderr"] == pytest.approx(math.sqrt(scale / 60.0),
                                                      rel=0.05)
@@ -508,6 +515,20 @@ class TestValidate:
         code, out, _ = run(capsys, ["validate", "--filter-order", "6"])
         assert code == EXIT_OK
         assert "2/2 checks passed" in out
+
+    @pytest.mark.parametrize("kappa", [1e-5, 1e-8, 1e-10])
+    def test_narrow_pumps_pass_every_row(self, capsys, kappa):
+        # the phase-moment grid shrinks to a pump far narrower than the
+        # filters; the variance then exceeds the closed form by ~0.139 kappa
+        code, out, _ = run(capsys, ["validate", "--kappa", repr(kappa),
+                                    "--json"])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["failed"] == 0
+        assert len(report["rows"]) == 8
+        ratio = next(r["value"] for r in report["rows"]
+                     if r["check"] == "phase variance / closed form")
+        assert (ratio - 1.0) / kappa == pytest.approx(0.1388, rel=2e-3)
 
     def test_table_to_file(self, tmp_path, capsys):
         target = tmp_path / "checks.txt"

@@ -27,7 +27,6 @@ from noonfringe import (
     TaylorMedium,
     bbo_crystal,
     closed_form_sigma_phi,
-    coincidence_probability_general,
     filter_transmission,
     fit_fringe,
     fringe_harmonics,
@@ -36,7 +35,8 @@ from noonfringe import (
     simulate_fringe_scan,
     single_photon_visibility,
 )
-from noonfringe.engine import _harmonics, _mesh_axes, _rotated_mesh, _thinned
+from noonfringe.engine import _harmonics, _mesh_axes, _thinned
+from reference import _rotated_mesh, coincidence_probability_general
 
 LN2 = math.log(2.0)
 
@@ -295,22 +295,25 @@ class TestSimulateScan:
         with pytest.raises(ValueError, match="angle"):
             simulate_fringe_scan(ref_jsa, ref_filter, ref_medium, [])
 
-    def test_symmetric_scan_is_checked_on_its_harmonics(self, ref_filter,
-                                                        omega0, delta_omega):
+    def test_symmetric_scan_is_checked_at_its_angles(self, ref_filter,
+                                                     omega0, delta_omega):
         # at 58 nodes thinning moves Z by ~3e-5 of the flux, and the phase
         # pi/4 turns that shift perpendicular to the fringe at these angles,
-        # so P(theta) there moves by ~6e-7: the per-angle checks pass, the
-        # scan of a symmetric spectrum refuses as fringe_harmonics does
+        # so P(theta) there moves by ~6e-7: fringe_harmonics, checked on N
+        # and Z, refuses; the scan, checked on P at its angles, returns the
+        # per-angle values, as it does for an asymmetric pair
         jsa = make_jsa(omega0, delta_omega, 3.0)
         medium = make_medium(omega0, delta_omega, 3.0, phi0=math.pi / 4.0)
         grid = FrequencyGrid(center=omega0, nodes_per_axis=58)
         thetas = np.array([0.0, 0.5, 1.0]) * math.pi / 4.0
-        for theta in thetas:
-            coincidence_probability_general(jsa, ref_filter, medium, theta, grid)
         with pytest.raises(QuadratureAccuracyError, match="coarse"):
             fringe_harmonics(jsa, ref_filter, medium, grid)
-        with pytest.raises(QuadratureAccuracyError, match="coarse"):
-            simulate_fringe_scan(jsa, ref_filter, medium, thetas, grid=grid)
+        scan = simulate_fringe_scan(jsa, ref_filter, medium, thetas, grid=grid)
+        direct = [coincidence_probability_general(jsa, ref_filter, medium,
+                                                  theta, grid)
+                  for theta in thetas]
+        flux = pair_flux(jsa, ref_filter, grid, omega0)
+        assert np.max(np.abs(scan.values - direct)) / flux < 1e-12
 
     def test_general_fallback_equals_the_symmetric_twin(self, ref_filter,
                                                         ref_medium, ref_grid,
@@ -378,7 +381,8 @@ def refuses(fn):
 
 
 class TestGeneralScan:
-    """simulate_fringe_scan on asymmetric spectra against the per-angle form."""
+    """simulate_fringe_scan against the per-angle form: asymmetric spectra,
+    and where a scan of any pair refuses."""
 
     @pytest.mark.parametrize("medium,nodes,kappa,phasematch,slope,chirp", [
         ("taylor", 128, 0.3, 3.0, 0.7, -0.4),
@@ -416,20 +420,32 @@ class TestGeneralScan:
                    for theta in thetas]
         assert np.max(np.abs(np.subtract(shifted, direct))) / flux < 1e-12
 
-    @pytest.mark.parametrize("nodes", [20, 52])
+    @pytest.mark.parametrize("pair,nodes,expected", [
+        ("chirped", 20, []),
+        ("chirped", 52, [1, 2, 3, 4, 5]),
+        ("symmetric", 20, []),
+        ("symmetric", 58, [0, 4, 5, 7, 8]),
+    ], ids=["chirped-20", "chirped-52", "symmetric-20", "symmetric-58"])
     def test_refuses_exactly_where_the_per_angle_check_does(
-            self, ref_filter, omega0, delta_omega, nodes):
-        # at 52 nodes the per-angle check passes at angles 1 to 5 only
-        jsa = chirped_pair(omega0, delta_omega, 2.0, 2.0, 0.3, 0.0)
-        medium = make_medium(omega0, delta_omega, 3.0, phi0=0.4)
+            self, ref_filter, omega0, delta_omega, pair, nodes, expected):
+        # at 52 nodes the per-angle check passes at the chirped pair's
+        # angles 1 to 5 only; at 58 at five of the symmetric pair's, whose
+        # N and Z fringe_harmonics refuses
+        if pair == "chirped":
+            jsa = chirped_pair(omega0, delta_omega, 2.0, 2.0, 0.3, 0.0)
+            medium = make_medium(omega0, delta_omega, 3.0, phi0=0.4)
+        else:
+            jsa = make_jsa(omega0, delta_omega, 3.0)
+            medium = make_medium(omega0, delta_omega, 3.0, phi0=math.pi / 4.0)
         grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
         thetas = np.linspace(0.0, math.pi / 4.0, 9)
         per_angle = [refuses(lambda t=t: coincidence_probability_general(
             jsa, ref_filter, medium, t, grid)) for t in thetas]
         passing = [i for i, msg in enumerate(per_angle) if msg is None]
-        assert passing == ([] if nodes == 20 else [1, 2, 3, 4, 5])
-        subsets = [[i] for i in range(len(thetas))] + [list(range(len(thetas))),
-                                                       passing, passing + [0]]
+        assert passing == expected
+        refusing = [i for i, msg in enumerate(per_angle) if msg is not None]
+        subsets = [[i] for i in range(len(thetas))] + [
+            list(range(len(thetas))), passing, passing + refusing[:1]]
         for subset in filter(None, subsets):
             scan = refuses(lambda: simulate_fringe_scan(
                 jsa, ref_filter, medium, thetas[subset], grid=grid))

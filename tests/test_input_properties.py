@@ -174,6 +174,7 @@ ARGV = st.sampled_from(sorted(COMMANDS)).flatmap(command_line)
 @example(["simulate", "--medium=bbo", "--pump-wavelength-nm", "2"])
 @example(["simulate", "--phi-prime", "1e300"])
 @example(["validate", "--filter-order", "810"])
+@example(["validate", "--kappa", "1e-8"])   # a pump far narrower than the filters
 @example(["simulate", "--medium=none", "--theta-start-deg", "22.5",
           "--theta-stop-deg", "22.5000000001"])     # every angle at a null
 @example(["estimate", os.path.join(DATA_DIR, "calibration.csv"),

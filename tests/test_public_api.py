@@ -7,11 +7,12 @@ import pytest
 
 import noonfringe
 
-# each restated a quantity another public name already gives
+# each restated a quantity another public name already gives; the per-angle
+# form lives on as the test suite's reference (tests/reference.py)
 REMOVED = ("VisibilityLaw", "analytic_visibility",
            "coincidence_probability_symmetric", "harmonic_visibility",
            "extract_visibility", "bessel_k_quarter", "fwhm_to_sigma",
-           "FitConvergenceError")
+           "FitConvergenceError", "coincidence_probability_general")
 
 MODULES = ["noonfringe"] + [
     f"noonfringe.{name}" for name in ("analysis", "besselk", "config",
