@@ -19,10 +19,10 @@ from .engine import (FringeHarmonics, ProbabilityCurve, fringe_harmonics,
                      simulate_fringe_scan, single_photon_visibility)
 from .spectral import (BBO_ORDINARY, BBO_EXTRAORDINARY, DispersiveMedium,
                        FilterProfile, FrequencyGrid, JointSpectrum,
-                       LinearizedPhase, QuadratureAccuracyError,
-                       SellmeierCoefficients, SellmeierMedium, TaylorMedium,
-                       bbo_crystal, filter_transmission, jsa_amplitude,
-                       linearize_phase, medium_phase)
+                       QuadratureAccuracyError, SellmeierCoefficients,
+                       SellmeierMedium, TaylorMedium, bbo_crystal,
+                       filter_transmission, group_delay_slope, jsa_amplitude,
+                       medium_phase)
 from .sumfreq import (DensityCurve, F_EXACT_AT_ZERO, GaussianApproximation,
                       KLDivergence, NU_SCALE, PhaseMoments, default_nu_grid,
                       gaussian_approximation, kl_divergence,
@@ -37,9 +37,9 @@ __all__ = [
     # spectral building blocks
     "FrequencyGrid", "FilterProfile", "JointSpectrum", "TaylorMedium",
     "SellmeierCoefficients", "SellmeierMedium", "DispersiveMedium",
-    "LinearizedPhase", "QuadratureAccuracyError", "BBO_ORDINARY",
-    "BBO_EXTRAORDINARY", "bbo_crystal", "filter_transmission",
-    "jsa_amplitude", "medium_phase", "linearize_phase",
+    "QuadratureAccuracyError", "BBO_ORDINARY", "BBO_EXTRAORDINARY",
+    "bbo_crystal", "filter_transmission", "jsa_amplitude", "medium_phase",
+    "group_delay_slope",
     # fringe engine
     "ProbabilityCurve", "FringeHarmonics", "simulate_fringe_scan",
     "fringe_harmonics", "single_photon_visibility",

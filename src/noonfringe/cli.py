@@ -132,10 +132,9 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 
 def read_fringe_csv(path: str):
-    """Parse a fringe CSV into (theta_deg, counts, counts_err|None).
-
-    Raises CliInputError naming the offending line on any schema violation.
-    """
+    """Parse a fringe CSV into (theta_deg, counts), refusing a schema
+    violation with a CliInputError naming the line. A counts_err column is
+    checked but unused: fit weights are Poisson, or unit if normalized."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.read().splitlines()
@@ -172,14 +171,13 @@ def read_fringe_csv(path: str):
     if not rows:
         raise CliInputError(f"{path}: no data rows")
     data = np.asarray(rows)
-    err = data[:, 2] if len(header) == 3 else None
-    return data[:, 0], data[:, 1], err
+    return data[:, 0], data[:, 1]
 
 
 def _fit_csv(path: str, normalized: bool, fix_harmonic: float | None):
     """The scan in a fringe CSV and its fit. A malformed scan is refused
     like bad input."""
-    theta_deg, counts, _ = read_fringe_csv(path)
+    theta_deg, counts = read_fringe_csv(path)
     try:
         scan = FringeScan(np.radians(theta_deg), counts, normalized=normalized)
     except ValueError as exc:
@@ -192,12 +190,7 @@ def _fit_csv(path: str, normalized: bool, fix_harmonic: float | None):
 # --------------------------------------------------------------------------
 
 def _emit_report(report: dict, path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if path and path != "-":
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(path or "-", [json.dumps(report, indent=2, sort_keys=True)])
 
 
 def _fit_block(fit) -> dict:

@@ -17,8 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .spectral import (DispersiveMedium, FilterProfile, JointSpectrum,
-                       SellmeierMedium, TaylorMedium, bbo_crystal,
-                       linearize_phase, medium_phase)
+                       TaylorMedium, bbo_crystal, group_delay_slope)
 from .units import bandwidth_nm_to_angular, wavelength_nm_to_angular
 
 SCHEMA_VERSION = 1
@@ -170,20 +169,9 @@ class ExperimentConfig:
                             phi_double_prime=self.medium_phi_double_prime)
 
     def medium_phi_prime_effective(self) -> float:
-        """Group-delay slope of the configured medium at the filter center.
-
-        A crystal whose phase there overflows is refused, naming its length:
-        the phase cannot be reduced modulo 2 pi."""
-        medium = self.medium()
-        if isinstance(medium, SellmeierMedium):
-            reference = wavelength_nm_to_angular(self.filter_center_nm)
-            with np.errstate(over="ignore"):
-                phase = medium_phase(medium, reference)
-            if not math.isfinite(phase):
-                raise ConfigError("medium_length_mm",
-                                  "gives a crystal phase that overflows")
-            return linearize_phase(medium, reference).phi_prime
-        return medium.phi_prime
+        """Group-delay slope of the configured medium at the filter center."""
+        return group_delay_slope(self.medium(),
+                                 wavelength_nm_to_angular(self.filter_center_nm))
 
     def thetas_rad(self) -> np.ndarray:
         return np.radians(np.linspace(self.theta_start_deg,

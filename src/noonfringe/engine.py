@@ -168,7 +168,10 @@ class FringeHarmonics:
 
     @property
     def phase(self) -> float:
-        return _fold_phase(math.atan2(self.amplitude.imag, self.amplitude.real))
+        # an |Im Z| at most 2^-44 N is the rounding dust of a real Z
+        z = self.amplitude
+        return _fold_phase(math.atan2(
+            0.0 if abs(z.imag) <= 2.0 ** -44 * self.offset else z.imag, z.real))
 
     def at(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)

@@ -14,7 +14,7 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .units import SPEED_OF_LIGHT, TWO_PI, _fold_phase
+from .units import SPEED_OF_LIGHT, TWO_PI
 
 LN2 = math.log(2.0)
 
@@ -28,14 +28,13 @@ __all__ = [
     "SellmeierMedium",
     "SellmeierCoefficients",
     "DispersiveMedium",
-    "LinearizedPhase",
     "BBO_ORDINARY",
     "BBO_EXTRAORDINARY",
     "bbo_crystal",
     "filter_transmission",
     "jsa_amplitude",
     "medium_phase",
-    "linearize_phase",
+    "group_delay_slope",
 ]
 
 
@@ -305,7 +304,7 @@ def bbo_crystal(length_m: float) -> SellmeierMedium:
 DispersiveMedium = Union[TaylorMedium, SellmeierMedium]
 
 
-def _check_window(omega: np.ndarray) -> None:
+def _check_window(omega: np.ndarray | float) -> None:
     lam_nm = TWO_PI * SPEED_OF_LIGHT / omega * 1e9
     lo, hi = _SELLMEIER_WINDOW_NM
     if np.any(lam_nm < lo) or np.any(lam_nm > hi):
@@ -332,36 +331,21 @@ def medium_phase(medium: DispersiveMedium, omega):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class LinearizedPhase:
-    """First-order phase model at a reference: phi0 (mod 2pi) + phi_prime*(w - reference)."""
-
-    phi0_mod2pi: float
-    phi_prime: float
-    reference: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.phi0_mod2pi < TWO_PI):
-            raise ValueError("phi0_mod2pi must lie in [0, 2pi)")
-
-
-def linearize_phase(medium: DispersiveMedium, omega0: float) -> LinearizedPhase:
-    """Linearize the medium phase about omega0.
+def group_delay_slope(medium: DispersiveMedium, omega0: float) -> float:
+    """Group-delay slope phi'(omega0) of the medium phase, in s.
 
     The slope is the analytic derivative: the Taylor model differentiates its
     own polynomial; the Sellmeier model uses the closed-form group-index
-    difference, phi' = (n_g,e - n_g,o) * L / c.
+    difference, phi' = (n_g,e - n_g,o) * L / c, and refuses an omega0
+    outside its validity window with DispersionWindowError.
     """
     if isinstance(medium, TaylorMedium):
-        d = omega0 - medium.reference
-        phi0 = medium.phi0 + medium.phi_prime * d + 0.5 * medium.phi_double_prime * d * d
-        slope = medium.phi_prime + medium.phi_double_prime * d
-    else:
-        if medium.length == 0.0:
-            return LinearizedPhase(0.0, 0.0, omega0)
-        phi0 = medium_phase(medium, omega0)
-        lam_um = TWO_PI * SPEED_OF_LIGHT / omega0 * 1e6
-        dng = (medium.extraordinary.group_index(lam_um)
-               - medium.ordinary.group_index(lam_um))
-        slope = dng * medium.length / SPEED_OF_LIGHT
-    return LinearizedPhase(_fold_phase(phi0), float(slope), float(omega0))
+        return float(medium.phi_prime
+                     + medium.phi_double_prime * (omega0 - medium.reference))
+    if medium.length == 0.0:
+        return 0.0
+    _check_window(omega0)
+    lam_um = TWO_PI * SPEED_OF_LIGHT / omega0 * 1e6
+    dng = (medium.extraordinary.group_index(lam_um)
+           - medium.ordinary.group_index(lam_um))
+    return float(dng * medium.length / SPEED_OF_LIGHT)

@@ -82,11 +82,11 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True, eq=False)
 class DensityCurve:
-    """A nonnegative, even density sampled on a symmetric nu grid."""
+    """A nonnegative, even density sampled on a symmetric nu grid, scaled to
+    unit trapezoid integral."""
 
     nu: np.ndarray
     density: np.ndarray
-    normalized: bool
 
     def __post_init__(self) -> None:
         nu = np.asarray(self.nu, dtype=float)
@@ -95,22 +95,16 @@ class DensityCurve:
         object.__setattr__(self, "density", rho)
         if nu.shape != rho.shape or nu.ndim != 1 or nu.size < 8:
             raise ValueError("curve needs matching 1-d abscissa/density with >= 8 points")
-        if np.any(rho < 0):
-            raise ValueError("density must be nonnegative")
+        if not np.all((rho >= 0) & (rho < math.inf)):
+            raise ValueError("density must be finite and nonnegative")
         scale = float(rho.max())
         if scale > 0 and (np.abs(nu + nu[::-1]).max() < 1e-9 * (1 + np.abs(nu).max())):
             if np.abs(rho - rho[::-1]).max() > 1e-9 * scale:
                 raise ValueError("density must be even in nu")
-        if self.normalized:
-            total = float(np.trapezoid(rho, nu))
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"normalized curve integrates to {total}, not 1")
-
-    def normalize(self) -> "DensityCurve":
-        total = float(np.trapezoid(self.density, self.nu))
-        if total <= 0:
-            raise ValueError("cannot normalize a zero curve")
-        return DensityCurve(self.nu, self.density / total, normalized=True)
+        total = float(np.trapezoid(rho, nu))
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"cannot normalize a curve that integrates to {total}")
+        object.__setattr__(self, "density", rho / total)
 
 
 def default_nu_grid(points: int = 4001) -> np.ndarray:
@@ -214,8 +208,8 @@ def _self_convolution(order: int, x_bytes: bytes) -> np.ndarray:
     return table
 
 
-def sum_frequency_density_numeric(filt: FilterProfile, nu: np.ndarray | None = None,
-                                  *, normalized: bool = True) -> DensityCurve:
+def sum_frequency_density_numeric(filt: FilterProfile,
+                                  nu: np.ndarray | None = None) -> DensityCurve:
     """Tabulate F by direct convolution of the filter pair.
 
     Works for any even filter order. The inner integral runs on the
@@ -223,15 +217,13 @@ def sum_frequency_density_numeric(filt: FilterProfile, nu: np.ndarray | None = N
     until two successive tables agree to 1e-8 of every value, from 17 up to
     1025 nodes, and a table not converged by then raises
     QuadratureAccuracyError. The tabulation is memoised, so a repeat call
-    costs no convolution; with normalized=False the density is the shared
-    read-only table.
+    costs no convolution; the curve holds its own scaled copy.
     """
     grid = default_nu_grid() if nu is None else np.asarray(nu, dtype=float)
     if grid.max() < 3.0:
         raise ValueError("nu grid must extend to at least +-3")
     f = _self_convolution(filt.order, (grid / NU_SCALE).tobytes())
-    curve = DensityCurve(grid, f, normalized=False)
-    return curve.normalize() if normalized else curve
+    return DensityCurve(grid, f)
 
 
 def sum_frequency_density_exact(nu):
@@ -283,14 +275,12 @@ def _direct_fwhm(nu: np.ndarray, rho: np.ndarray) -> float:
 
 
 def gaussian_approximation(curve: DensityCurve) -> GaussianApproximation:
-    """Least-squares Gaussian fit to a normalized density curve.
+    """Least-squares Gaussian fit to a density curve.
 
     The reported fwhm is the fitted Gaussian's; the curve's own half-maximum
     width is returned alongside as direct_fwhm. A curve with more than one
     separated maximum is rejected.
     """
-    if not curve.normalized:
-        raise ValueError("gaussian_approximation expects a normalized curve")
     nu, rho = curve.nu, curve.density
     peak = float(rho.max())
     interior = (rho[1:-1] > rho[:-2]) & (rho[1:-1] >= rho[2:])
@@ -354,12 +344,11 @@ def moment_matched_gaussian(curve: DensityCurve) -> DensityCurve:
     Among all Gaussians this one minimizes the divergence D(curve || g), so it
     is the canonical "approximating Gaussian" for divergence statements.
     """
-    ref = curve if curve.normalized else curve.normalize()
-    nu, rho = ref.nu, ref.density
+    nu, rho = curve.nu, curve.density
     mean = float(np.trapezoid(nu * rho, nu))
     var = float(np.trapezoid((nu - mean) ** 2 * rho, nu))
     g = np.exp(-0.5 * (nu - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
-    return DensityCurve(nu, g, normalized=False).normalize()
+    return DensityCurve(nu, g)
 
 
 # --------------------------------------------------------------------------
@@ -385,9 +374,7 @@ def _kl_one_way(p: np.ndarray, q: np.ndarray, grid: np.ndarray) -> float:
 
 
 def kl_divergence(p: DensityCurve, q: DensityCurve) -> KLDivergence:
-    """Kullback-Leibler divergence between two normalized curves, both directions."""
-    if not (p.normalized and q.normalized):
-        raise ValueError("divergence needs normalized curves")
+    """Kullback-Leibler divergence between two curves, both directions."""
     if p.nu.shape != q.nu.shape or np.abs(p.nu - q.nu).max() > 1e-12:
         raise ValueError("divergence needs a common abscissa grid")
     return KLDivergence(

@@ -22,11 +22,11 @@ from noonfringe import (
     closed_form_sigma_phi,
     default_nu_grid,
     fit_fringe,
+    group_delay_slope,
     fringe_harmonics,
     gaussian_approximation,
     kappa_from_visibility,
     kl_divergence,
-    linearize_phase,
     moment_matched_gaussian,
     phase_distribution_moments,
     single_photon_visibility,
@@ -136,7 +136,7 @@ def test_criterion_5_reference_pipeline(acceptance, delta_omega, omega0,
         v = math.exp(-closed_form_sigma_phi(kappa, phi_prime, delta_omega) / 2.0)
         back = kappa_from_visibility(v, phi_prime, delta_omega).kappa_bar
         round_ok = round_ok and abs(back / kappa - 1.0) <= 1e-9
-    sell_slope = linearize_phase(bbo_crystal(0.003), omega0).phi_prime
+    sell_slope = group_delay_slope(bbo_crystal(0.003), omega0)
     sell = kappa_from_visibility(0.568, sell_slope, delta_omega)
     ok = (abs(est.sigma_phi_sq - 1.131) <= 1e-3
           and abs(est.kappa_bar - 0.14) <= 5e-3 and round_ok)

@@ -552,7 +552,7 @@ def reference_bootstrap(scan, phi_prime, phi_prime_uncertainty, delta_omega,
 
 
 def bundled_scan(name, normalized):
-    theta_deg, counts, _ = read_fringe_csv(os.path.join(DATA_DIR, name))
+    theta_deg, counts = read_fringe_csv(os.path.join(DATA_DIR, name))
     return FringeScan(np.radians(theta_deg), counts, normalized=normalized)
 
 

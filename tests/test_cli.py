@@ -82,6 +82,12 @@ class TestSimulate:
                                  "--phi-prime", "3e-13"])
         assert "# fringe_phase_rad = 0.0\n" in out
 
+    @pytest.mark.parametrize("phi_prime", ["-3e-13", "3e-13"])
+    def test_real_fringe_prints_zero_phase(self, capsys, phi_prime):
+        # without phi0 Z is real; its Im(Z) of either sign is dust
+        _, out, _ = run(capsys, ["simulate", f"--phi-prime={phi_prime}"])
+        assert "# fringe_phase_rad = 0.0\n" in out
+
     def test_a_tiny_kappa_evaluates_no_more_points_than_the_mesh(
             self, capsys, monkeypatch):
         # at kappa = 1e-10 a difference step spans ~2e5 sum steps; the
@@ -139,9 +145,10 @@ class TestSynth:
         run(capsys, ["synth", "-o", str(target)])
         header, rows = data_rows(target.read_text())
         assert header == "theta_deg,counts,counts_err"
-        theta, counts, err = read_fringe_csv(str(target))
+        theta, counts = read_fringe_csv(str(target))
         assert theta.size == 100
         assert np.all(counts == np.round(counts))
+        err = np.array([float(row.split(",")[2]) for row in rows])
         assert np.allclose(err, np.sqrt(np.maximum(counts, 1.0)))
 
     def test_huge_counts_reproduce_the_noiseless_fringe(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from noonfringe import (
     TaylorMedium,
     bandwidth_nm_to_angular,
     bbo_crystal,
-    linearize_phase,
+    group_delay_slope,
     load_config_file,
     wavelength_nm_to_angular,
 )
@@ -272,7 +272,7 @@ class TestDerivedObjects:
         medium = config.medium()
         assert isinstance(medium, SellmeierMedium)
         reference = wavelength_nm_to_angular(810.0)
-        expected = linearize_phase(bbo_crystal(0.003), reference).phi_prime
+        expected = group_delay_slope(bbo_crystal(0.003), reference)
         assert config.medium_phi_prime_effective() == pytest.approx(expected,
                                                                     rel=1e-12)
         assert config.medium_phi_prime_effective() < 0.0

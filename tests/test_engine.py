@@ -170,6 +170,15 @@ class TestSymmetricEngine:
         assert FringeHarmonics(1.0, complex(1.0, imag)).phase == \
             pytest.approx(phase, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("imag,phase", [
+        (2.0 ** -44, 0.0), (-2.0 ** -44, 0.0), (3e-17, 0.0),
+        (1.9e-11, math.atan2(1.9e-11, 9e-6))])
+    def test_dust_imaginary_part_reads_as_zero(self, imag, phase):
+        # |Im Z| <= 2^-44 N is rounding dust of a real Z; a genuine
+        # phi0 = 1e-6 at v = 9e-6 leaves Im Z = 1.9e-11 N, which is kept
+        h = FringeHarmonics(2.0, 2.0 * complex(9e-6, imag))
+        assert h.phase == pytest.approx(phase, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("kappa", [0.01, 0.05, 0.14, 1.0, 5.0])
     @pytest.mark.parametrize("t", [2.0, 7.147, 12.0])
     def test_harmonics_converge_by_96_nodes(self, ref_filter, omega0,

@@ -12,7 +12,8 @@ import noonfringe
 REMOVED = ("VisibilityLaw", "analytic_visibility",
            "coincidence_probability_symmetric", "harmonic_visibility",
            "extract_visibility", "bessel_k_quarter", "fwhm_to_sigma",
-           "FitConvergenceError", "coincidence_probability_general")
+           "FitConvergenceError", "coincidence_probability_general",
+           "LinearizedPhase", "linearize_phase")
 
 MODULES = ["noonfringe"] + [
     f"noonfringe.{name}" for name in ("analysis", "besselk", "config",

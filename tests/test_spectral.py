@@ -5,10 +5,10 @@ import pytest
 
 from noonfringe import (BBO_EXTRAORDINARY, BBO_ORDINARY, FilterProfile,
                         FrequencyGrid, JointSpectrum, TaylorMedium,
-                        bbo_crystal, filter_transmission, jsa_amplitude,
-                        linearize_phase, medium_phase,
-                        wavelength_nm_to_angular)
-from noonfringe.spectral import LinearizedPhase, SellmeierMedium, _even_power
+                        bbo_crystal, filter_transmission, group_delay_slope,
+                        jsa_amplitude, medium_phase, wavelength_nm_to_angular)
+from noonfringe.spectral import (DispersionWindowError, SellmeierMedium,
+                                 _even_power)
 
 C = 299792458.0
 
@@ -190,14 +190,11 @@ class TestTaylorMedium:
         assert medium_phase(medium, omega0 + d) == pytest.approx(expected,
                                                                  rel=1e-14)
 
-    def test_linearization_recentres_coefficients(self, omega0):
+    def test_slope_is_the_derivative_of_the_polynomial(self, omega0):
         medium = TaylorMedium(reference=omega0, phi0=0.3, phi_prime=2e-13,
                               phi_double_prime=5e-28)
-        at = omega0 + 1e13
-        lin = linearize_phase(medium, at)
-        assert lin.phi_prime == pytest.approx(2e-13 + 5e-28 * 1e13, rel=1e-14)
-        full = medium_phase(medium, at)
-        assert lin.phi0_mod2pi == pytest.approx(full % (2 * math.pi), rel=1e-12)
+        slope = group_delay_slope(medium, omega0 + 1e13)
+        assert slope == pytest.approx(2e-13 + 5e-28 * 1e13, rel=1e-14)
 
 
 class TestSellmeier:
@@ -236,44 +233,35 @@ class TestSellmeier:
 
     def test_linearized_slope_is_group_delay_difference(self, omega0):
         crystal = bbo_crystal(0.003)
-        lin = linearize_phase(crystal, omega0)
+        slope = group_delay_slope(crystal, omega0)
         dng = (BBO_EXTRAORDINARY.group_index(0.810)
                - BBO_ORDINARY.group_index(0.810))
-        assert lin.phi_prime == pytest.approx(dng * 0.003 / C, rel=1e-12)
-        assert lin.phi_prime == pytest.approx(-1.2402148056e-12, rel=1e-9)
+        assert slope == pytest.approx(dng * 0.003 / C, rel=1e-12)
+        assert slope == pytest.approx(-1.2402148056e-12, rel=1e-9)
         # independent check: finite difference of the full phase
         h = 1e9
         fd = (medium_phase(crystal, omega0 + h)
               - medium_phase(crystal, omega0 - h)) / (2 * h)
-        assert lin.phi_prime == pytest.approx(fd, rel=1e-6)
-        assert lin.phi0_mod2pi == pytest.approx(4.924766075, abs=1e-8)
+        assert slope == pytest.approx(fd, rel=1e-6)
 
     def test_zero_length_crystal_is_transparent(self, omega0):
         crystal = bbo_crystal(0.0)
         assert medium_phase(crystal, omega0) == 0.0
-        lin = linearize_phase(crystal, omega0)
-        assert lin.phi_prime == 0.0
-        assert lin.phi0_mod2pi == 0.0
-
-    def test_hair_negative_phase_folds_to_zero(self, omega0):
-        # phi0 of a 1e-300 m crystal is about -9e-295 rad, which np.mod
-        # rounds up to exactly 2*pi
-        lin = linearize_phase(bbo_crystal(1e-300), omega0)
-        assert 0.0 <= lin.phi0_mod2pi < 2.0 * math.pi
+        assert group_delay_slope(crystal, omega0) == 0.0
+        # a zero length has no window to leave
+        assert group_delay_slope(crystal, wavelength_nm_to_angular(500.0)) == 0.0
 
     def test_wavelength_window_enforced(self):
         crystal = bbo_crystal(0.003)
-        with pytest.raises(ValueError):
-            medium_phase(crystal, wavelength_nm_to_angular(500.0))
+        omega = wavelength_nm_to_angular(500.0)
+        with pytest.raises(DispersionWindowError):
+            medium_phase(crystal, omega)
+        with pytest.raises(DispersionWindowError, match="500.0 nm"):
+            group_delay_slope(crystal, omega)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             bbo_crystal(-0.001)
-
-
-def test_linearized_phase_validates_phi0_range():
-    with pytest.raises(ValueError):
-        LinearizedPhase(phi0_mod2pi=7.0, phi_prime=0.0, reference=1e15)
 
 
 def test_medium_phase_accepts_arrays(omega0):

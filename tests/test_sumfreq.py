@@ -85,34 +85,35 @@ def curve(ref_filter, nu):
 class TestDensityCurve:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            DensityCurve(np.linspace(-4, 4, 9), np.ones(8), normalized=False)
+            DensityCurve(np.linspace(-4, 4, 9), np.ones(8))
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            DensityCurve(np.linspace(-4, 4, 7), np.ones(7), normalized=False)
+            DensityCurve(np.linspace(-4, 4, 7), np.ones(7))
 
-    def test_negative_density_rejected(self):
+    @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+    def test_negative_or_non_finite_density_rejected(self, value):
         x = np.linspace(-4, 4, 9)
         rho = np.ones(9)
-        rho[4] = -0.1
-        with pytest.raises(ValueError):
-            DensityCurve(x, rho, normalized=False)
+        rho[4] = value
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            DensityCurve(x, rho)
 
     def test_asymmetric_density_on_symmetric_grid_rejected(self):
         x = np.linspace(-4, 4, 101)
         with pytest.raises(ValueError, match="even"):
-            DensityCurve(x, np.exp(-((x - 0.5) ** 2)), normalized=False)
+            DensityCurve(x, np.exp(-((x - 0.5) ** 2)))
 
-    def test_normalized_flag_is_checked(self):
+    def test_construction_scales_to_unit_mass(self):
         x = np.linspace(-4, 4, 101)
-        with pytest.raises(ValueError, match="integrates"):
-            DensityCurve(x, np.exp(-(x ** 2)), normalized=True)
-
-    def test_normalize_returns_unit_mass(self):
-        x = np.linspace(-4, 4, 101)
-        c = DensityCurve(x, 3.7 * np.exp(-(x ** 2)), normalized=False).normalize()
-        assert c.normalized
+        rho = 3.7 * np.exp(-(x ** 2))
+        c = DensityCurve(x, rho)
         assert np.trapezoid(c.density, c.nu) == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(c.density, rho / np.trapezoid(rho, x))
+
+    def test_zero_curve_rejected(self):
+        with pytest.raises(ValueError, match="integrates to 0.0"):
+            DensityCurve(np.linspace(-4, 4, 9), np.zeros(9))
 
     def test_default_grid_must_be_odd_and_big_enough(self):
         assert default_nu_grid(9).size == 9
@@ -152,8 +153,7 @@ class TestExactForm:
 
 
 class TestNumericConvolution:
-    def test_normalized_by_default(self, curve, nu):
-        assert curve.normalized
+    def test_has_unit_mass(self, curve, nu):
         assert np.trapezoid(curve.density, nu) == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_must_reach_three_widths(self, ref_filter):
@@ -189,14 +189,21 @@ class TestNumericConvolution:
         assert np.abs(num.density - gauss).max() < 1e-9
 
     def test_repeat_tabulation_is_memoised_and_read_only(self, ref_filter, nu):
-        first = sum_frequency_density_numeric(ref_filter, nu, normalized=False)
-        misses = noonfringe.sumfreq._self_convolution.cache_info().misses
-        again = sum_frequency_density_numeric(ref_filter, nu, normalized=False)
-        assert noonfringe.sumfreq._self_convolution.cache_info().misses == misses
-        assert np.array_equal(again.density, first.density)
-        assert not again.density.flags.writeable
+        table = noonfringe.sumfreq._self_convolution
+        key = (nu / NU_SCALE).tobytes()
+        first = table(ref_filter.order, key)
+        misses = table.cache_info().misses
+        again = table(ref_filter.order, key)
+        assert table.cache_info().misses == misses
+        assert again is first
+        assert not again.flags.writeable
         with pytest.raises(ValueError):
-            again.density[0] = 0.0
+            again[0] = 0.0
+        # a public curve holds its own normalized copy of the shared table
+        curve = sum_frequency_density_numeric(ref_filter, nu)
+        assert table.cache_info().misses == misses
+        assert curve.density.flags.writeable
+        assert np.array_equal(curve.density, first / np.trapezoid(first, nu))
 
     @pytest.mark.parametrize("start", [16, 17, 400, 401])
     @pytest.mark.parametrize("order", [2, 4, 6, 8])
@@ -283,7 +290,7 @@ class TestGaussianApproximation:
     def test_recovers_an_exact_gaussian(self, nu):
         sigma = 0.37
         rho = np.exp(-0.5 * (nu / sigma) ** 2)
-        fit = gaussian_approximation(DensityCurve(nu, rho, normalized=False).normalize())
+        fit = gaussian_approximation(DensityCurve(nu, rho))
         assert fit.fwhm == pytest.approx(sigma * math.sqrt(8.0 * LN2), rel=1e-9)
         assert fit.center == pytest.approx(0.0, abs=1e-12)
         assert fit.rms_residual < 1e-12
@@ -337,20 +344,15 @@ class TestGaussianApproximation:
             assert (np.linalg.norm(jac.T @ r)
                     <= 1e-10 * np.linalg.norm(jac) * np.linalg.norm(r))
 
-    def test_requires_a_normalized_curve(self, nu):
-        raw = DensityCurve(nu, np.exp(-nu ** 2), normalized=False)
-        with pytest.raises(ValueError, match="normalized"):
-            gaussian_approximation(raw)
-
     def test_rejects_bimodal_curves(self, nu):
         rho = np.exp(-0.5 * ((nu - 1.5) / 0.3) ** 2) + np.exp(-0.5 * ((nu + 1.5) / 0.3) ** 2)
-        bimodal = DensityCurve(nu, rho, normalized=False).normalize()
+        bimodal = DensityCurve(nu, rho)
         with pytest.raises(ValueError, match="unimodal"):
             gaussian_approximation(bimodal)
 
     def test_moment_matched_gaussian_preserves_variance(self, curve, nu):
         g = moment_matched_gaussian(curve)
-        assert g.normalized
+        assert np.trapezoid(g.density, nu) == pytest.approx(1.0, abs=1e-12)
         var_f = np.trapezoid(nu ** 2 * curve.density, nu)
         var_g = np.trapezoid(nu ** 2 * g.density, nu)
         assert var_g == pytest.approx(var_f, rel=1e-9)
@@ -360,7 +362,7 @@ class TestGaussianApproximation:
         var = float(np.trapezoid(nu ** 2 * curve.density, nu))
         for scale in (0.95, 1.05):
             g = np.exp(-0.5 * nu ** 2 / (scale * var))
-            other = DensityCurve(nu, g, normalized=False).normalize()
+            other = DensityCurve(nu, g)
             assert kl_divergence(curve, other).forward > best
 
 
@@ -413,11 +415,6 @@ class TestKLDivergence:
         with pytest.raises(ValueError, match="support"):
             kl_divergence(f, moment_matched_gaussian(f))
 
-    def test_requires_normalized_curves(self, curve, nu):
-        raw = DensityCurve(nu, curve.density * 2.0, normalized=False)
-        with pytest.raises(ValueError, match="normalized"):
-            kl_divergence(curve, raw)
-
     def test_requires_a_common_grid(self, ref_filter, curve):
         other = sum_frequency_density_numeric(ref_filter, default_nu_grid(4003))
         with pytest.raises(ValueError, match="grid"):
@@ -439,7 +436,7 @@ class TestPhaseMoments:
         # frequency, so Var(phase) = phi'^2 * Var(omega_p) exactly; rebuild
         # the right-hand side from the public density and the pump weight
         m = phase_distribution_moments(ref_jsa, ref_filter, ref_medium)
-        f = sum_frequency_density_numeric(ref_filter, nu, normalized=False)
+        f = sum_frequency_density_numeric(ref_filter, nu)
         x = nu / NU_SCALE
         omega_p = 2.0 * ref_filter.center + x * ref_filter.fwhm
         pump = np.exp2(-4.0 * (omega_p - ref_jsa.pump_center) ** 2

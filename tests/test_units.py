@@ -4,6 +4,7 @@ import pytest
 
 from noonfringe import (angular_to_wavelength_nm, bandwidth_nm_to_angular,
                         wavelength_nm_to_angular)
+from noonfringe.units import _fold_phase
 
 C = 299792458.0
 
@@ -37,3 +38,16 @@ def test_bandwidth_nonpositive_rejected():
         bandwidth_nm_to_angular(0.0, 810.0)
     with pytest.raises(ValueError):
         bandwidth_nm_to_angular(7.3, -810.0)
+
+
+@pytest.mark.parametrize("phase", [-9e-295, -0.0, 2.0 * math.pi])
+def test_fold_phase_sends_a_full_turn_to_zero(phase):
+    # a hair-negative phase leaves a remainder that rounds up to exactly
+    # 2*pi; it folds to 0, like a whole turn and a negative zero
+    folded = _fold_phase(phase)
+    assert folded == 0.0 and math.copysign(1.0, folded) == 1.0
+
+
+def test_fold_phase_keeps_the_largest_phase_below_a_turn():
+    below = math.nextafter(2.0 * math.pi, 0.0)
+    assert _fold_phase(below) == below
