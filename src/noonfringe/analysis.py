@@ -177,11 +177,11 @@ class CorrelationEstimate:
 _LOWER = np.array([1e-300, 0.0, -2.0 * math.pi, 0.05])
 _UPPER = np.array([np.inf, 1.0, 4.0 * math.pi, 64.0])
 
-#: harmonic start-point scan: coarse frequencies, taken in blocks, then fine
-#: offsets around the best coarse one
-_COARSE_HARMONICS = np.linspace(0.5, 24.0, 512)
+#: the harmonics a free fit starts from, inside the box's; periodogram
+#: frequencies taken at once, and the most one pass takes
+_START_BAND = (0.5, 24.0)
 _HARMONIC_BLOCK = 64
-_FINE_OFFSETS = np.linspace(-0.1, 0.1, 101)
+_START_MAX = 4096
 
 
 def _residuals_and_jacobian(params, thetas, counts, sigma, harmonic=None):
@@ -202,45 +202,34 @@ def _residuals_and_jacobian(params, thetas, counts, sigma, harmonic=None):
     return residuals, jac
 
 
-def _start_points(thetas, counts, harmonic=None):
-    """Fit start rows (offset, v, phase0[, m]) for a stack of scans (R, n).
-
-    A free harmonic starts at the strongest Fourier component of the
-    de-meaned data: a coarse scan over [0.5, 24], then +-0.1 around its best
-    frequency b through exp(-i(b+d)theta) = exp(-i d theta)*exp(-i b theta),
-    so every row shares one fine matrix. Visibility and phase come from the
-    Fourier component at the start harmonic. The sums run on counts in
-    units of a power of two near their peak, so none overflows.
+def _start_harmonic(thetas, counts):
+    """The start harmonic of a free fit of each scan (R, n): the frequency of
+    largest |sum (y - mean) exp(-i m theta)| over _START_BAND, ties going
+    to the lower one. The step pi/(4 span) is an eighth of the main lobe's
+    half-width 2 pi/span (VanderPlas, ApJS 236:16, 2018), so the start lies
+    in the lobe of the strongest peak; a scan wider than ~137 rad takes the
+    step that _START_MAX frequencies span the band in, so no span sets the
+    cost. The sums run on counts in units of a power of two near their
+    peak, so none overflows.
     """
-    n = thetas.size
-    unit = _power_of_two(counts.max(1))
-    counts = counts / unit[:, None]
-    mean = counts.mean(axis=1)
-    resid = counts - mean[:, None]
-    if harmonic is None:
-        rows = np.arange(len(counts))
-        best = np.zeros(len(counts))
-        peak = np.full(len(counts), -np.inf)
-        for lo in range(0, _COARSE_HARMONICS.size, _HARMONIC_BLOCK):
-            freqs = _COARSE_HARMONICS[lo:lo + _HARMONIC_BLOCK]
-            proj = np.abs(resid @ np.exp(-1j * np.outer(thetas, freqs)))
-            k = np.argmax(proj, axis=1)
-            top = proj[rows, k]
-            better = top > peak                  # ties keep the lower frequency
-            peak = np.where(better, top, peak)
-            best = np.where(better, freqs[k], best)
-        shifted = resid * np.exp(-1j * best[:, None] * thetas)
-        proj = np.abs(shifted @ np.exp(-1j * np.outer(thetas, _FINE_OFFSETS)))
-        m0 = best + _FINE_OFFSETS[np.argmax(proj, axis=1)]
-    else:
-        m0 = np.full(len(counts), float(harmonic))
-    c = np.sum(resid * np.exp(-1j * m0[:, None] * thetas), axis=1)
-    y0 = np.maximum(mean, 1e-300 / unit)
-    columns = [y0 * unit, np.clip(2.0 * np.abs(c) / (n * y0), 1e-3, 1.0),
-               np.angle(c)]
-    if harmonic is None:
-        columns.append(m0)
-    return np.stack(columns, axis=1)
+    lo, hi = _START_BAND
+    step = max(math.pi / (4.0 * float(thetas.max() - thetas.min())),
+               (hi - lo) / (_START_MAX - 1))
+    # the last frequency can round an ulp past hi
+    freqs = np.minimum(lo + step * np.arange(math.floor((hi - lo) / step) + 1),
+                       hi)
+    resid = counts / _power_of_two(counts.max(1))[:, None]
+    resid -= resid.mean(axis=1, keepdims=True)
+    rows = np.arange(len(counts))
+    best, peak = np.zeros(len(counts)), np.full(len(counts), -np.inf)
+    for first in range(0, freqs.size, _HARMONIC_BLOCK):
+        block = freqs[first:first + _HARMONIC_BLOCK]
+        power = np.abs(resid @ np.exp(-1j * np.outer(thetas, block)))
+        k = np.argmax(power, axis=1)
+        better = power[rows, k] > peak          # ties keep the lower frequency
+        peak = np.where(better, power[rows, k], peak)
+        best = np.where(better, block[k], best)
+    return best
 
 
 def _power_of_two(a):
@@ -271,7 +260,9 @@ def fit_fringe(scan: FringeScan, fix_harmonic: float | None = None) -> FitResult
     residual variance. The scan is fitted as a one-row stack by the batched
     variable-projection fit the bootstrap uses: a fixed harmonic is one
     linear solve, and a free one a search for the zero of the cost's slope
-    in m from the dominant Fourier frequency. The covariance is
+    in m from the periodogram peak in 0.5 <= m <= 24. So a free fit finds
+    no fringe above m ~ 24, though the box reaches 64: fix such a
+    harmonic. The covariance is
     V diag(1/s^2) V' over the singular values s of the analytic Jacobian at
     the fitted point that pinv(J'J) would keep, the offset taken in units of
     a power of two near it, so the offset's column is of the size of the
@@ -438,13 +429,13 @@ def _fit_stack(thetas, counts, normalized, harmonic=None):
     m]).
 
     A fixed harmonic is one _project call. A free one starts at the
-    _start_points harmonic and steps downhill in J(m), 0.1 and doubling,
-    clipped to the box, until dJ/dm changes sign, or ends on the box. It
-    then takes Newton steps from the bracket's end of smaller slope where
-    they stay inside it and it has halved within two steps, else bisects,
-    until a Newton step is sqrt(_HARMONIC_TOL) of m (quadratic convergence
-    leaves ~_HARMONIC_TOL) or the bracket is _HARMONIC_TOL of m. Every row
-    ends at a zero of dJ/dm or on the box.
+    _start_harmonic harmonic, inside the box, and steps downhill in J(m),
+    0.1 and doubling, clipped to the box, until dJ/dm changes sign, or ends
+    on the box. It then takes Newton steps from the bracket's end of smaller
+    slope where they stay inside it and it has halved within two steps,
+    else bisects, until a Newton step is sqrt(_HARMONIC_TOL) of m
+    (quadratic convergence leaves ~_HARMONIC_TOL) or the bracket is
+    _HARMONIC_TOL of m. Every row ends at a zero of dJ/dm or on the box.
     """
     weight = 1.0 / _weights(counts, normalized)
     if harmonic is not None:
@@ -461,8 +452,7 @@ def _fit_stack(thetas, counts, normalized, harmonic=None):
         return slope
 
     rows = np.arange(len(counts))
-    downhill = -np.sign(move(rows, np.clip(_start_points(thetas, counts)[:, 3],
-                                           _LOWER[3], _UPPER[3])))
+    downhill = -np.sign(move(rows, _start_harmonic(thetas, counts)))
     side, step = (downhill < 0).astype(int), _HARMONIC_STEP
     edge = np.where(downhill > 0, _UPPER[3], _LOWER[3])
     rows = rows[downhill != 0]

@@ -107,8 +107,8 @@ class _Mesh(NamedTuple):
         return sliding_window_view(values, self.s.size)[::self.stride].T
 
 
-def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
-               n: int | None = None) -> _Mesh:
+def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile,
+               grid: FrequencyGrid) -> _Mesh:
     """The rotated mesh: sum frequencies s_i and difference frequencies u_j,
     with trapezoid weights (the sum weights carry the Jacobian 1/2 of
     (w1, w2) -> (w_p, w_-)), and the 1-D lattice of the photon frequencies.
@@ -129,7 +129,7 @@ def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
     """
     center_p, scale_p = ((jsa.pump_center, jsa.pump_fwhm) if jsa.pump_fwhm
                          <= filt.fwhm else (2.0 * filt.center, filt.fwhm))
-    up, wp = grid.axis(scale_p, n)
+    up, wp = grid.axis(scale_p)
     n, h = up.size, wp[1]       # an interior trapezoid weight is the step
     ratio = 2.0 * filt.fwhm / scale_p
     b = max(2, math.floor(ratio))
@@ -150,9 +150,9 @@ def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
 # probability paths
 # --------------------------------------------------------------------------
 
-def _thinned(grid: FrequencyGrid) -> int:
-    """Node count of the thinned rule that estimates the quadrature error."""
-    return max(16, (3 * grid.nodes_per_axis) // 4)
+def _thinned(grid: FrequencyGrid) -> FrequencyGrid:
+    """The thinned rule that estimates the quadrature error of grid's."""
+    return replace(grid, nodes_per_axis=max(16, (3 * grid.nodes_per_axis) // 4))
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ class FringeHarmonics:
         return 0.5 * (self.offset + osc)
 
 
-def _harmonics(jsa, filt, medium, grid, n=None) -> tuple[FringeHarmonics, float]:
+def _harmonics(jsa, filt, medium, grid) -> tuple[FringeHarmonics, float]:
     """Fringe harmonics of any spectrum in one folded pass, and the pair flux.
 
     a12 = E(w_p) M(w_-) e^{i chi12}: on the mesh |a12|^2 = |a21|^2 = P_i Q_j
@@ -196,7 +196,7 @@ def _harmonics(jsa, filt, medium, grid, n=None) -> tuple[FringeHarmonics, float]
     the mesh, in row blocks of the first photon's frequencies; the second's
     are these mirrored.
     """
-    mesh = _mesh_axes(jsa, filt, grid, n)
+    mesh = _mesh_axes(jsa, filt, grid)
     s, wp, um, wm = mesh.s, mesh.wp, mesh.um, mesh.wm
     m, k = um.size, (um.size + 1) // 2
     rows, sums = max(1, _MESH_BLOCK // m), np.zeros(4)
@@ -238,15 +238,15 @@ def _checked_harmonics(jsa, filt, medium, grid, thetas=None) -> FringeHarmonics:
     where the per-angle form would at each of them, for any pair.
     """
     h, flux = _harmonics(jsa, filt, medium, grid)
-    n_thin = _thinned(grid)
-    h_thin, _ = _harmonics(jsa, filt, medium, grid, n_thin)
+    thin = _thinned(grid)
+    h_thin, _ = _harmonics(jsa, filt, medium, thin)
     if thetas is None:
         value = [h.offset, h.amplitude]
         check_value = [h_thin.offset, h_thin.amplitude]
     else:
         value, check_value = h.at(thetas), h_thin.at(thetas)
     _check_refinement("fringe", value, check_value, flux, grid.nodes_per_axis,
-                      n_thin, ACCURACY_TOL)
+                      thin.nodes_per_axis, ACCURACY_TOL)
     return h
 
 
@@ -298,17 +298,17 @@ def single_photon_visibility(filt: FilterProfile,
     """
     grid = FrequencyGrid(center=filt.center, nodes_per_axis=4096)
 
-    def value(n=None):
-        x, w = grid.axis(filt.fwhm, n)
+    def value(rule):
+        x, w = rule.axis(filt.fwhm)
         # a phase that overflows ends in NaN, which is refused below
         with np.errstate(over="ignore", invalid="ignore"):
             t = filter_transmission(filt, filt.center + x) * w
             phi = medium_phase(medium, filt.center + x)
             return abs(np.sum(t * np.exp(1j * phi))) / np.sum(t)
 
-    v = value()
-    n_thin = _thinned(grid)
+    v = value(grid)
+    thin = _thinned(grid)
     # v is already relative to the transmitted flux: its scale is 1
-    _check_refinement("single-photon visibility", v, value(n_thin), 1.0,
-                      grid.nodes_per_axis, n_thin, ACCURACY_TOL)
+    _check_refinement("single-photon visibility", v, value(thin), 1.0,
+                      grid.nodes_per_axis, thin.nodes_per_axis, ACCURACY_TOL)
     return float(v)

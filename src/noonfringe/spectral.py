@@ -102,15 +102,14 @@ class FrequencyGrid:
         if self.nodes_per_axis < 16:
             raise ValueError(f"nodes_per_axis must be >= 16, got {self.nodes_per_axis}")
 
-    def axis(self, scale: float, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def axis(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
         """Trapezoid nodes and weights on [-half_range*scale, +half_range*scale]:
         equally spaced, with halved end weights."""
         b = self.half_range * scale
-        m = self.nodes_per_axis if n is None else n
         # the step from linspace itself: x[1] - x[0] would carry the
-        # rounding of x[0], a relative error of ~m ulp
-        x, h = np.linspace(-b, b, m, retstep=True)
-        w = np.full(m, h)
+        # rounding of x[0], a relative error of ~nodes_per_axis ulp
+        x, h = np.linspace(-b, b, self.nodes_per_axis, retstep=True)
+        w = np.full(x.size, h)
         w[0] *= 0.5
         w[-1] *= 0.5
         return x, w

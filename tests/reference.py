@@ -1,5 +1,6 @@
-"""The direct per-angle form of the coincidence probability: the reference
-the harmonic engine is checked against.
+"""References the package is checked against: the direct per-angle form
+of the coincidence probability, and the Fourier start rows of a fringe
+fit.
 
 At one analyzer angle it sums the direct, swapped and interference terms of
 the general bilinear form over the whole rotated mesh of the engine's axes,
@@ -7,11 +8,17 @@ with each photon's filter, amplitude and medium phase evaluated at its own
 frequency. It shares no arithmetic with the engine's folded harmonic pass,
 only the mesh and the thinning rule, so agreement between the two tests the
 fold, the lattice and the harmonic reduction P(theta) = (N + Re(Z e^{8i
-theta}))/2. A helper module, not a test file: the suites import it.
+theta}))/2.
+
+The start rows (offset, v, phase0[, m]) give scipy's trust-region fit,
+the fit suite's reference, a full parameter row to start from; the
+package's own fit starts from a harmonic alone (_start_harmonic). A
+helper module, not a test file: the suites import it.
 """
 
 import numpy as np
 
+from noonfringe.analysis import _HARMONIC_BLOCK, _power_of_two
 from noonfringe.engine import ACCURACY_TOL, _mesh_axes, _thinned
 from noonfringe.spectral import (DispersiveMedium, FilterProfile,
                                  FrequencyGrid, JointSpectrum,
@@ -19,18 +26,17 @@ from noonfringe.spectral import (DispersiveMedium, FilterProfile,
                                  jsa_amplitude, medium_phase)
 
 
-def _rotated_mesh(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid,
-                  n: int | None = None):
+def _rotated_mesh(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid):
     """Photon frequencies omega1, omega2 and weights on the mesh of
     _mesh_axes: omega1 read off its lattice, omega2 its mirror
     omega1[:, ::-1] (a view)."""
-    mesh = _mesh_axes(jsa, filt, grid, n)
+    mesh = _mesh_axes(jsa, filt, grid)
     omega1 = np.array(mesh.photon(mesh.omega))
     return omega1, omega1[:, ::-1], mesh.wp[:, None] * mesh.wm
 
 
-def _general_value(jsa, filt, medium, theta, grid, n=None):
-    o1, o2, w = _rotated_mesh(jsa, filt, grid, n)
+def _general_value(jsa, filt, medium, theta, grid):
+    o1, o2, w = _rotated_mesh(jsa, filt, grid)
     with np.errstate(over="ignore", invalid="ignore"):     # as in _harmonics
         tt = filter_transmission(filt, o1) * filter_transmission(filt, o2)
         a12 = np.asarray(jsa_amplitude(jsa, o1, o2))
@@ -59,8 +65,55 @@ def coincidence_probability_general(jsa: JointSpectrum, filt: FilterProfile,
     non-finite value raises FloatingPointError.
     """
     p, flux = _general_value(jsa, filt, medium, theta, grid)
-    n_thin = _thinned(grid)
-    p_thin, _ = _general_value(jsa, filt, medium, theta, grid, n_thin)
-    _check_refinement("fringe", p, p_thin, flux, grid.nodes_per_axis, n_thin,
-                      ACCURACY_TOL)
+    thin = _thinned(grid)
+    p_thin, _ = _general_value(jsa, filt, medium, theta, thin)
+    _check_refinement("fringe", p, p_thin, flux, grid.nodes_per_axis,
+                      thin.nodes_per_axis, ACCURACY_TOL)
     return p
+
+
+#: harmonic start-point scan: coarse frequencies, taken in blocks, then fine
+#: offsets around the best coarse one
+_COARSE_HARMONICS = np.linspace(0.5, 24.0, 512)
+_FINE_OFFSETS = np.linspace(-0.1, 0.1, 101)
+
+
+def _start_points(thetas, counts, harmonic=None):
+    """Fit start rows (offset, v, phase0[, m]) for a stack of scans (R, n).
+
+    A free harmonic starts at the strongest Fourier component of the
+    de-meaned data: a coarse scan over [0.5, 24], then +-0.1 around its best
+    frequency b through exp(-i(b+d)theta) = exp(-i d theta)*exp(-i b theta),
+    so every row shares one fine matrix. Visibility and phase come from the
+    Fourier component at the start harmonic. The sums run on counts in
+    units of a power of two near their peak, so none overflows.
+    """
+    n = thetas.size
+    unit = _power_of_two(counts.max(1))
+    counts = counts / unit[:, None]
+    mean = counts.mean(axis=1)
+    resid = counts - mean[:, None]
+    if harmonic is None:
+        rows = np.arange(len(counts))
+        best = np.zeros(len(counts))
+        peak = np.full(len(counts), -np.inf)
+        for lo in range(0, _COARSE_HARMONICS.size, _HARMONIC_BLOCK):
+            freqs = _COARSE_HARMONICS[lo:lo + _HARMONIC_BLOCK]
+            proj = np.abs(resid @ np.exp(-1j * np.outer(thetas, freqs)))
+            k = np.argmax(proj, axis=1)
+            top = proj[rows, k]
+            better = top > peak                  # ties keep the lower frequency
+            peak = np.where(better, top, peak)
+            best = np.where(better, freqs[k], best)
+        shifted = resid * np.exp(-1j * best[:, None] * thetas)
+        proj = np.abs(shifted @ np.exp(-1j * np.outer(thetas, _FINE_OFFSETS)))
+        m0 = best + _FINE_OFFSETS[np.argmax(proj, axis=1)]
+    else:
+        m0 = np.full(len(counts), float(harmonic))
+    c = np.sum(resid * np.exp(-1j * m0[:, None] * thetas), axis=1)
+    y0 = np.maximum(mean, 1e-300 / unit)
+    columns = [y0 * unit, np.clip(2.0 * np.abs(c) / (n * y0), 1e-3, 1.0),
+               np.angle(c)]
+    if harmonic is None:
+        columns.append(m0)
+    return np.stack(columns, axis=1)

@@ -31,10 +31,11 @@ from noonfringe import (
     self_consistent_calibration,
     sigma_phi_from_visibility,
 )
-from noonfringe.analysis import (_LOWER, _UPPER, _fit_stack, _project,
-                                 _residuals_and_jacobian, _start_points,
-                                 _weights)
+from noonfringe.analysis import (_LOWER, _START_BAND, _UPPER, _fit_stack,
+                                 _project, _residuals_and_jacobian,
+                                 _start_harmonic, _weights)
 from noonfringe.cli import read_fringe_csv
+from reference import _start_points
 
 LN2 = math.log(2.0)
 
@@ -276,6 +277,36 @@ class TestFitFringe:
             on_box = (m == _LOWER[3]) | (m == _UPPER[3])
             assert np.all(on_box | (np.abs(slope)
                                     <= 1e-11 * m * np.abs(curvature)))
+
+    @pytest.mark.parametrize("span", [math.pi / 4.0, math.pi, 4.0 * math.pi,
+                                      1e300])
+    def test_every_start_lies_in_the_band_inside_the_box(self, span):
+        # fringes at and beyond both ends of the band, flat noise, and a
+        # flat scan: a start outside the box would need its clip back. A
+        # span of 1e300 rad takes _START_MAX frequencies, not ~1e301
+        assert _LOWER[3] <= _START_BAND[0] < _START_BAND[1] <= _UPPER[3]
+        thetas = np.linspace(0.0, span, 100)
+        rng = np.random.default_rng(5)
+        counts = np.concatenate([
+            rng.poisson(model_counts(m=m, thetas=thetas), (2, thetas.size))
+            for m in (0.05, 0.5, 8.0, 24.0, 40.0, 64.0)]
+            + [rng.poisson(1000.0, (4, thetas.size)),
+               np.full((1, thetas.size), 1000.0)]).astype(float)
+        start = _start_harmonic(thetas, counts)
+        assert start.shape == (len(counts),)
+        assert np.all((_START_BAND[0] <= start) & (start <= _START_BAND[1]))
+
+    @pytest.mark.parametrize("points, degrees, seed",
+                             [(8, 45.0, seed) for seed in range(6)]
+                             + [(60, 180.0, 0), (140, 180.0, 0)])
+    def test_a_clean_fringe_fits_its_own_harmonic(self, points, degrees, seed):
+        # the one-pass start lies in the lobe of the 8-theta peak even on
+        # one fringe period of 8 points, where the lobe is widest
+        thetas = np.radians(np.linspace(0.0, degrees, points))
+        rng = np.random.default_rng(seed)
+        counts = rng.poisson(model_counts(v=0.5, thetas=thetas)).astype(float)
+        fit = fit_fringe(FringeScan(thetas, counts))
+        assert abs(fit.harmonic - 8.0) <= 5.0 * fit.stderr("harmonic")
 
     def test_a_sine_of_rounding_noise_is_dropped(self):
         # at the scan's Nyquist harmonic cos(m*theta) = (-1)^k and sin(m*theta)
@@ -647,14 +678,12 @@ class TestBatchedBootstrap:
                 jac[..., k], central, rtol=1e-6,
                 atol=1e-6 * np.max(np.abs(central)))
 
-    @pytest.mark.parametrize("harmonic", [None, 8.0], ids=["free", "fixed"])
-    def test_start_point_of_a_row_does_not_depend_on_the_stack(self,
-                                                               harmonic):
+    def test_start_point_of_a_row_does_not_depend_on_the_stack(self):
         rng = np.random.default_rng(9)
         counts = rng.poisson(model_counts(), (37, THETAS.size)).astype(float)
-        stacked = _start_points(THETAS, counts, harmonic)
+        stacked = _start_harmonic(THETAS, counts)
         for row in (0, 17, 36):
-            single = _start_points(THETAS, counts[row:row + 1], harmonic)
+            single = _start_harmonic(THETAS, counts[row:row + 1])
             np.testing.assert_array_equal(single[0], stacked[row])
 
     def test_fit_fringe_runs_once_per_bootstrap_at_every_visibility(

@@ -347,7 +347,7 @@ class TestSimulateScan:
                                          normalized=True))
 
         # one photon through the same filter and medium: sum T cos^2(2th + phi/2)
-        x, w = ref_grid.axis(delta_omega, 512)
+        x, w = dataclasses.replace(ref_grid, nodes_per_axis=512).axis(delta_omega)
         t = filter_transmission(ref_filter, omega0 + x) * w
         phi = ref_medium.phi_prime * x
         single = np.array([np.sum(t * np.cos(2.0 * th + phi / 2.0) ** 2)
@@ -497,11 +497,11 @@ class TestMirroredMesh:
                                                      delta_omega, nodes, kappa):
         jsa = make_jsa(omega0, delta_omega, kappa)
         grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
-        for n in (None, _thinned(grid)):
-            mesh = _mesh_axes(jsa, ref_filter, grid, n)
-            o1, o2, w = _rotated_mesh(jsa, ref_filter, grid, n)
+        for g in (grid, _thinned(grid)):
+            mesh = _mesh_axes(jsa, ref_filter, g)
+            o1, o2, w = _rotated_mesh(jsa, ref_filter, g)
             m, c = mesh.um.size, mesh.stride
-            assert o1.shape == (n or nodes, m)
+            assert o1.shape == (g.nodes_per_axis, m)
             # omega1 is read off the lattice: [i, j] is omega[i + c*j]
             rows, cols = np.indices(o1.shape)
             assert np.array_equal(o1, mesh.omega[rows + c * cols])
@@ -605,7 +605,7 @@ class TestMirroredMesh:
                              grid=ref_grid)
         assert len(args["_harmonics"]) == 2
         assert len(args["jsa_amplitude"]) == 4
-        thin = _mesh_axes(jsa, ref_filter, ref_grid, _thinned(ref_grid))
+        thin = _mesh_axes(jsa, ref_filter, _thinned(ref_grid))
         for name in ("filter_transmission", "medium_phase"):
             assert [np.size(a) for a in args[name]] == [mesh.omega.size,
                                                         thin.omega.size]

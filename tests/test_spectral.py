@@ -26,7 +26,7 @@ class TestFrequencyGrid:
         assert np.all(np.diff(x) > 0) and w[0] == w[-1] == 0.5 * w[1]
 
         def integral(n):
-            x, w = grid.axis(scale=1.0, n=n)
+            x, w = FrequencyGrid(center=omega0, nodes_per_axis=n).axis(scale=1.0)
             return np.sum(w * np.exp2(-(2.0 * x) ** 4))
         # smooth and ~1e-70 at the window edges: the error falls
         # geometrically and 96 nodes reach the 4097-node value to rounding
@@ -42,9 +42,9 @@ class TestFrequencyGrid:
         assert np.sum(w * np.exp(-x ** 2)) == pytest.approx(math.sqrt(math.pi),
                                                             abs=5e-8)
 
-    def test_node_override(self, omega0):
-        grid = FrequencyGrid(center=omega0)
-        x, _ = grid.axis(scale=1.0, n=37)
+    def test_node_count(self, omega0):
+        grid = FrequencyGrid(center=omega0, nodes_per_axis=37)
+        x, _ = grid.axis(scale=1.0)
         assert x.size == 37
 
     @pytest.mark.parametrize("kwargs", [

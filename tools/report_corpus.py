@@ -1,0 +1,177 @@
+"""Run a fixed corpus of noonfringe CLI commands and record what each one
+prints, or compare two such records.
+
+    PYTHONPATH=src python tools/report_corpus.py OUT.json
+    python tools/report_corpus.py --compare A.json B.json
+
+The first form runs every command of COMMANDS in this process through
+noonfringe.cli.main, from the directory of the bundled CSVs of the
+noonfringe it imports, so two checkouts record the same argv and the same
+paths. It writes each command's argv, exit code, stdout and stderr to OUT.
+
+The second form prints, for each command, whether its exit code, stdout
+and stderr match byte for byte. Where the two stdouts are JSON reports that
+differ, it prints the relative difference of each float field that
+differs, and the two values of every other field that differs. It exits 1
+when any command differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import sys
+
+CALIBRATION, CRYSTAL = "calibration.csv", "withcrystal.csv"
+BBO = ["--medium", "bbo", "--length-mm"]
+
+
+def _fit_commands() -> list[list[str]]:
+    out = []
+    for csv in (CRYSTAL, CALIBRATION):
+        for mode in ([], ["--fix-harmonic", "8"], ["--normalized"]):
+            out.append(["fit", csv, *mode])
+            out.append(["estimate", csv, *mode])
+        out.append(["estimate", csv, "--bootstrap", "0"])
+        out.append(["estimate", csv, "--calibration", "sellmeier", *BBO, "3"])
+        out.append(["estimate", csv, "--fix-harmonic", "8",
+                    "--calibration", "sellmeier", *BBO, "3"])
+    return out
+
+
+COMMANDS: list[list[str]] = [
+    ["simulate"],
+    ["simulate", "--filter-order", "2"],
+    ["simulate", "--filter-order", "6"],
+    ["simulate", *BBO, "3"],
+    ["simulate", "--pump-fwhm", "1e9"],
+    ["simulate", "--phi-prime", "3e-13"],
+    ["simulate", "--phi-prime=-3e-13", "--kappa", "0.01"],
+    ["synth"],
+    ["synth", "--seed", "7", "--points", "60"],
+    *[["validate", "--filter-order", k] for k in ("2", "4", "6")],
+    *[["validate", "--json", "--filter-order", k] for k in ("2", "4", "6")],
+    ["validate", "--json", *BBO, "3"],
+    ["validate", "--json", "--pump-fwhm", "1e9"],
+    *_fit_commands(),
+    ["estimate", CRYSTAL, "--calibration", "user", "--phi-prime-cal", "3e-13"],
+    ["estimate", CRYSTAL, "--calibration", "config-medium",
+     "--phi-prime", "3.4e-13"],
+    ["estimate", CRYSTAL, "--calibration", "sellmeier", *BBO, "3",
+     "--filter-center-nm", "650"],
+    *[["estimate", CRYSTAL, "--calibration", "sellmeier", *BBO, mm]
+      for mm in ("0", "1e200", "1e306")],
+    *[["estimate", "--visibility", "0.568", "--filter-order", k]
+      for k in ("4", "6")],
+]
+
+
+def run(argv: list[str]) -> dict:
+    from noonfringe import cli      # here, so --compare needs no package
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:      # argparse refuses the command line
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def record(path: str) -> None:
+    import noonfringe
+
+    data = os.path.join(os.path.dirname(noonfringe.__file__), "data")
+    here = os.getcwd()
+    env = os.environ.pop("NOONFRINGE_CONFIG", None)
+    try:
+        os.chdir(data)
+        runs = [run(argv) for argv in COMMANDS]
+    finally:
+        os.chdir(here)
+        if env is not None:
+            os.environ["NOONFRINGE_CONFIG"] = env
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(runs, handle, indent=1)
+        handle.write("\n")
+
+
+def _leaves(value, prefix=""):
+    """(dotted key, value) of every leaf of a JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{prefix}.{key}" if prefix else key)
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _leaves(item, f"{prefix}[{k}]")
+    else:
+        yield prefix, value
+
+
+def _json_differences(a: str, b: str) -> list[str] | None:
+    """The fields in which two JSON reports differ, or None if either is
+    not JSON."""
+    try:
+        left, right = dict(_leaves(json.loads(a))), dict(_leaves(json.loads(b)))
+    except json.JSONDecodeError:
+        return None
+    lines = []
+    for key in sorted(left.keys() | right.keys()):
+        x, y = left.get(key), right.get(key)
+        if x == y and type(x) is type(y):
+            continue
+        if isinstance(x, float) and isinstance(y, float) \
+                and math.isfinite(x) and math.isfinite(y):
+            rel = abs(x - y) / max(abs(x), abs(y))
+            lines.append(f"    {key}: relative difference {rel:.3g}")
+        else:
+            lines.append(f"    {key}: {x!r} -> {y!r}")
+    return lines
+
+
+def compare(path_a: str, path_b: str) -> int:
+    with open(path_a, encoding="utf-8") as handle:
+        runs_a = json.load(handle)
+    with open(path_b, encoding="utf-8") as handle:
+        runs_b = json.load(handle)
+    if [r["argv"] for r in runs_a] != [r["argv"] for r in runs_b]:
+        print("the two records ran different commands")
+        return 2
+    differing = 0
+    for a, b in zip(runs_a, runs_b):
+        name = " ".join(a["argv"])
+        parts = [part for part in ("exit", "stdout", "stderr") if a[part] != b[part]]
+        if not parts:
+            print(f"same     {name}")
+            continue
+        differing += 1
+        print(f"differs  {name}  ({', '.join(parts)})")
+        if "stdout" in parts:
+            lines = _json_differences(a["stdout"], b["stdout"])
+            print("\n".join(lines) if lines is not None
+                  else "    stdout is not a JSON report")
+    print(f"{len(runs_a) - differing} of {len(runs_a)} commands identical")
+    return 1 if differing else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two records instead of making one")
+    parser.add_argument("out", nargs="?", help="where to write the record")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.out:
+        parser.error("give OUT, or --compare A B")
+    record(args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
