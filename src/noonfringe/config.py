@@ -121,6 +121,9 @@ class ExperimentConfig:
         if not (math.isfinite(width * width) and math.isfinite(ratio * ratio)):
             raise ConfigError(key, "gives a pump width whose square, or kappa, "
                               "overflows")
+        if self.pump_fwhm is not None and width * width == 0.0:
+            raise ConfigError("pump_fwhm", "gives a pump width whose square "
+                              "underflows to zero, 0/0 in the pump Gaussian")
         if self.seed < 0:
             raise ConfigError("seed", "must be nonnegative")
         if self.points < 8:

@@ -27,8 +27,8 @@ sum steps h, b = floor(2*filter_fwhm/sum scale) >= 2, so every photon
 frequency of the mesh lies on one 1-D lattice of step h/2: the harmonic
 pass evaluates the filter, the medium phase and e^{i phi} once per lattice
 frequency it reaches (at most n*m of them, indexed with stride min(b, n))
-and reads both photons' values on the mesh as views of those. Only a
-spectral phase is evaluated on the 2-D mesh.
+and reads both photons' values on the mesh as one strided view of those
+and its mirror. Only a spectral phase is evaluated on the 2-D mesh.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .spectral import (DispersiveMedium, FilterProfile, FrequencyGrid,
-                       JointSpectrum, _check_refinement, _real_phase,
-                       filter_transmission, jsa_amplitude, medium_phase)
+                       JointSpectrum, _check_refinement, _pair_envelope,
+                       _real_phase, filter_transmission, medium_phase)
 from .units import _fold_phase
 
 __all__ = [
@@ -102,9 +102,11 @@ class _Mesh(NamedTuple):
 
     def photon(self, values) -> np.ndarray:
         """values, given at omega, at the first photon's mesh frequencies:
-        an (n, m) view whose [i, j] is values[i + stride*j]. The second
-        photon's is its mirror [:, ::-1]."""
-        return sliding_window_view(values, self.s.size)[::self.stride].T
+        one read-only strided (n, m) view whose [i, j] is
+        values[i + stride*j]. The second photon's is its mirror [:, ::-1]."""
+        step = values.strides[0]
+        return as_strided(values, (self.s.size, self.um.size),
+                          (step, self.stride * step), writeable=False)
 
 
 def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile,
@@ -124,8 +126,9 @@ def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile,
     widths >= the filter's, b = 2 and m = n. omega holds the lattice
     points the mesh reaches, indexed i + c*j with c = min(b, n): a wide
     lattice skips its unreached gaps, so omega never holds more than n*m
-    points. It is built antisymmetric about its centre, so the phases of
-    mirrored points carry no rounding dust of their own.
+    points; when c == b they are consecutive. It is built antisymmetric
+    about its centre, so the phases of mirrored points carry no rounding
+    dust of their own.
     """
     center_p, scale_p = ((jsa.pump_center, jsa.pump_fwhm) if jsa.pump_fwhm
                          <= filt.fwhm else (2.0 * filt.center, filt.fwhm))
@@ -138,10 +141,13 @@ def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile,
     wm = np.full(m, b * h)
     wm[[0, -1]] *= 0.5
     c = min(b, n)
-    j, i = np.divmod(np.arange(n + c * (m - 1)), c)
     # each point's offset from the centre in steps h/4, 2*(i + b*j) -
-    # (n - 1 + b*(m - 1)), in floats: b may pass 2**63
-    quarters = (2 * i - (n - 1)) + float(b) * (2 * j - (m - 1))
+    # (n - 1 + b*(m - 1)), a whole number exact in floats
+    if c == b:      # a = i + b*j runs over consecutive points
+        quarters = np.arange(1 - n - b * (m - 1), n + b * (m - 1), 2)
+    else:           # in floats: b may pass 2**63
+        j, i = np.divmod(np.arange(n + c * (m - 1)), c)
+        quarters = (2 * i - (n - 1)) + float(b) * (2 * j - (m - 1))
     omega = 0.5 * center_p + quarters * (0.25 * h)
     return _Mesh(center_p + up, 0.5 * wp, um, wm, omega, c)
 
@@ -189,12 +195,12 @@ def _harmonics(jsa, filt, medium, grid) -> tuple[FringeHarmonics, float]:
     N = sum p q T T [1 + (1 - cos dchi) cos(phi1 - phi2)/2] and Z = sum
     p q T T (1 + cos dchi)/2 e^{i(phi1 + phi2)}. All are even in w_-, so the
     first ceil(m/2) columns count twice, an odd mesh's centre column once.
-    The filter T and g = T e^{i phi} are evaluated once per lattice
-    frequency of _mesh_axes; on the mesh T T, g1 g2 = T T e^{i(phi1 + phi2)}
-    and Re(g1 g2*) = T T cos(phi1 - phi2) are products of two views of
-    them, in row blocks of _MESH_BLOCK elements. Only chi is evaluated on
-    the mesh, in row blocks of the first photon's frequencies; the second's
-    are these mirrored.
+    P and Q are evaluated on the sum and the folded difference axis, T and
+    g = T e^{i phi} once per lattice frequency of _mesh_axes. On the mesh
+    T T, g1 g2 = T T e^{i(phi1 + phi2)} and Re(g1 g2*) = T T cos(phi1 -
+    phi2) are products of the photon view of them and its mirror, in row
+    blocks of _MESH_BLOCK elements. Only chi is evaluated on the mesh, in
+    row blocks of the first photon's frequencies; the second's mirrored.
     """
     mesh = _mesh_axes(jsa, filt, grid)
     s, wp, um, wm = mesh.s, mesh.wp, mesh.um, mesh.wm
@@ -203,10 +209,9 @@ def _harmonics(jsa, filt, medium, grid) -> tuple[FringeHarmonics, float]:
     # steep filter powers overflow to an exact zero transmission; a phase
     # that overflows ends in NaN, which _check_refinement refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        # P and Q: E and M of a pair about zero frequency, on the two axes
-        env, u = replace(jsa, pump_center=0.0, spectral_phase=None), s - jsa.pump_center
-        p = wp * jsa_amplitude(env, u / 2.0, u / 2.0) ** 2
-        q = wm[:k] * jsa_amplitude(env, um[:k] / 2.0, -um[:k] / 2.0) ** 2
+        # P and Q: E and M on the two axes, each with the other at offset 0
+        p = wp * _pair_envelope(jsa, s - jsa.pump_center, 0.0) ** 2
+        q = wm[:k] * _pair_envelope(jsa, 0.0, um[:k]) ** 2
         q[:m // 2] *= 2.0
         t = filter_transmission(filt, mesh.omega)
         g = t * np.exp(1j * medium_phase(medium, mesh.omega))

@@ -213,19 +213,25 @@ def _real_phase(jsa: JointSpectrum, omega1, omega2):
     return chi
 
 
-def jsa_amplitude(jsa: JointSpectrum, omega1, omega2):
-    """Two-photon amplitude at (omega1, omega2); real when there is no
-    spectral phase."""
-    w1 = np.asarray(omega1, dtype=float)
-    w2 = np.asarray(omega2, dtype=float)
-    up = w1 + w2 - jsa.pump_center
-    # a pump width whose square underflows gives 0 or NaN here, which the
-    # callers' finite checks refuse; keep numpy's warning off stderr
+def _pair_envelope(jsa: JointSpectrum, up, um):
+    """|amplitude|: the pump envelope at the sum offset up (from
+    pump_center) times the phase-matching envelope at the difference um."""
+    up, um = np.asarray(up, dtype=float), np.asarray(um, dtype=float)
+    # a pump width whose square underflows gives 0 or 0/0 = NaN here, which
+    # the callers' finite checks refuse; keep numpy's warning off stderr
     with np.errstate(divide="ignore", invalid="ignore"):
         amp = np.exp2(-2.0 * up * up / jsa.pump_fwhm ** 2)
     if math.isfinite(jsa.phasematch_fwhm):
-        um = w1 - w2
         amp = amp * np.exp2(-2.0 * um * um / jsa.phasematch_fwhm ** 2)
+    return amp
+
+
+def jsa_amplitude(jsa: JointSpectrum, omega1, omega2):
+    """Two-photon amplitude at (omega1, omega2): _pair_envelope times
+    e^{i chi}, real when there is no spectral phase."""
+    w1 = np.asarray(omega1, dtype=float)
+    w2 = np.asarray(omega2, dtype=float)
+    amp = _pair_envelope(jsa, w1 + w2 - jsa.pump_center, w1 - w2)
     if jsa.spectral_phase is not None:
         amp = amp * np.exp(1j * _real_phase(jsa, w1, w2))
     return complex(amp) if amp.ndim == 0 and np.iscomplexobj(amp) else (

@@ -703,12 +703,21 @@ class TestConfigPlumbing:
          "'medium_phi_prime'"),
         (["simulate", "--phi-double-prime", "1e300"], "error: config field ",
          "'medium_phi_double_prime'"),
+        # the pump width's square underflows to zero
+        (["simulate", "--pump-fwhm", "1e-200"], "error: config field ",
+         "'pump_fwhm'"),
+        (["synth", "--pump-fwhm", "1e-300"], "error: config field ",
+         "'pump_fwhm'"),
+        (["validate", "--pump-fwhm", "1e-300"], "error: config field ",
+         "'pump_fwhm'"),
     ], ids=["pump-wavelength", "detuned-pump", "off-mesh-pump",
             "off-mesh-pump-synth", "user-slope", "sellmeier-length",
             "sellmeier-zero-length", "user-slope-overflow",
             "config-medium-slope-overflow", "crystal-phase-overflow",
             "sellmeier-phase-overflow", "simulate-crystal-phase-overflow",
-            "synth-slope-phase-overflow", "simulate-curvature-phase-overflow"])
+            "synth-slope-phase-overflow", "simulate-curvature-phase-overflow",
+            "simulate-pump-square-underflow", "synth-pump-square-underflow",
+            "validate-pump-square-underflow"])
     def test_numeric_dead_ends_name_their_field(self, capsys, argv, prefix,
                                                 key):
         code, out, err = run(capsys, argv)

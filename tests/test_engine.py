@@ -492,9 +492,10 @@ class TestMirroredMesh:
     """omega2 is omega1 mirrored, and every pair's sum is folded."""
 
     @pytest.mark.parametrize("nodes", [96, 97, 128, 129])
-    @pytest.mark.parametrize("kappa", [0.14, 3.0])
+    @pytest.mark.parametrize("kappa", [1e-6, 0.14, 3.0])
     def test_the_second_photon_is_the_first_mirrored(self, ref_filter, omega0,
                                                      delta_omega, nodes, kappa):
+        # kappa 1e-6 has the wide lattice c = n < b, 0.14 and 3.0 have c = b
         jsa = make_jsa(omega0, delta_omega, kappa)
         grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
         for g in (grid, _thinned(grid)):
@@ -505,6 +506,13 @@ class TestMirroredMesh:
             # omega1 is read off the lattice: [i, j] is omega[i + c*j]
             rows, cols = np.indices(o1.shape)
             assert np.array_equal(o1, mesh.omega[rows + c * cols])
+            # the photon view strides a complex lattice array alike, and
+            # refuses writes
+            z = mesh.omega * (1.0 - 2.0j)
+            assert np.array_equal(mesh.photon(z), z[rows + c * cols])
+            for view in (mesh.photon(mesh.omega), mesh.photon(z)):
+                with pytest.raises(ValueError, match="read-only"):
+                    view[0, 0] = 0.0
             assert np.array_equal(o2, o1[:, ::-1])
             assert np.array_equal(w, w[:, ::-1])
             # and it is the second photon: o1 - o2 runs over the
@@ -565,11 +573,13 @@ class TestMirroredMesh:
         jsa = ref_jsa if pair == "symmetric" else chirped_pair(
             omega0, delta_omega, 0.3, 3.0, 0.7, -0.4)
         args = {"filter_transmission": [], "medium_phase": [],
-                "jsa_amplitude": [], "_harmonics": []}
+                "_pair_envelope": [], "_harmonics": []}
 
         def counted(name, fn):
             def wrapper(*a):
-                args[name].append(a[1])
+                # the envelope's shape is that of its two offsets
+                args[name].append(np.broadcast(*a[1:3])
+                                  if name == "_pair_envelope" else a[1])
                 return fn(*a)
             return wrapper
 
@@ -589,7 +599,7 @@ class TestMirroredMesh:
         for name in ("filter_transmission", "medium_phase"):
             assert [np.shape(a) for a in args[name]] == [(n + c * (m - 1),)]
             assert np.array_equal(args[name][0], mesh.omega)
-        assert [np.shape(a) for a in args["jsa_amplitude"]] == [
+        assert [a.shape for a in args["_pair_envelope"]] == [
             (n,), ((m + 1) // 2,)]
         if pair == "symmetric":
             assert args["spectral_phase"] == []
@@ -604,7 +614,7 @@ class TestMirroredMesh:
         simulate_fringe_scan(jsa, ref_filter, ref_medium, [0.0, 0.3],
                              grid=ref_grid)
         assert len(args["_harmonics"]) == 2
-        assert len(args["jsa_amplitude"]) == 4
+        assert len(args["_pair_envelope"]) == 4
         thin = _mesh_axes(jsa, ref_filter, _thinned(ref_grid))
         for name in ("filter_transmission", "medium_phase"):
             assert [np.size(a) for a in args[name]] == [mesh.omega.size,
@@ -644,7 +654,7 @@ class TestMirroredMesh:
                     return recorded(name, fn)
                 return fn
 
-        for name in ("filter_transmission", "medium_phase", "jsa_amplitude"):
+        for name in ("filter_transmission", "medium_phase", "_pair_envelope"):
             monkeypatch.setattr(noonfringe.engine, name,
                                 recorded(name, getattr(noonfringe.engine, name)))
         monkeypatch.setattr(noonfringe.engine, "np", Numpy())
@@ -716,6 +726,16 @@ class TestLattice:
                 assert m == n
                 assert np.allclose(um, uniform, rtol=0.0,
                                    atol=2.0 * np.spacing(8.0 * fwhm))
+            # the lattice itself, point a = i + c*j at 2*(i + b*j) -
+            # (n - 1 + b*(m - 1)) steps h/4 from the centre, counted in
+            # Python integers
+            # (the pump's centre and the filter pair's coincide here)
+            c, center = mesh.stride, 2.0 * omega0
+            quarters = [2 * (i + b * j) - (n - 1 + b * (m - 1))
+                        for j, i in (divmod(a, c)
+                                     for a in range(mesh.omega.size))]
+            assert np.array_equal(mesh.omega, 0.5 * center + np.array(
+                quarters, dtype=float) * (h / 4.0))
 
 
     @pytest.mark.parametrize("kappa", [1e-10, 0.14, 3.0])

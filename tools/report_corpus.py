@@ -51,8 +51,13 @@ COMMANDS: list[list[str]] = [
     ["simulate", "--pump-fwhm", "1e9"],
     ["simulate", "--phi-prime", "3e-13"],
     ["simulate", "--phi-prime=-3e-13", "--kappa", "0.01"],
+    # the engine's wide lattice (c = n < b) and its consecutive one (c = b)
+    ["simulate", "--kappa", "1e-10"],
+    ["simulate", "--kappa", "0.001"],
+    ["simulate", "--kappa", "5", *BBO, "2"],
     ["synth"],
     ["synth", "--seed", "7", "--points", "60"],
+    ["synth", "--kappa", "0.01", "--points", "60"],
     *[["validate", "--filter-order", k] for k in ("2", "4", "6")],
     *[["validate", "--json", "--filter-order", k] for k in ("2", "4", "6")],
     ["validate", "--json", *BBO, "3"],
