@@ -21,16 +21,14 @@ from .spectral import (BBO_ORDINARY, BBO_EXTRAORDINARY, DispersiveMedium,
                        FilterProfile, FrequencyGrid, JointSpectrum,
                        QuadratureAccuracyError, SellmeierCoefficients,
                        SellmeierMedium, TaylorMedium, bbo_crystal,
-                       filter_transmission, group_delay_slope, jsa_amplitude,
-                       medium_phase)
+                       filter_transmission, group_delay_slope, medium_phase)
 from .sumfreq import (DensityCurve, F_EXACT_AT_ZERO, GaussianApproximation,
                       KLDivergence, NU_SCALE, PhaseMoments, default_nu_grid,
                       gaussian_approximation, kl_divergence,
                       moment_matched_gaussian, phase_distribution_moments,
                       sum_frequency_density_exact,
                       sum_frequency_density_numeric)
-from .units import (angular_to_wavelength_nm, bandwidth_nm_to_angular,
-                    wavelength_nm_to_angular)
+from .units import bandwidth_nm_to_angular, wavelength_nm_to_angular
 
 __all__ = [
     "__version__",
@@ -38,7 +36,7 @@ __all__ = [
     "FrequencyGrid", "FilterProfile", "JointSpectrum", "TaylorMedium",
     "SellmeierCoefficients", "SellmeierMedium", "DispersiveMedium",
     "QuadratureAccuracyError", "BBO_ORDINARY", "BBO_EXTRAORDINARY",
-    "bbo_crystal", "filter_transmission", "jsa_amplitude", "medium_phase",
+    "bbo_crystal", "filter_transmission", "medium_phase",
     "group_delay_slope",
     # fringe engine
     "ProbabilityCurve", "FringeHarmonics", "simulate_fringe_scan",
@@ -59,6 +57,5 @@ __all__ = [
     # configuration
     "ExperimentConfig", "ConfigError", "load_config_file",
     # units
-    "wavelength_nm_to_angular", "angular_to_wavelength_nm",
-    "bandwidth_nm_to_angular",
+    "wavelength_nm_to_angular", "bandwidth_nm_to_angular",
 ]

@@ -581,7 +581,12 @@ class BootstrapResult:
         return bool(self.failure_fraction > 0.10)
 
 
-#: resamples drawn and fitted together
+#: resamples drawn and fitted together: the block bounds the bootstrap's
+#: memory at any n_resamples. One stack of all resamples gave the same bits
+#: and was only 1-8% faster (medians of 15 alternating rounds over four
+#: lab-like scans, one Xeon core: 41.7 against 38.4 ms per 200-resample
+#: bootstrap with a free harmonic, 20.2 against 19.9 ms with a fixed one;
+#: estimate's peak RSS 57.1-57.5 MB either way).
 _BOOTSTRAP_BLOCK = 50
 
 #: the largest mean numpy's Poisson sampler accepts

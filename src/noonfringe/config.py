@@ -109,8 +109,6 @@ class ExperimentConfig:
                               "must be given")
         if self.kappa is not None and self.kappa <= 0:
             raise ConfigError("kappa", "must be positive")
-        if self.kappa is not None and math.sqrt(self.kappa) * delta_omega == 0.0:
-            raise ConfigError("kappa", "gives a pump width that underflows to zero")
         if self.pump_fwhm is not None and self.pump_fwhm <= 0:
             raise ConfigError("pump_fwhm", "must be positive")
         # the pump Gaussians square the pump width, and a pump_fwhm is squared
@@ -121,8 +119,8 @@ class ExperimentConfig:
         if not (math.isfinite(width * width) and math.isfinite(ratio * ratio)):
             raise ConfigError(key, "gives a pump width whose square, or kappa, "
                               "overflows")
-        if self.pump_fwhm is not None and width * width == 0.0:
-            raise ConfigError("pump_fwhm", "gives a pump width whose square "
+        if width * width == 0.0:
+            raise ConfigError(key, "gives a pump width whose square "
                               "underflows to zero, 0/0 in the pump Gaussian")
         if self.seed < 0:
             raise ConfigError("seed", "must be nonnegative")

@@ -32,7 +32,6 @@ __all__ = [
     "BBO_EXTRAORDINARY",
     "bbo_crystal",
     "filter_transmission",
-    "jsa_amplitude",
     "medium_phase",
     "group_delay_slope",
 ]
@@ -180,8 +179,8 @@ class JointSpectrum:
     spectral_phase(omega1, omega2) must be real and pointwise: a real phase
     at each element that depends on that element's pair of frequencies only.
     The fringe engine takes the swapped phase as this one mirrored along the
-    difference axis of its mesh, and |a12| = |a21|; jsa_amplitude refuses a
-    complex phase with a ValueError.
+    difference axis of its mesh, and |a12| = |a21|; it refuses a complex
+    phase with a ValueError.
 
     symmetric only asserts that there is no spectral phase: a symmetric
     spectrum cannot carry one. No integral reads it; the engine treats every
@@ -224,18 +223,6 @@ def _pair_envelope(jsa: JointSpectrum, up, um):
     if math.isfinite(jsa.phasematch_fwhm):
         amp = amp * np.exp2(-2.0 * um * um / jsa.phasematch_fwhm ** 2)
     return amp
-
-
-def jsa_amplitude(jsa: JointSpectrum, omega1, omega2):
-    """Two-photon amplitude at (omega1, omega2): _pair_envelope times
-    e^{i chi}, real when there is no spectral phase."""
-    w1 = np.asarray(omega1, dtype=float)
-    w2 = np.asarray(omega2, dtype=float)
-    amp = _pair_envelope(jsa, w1 + w2 - jsa.pump_center, w1 - w2)
-    if jsa.spectral_phase is not None:
-        amp = amp * np.exp(1j * _real_phase(jsa, w1, w2))
-    return complex(amp) if amp.ndim == 0 and np.iscomplexobj(amp) else (
-        float(amp) if amp.ndim == 0 else amp)
 
 
 # --------------------------------------------------------------------------

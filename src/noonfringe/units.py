@@ -27,13 +27,6 @@ def wavelength_nm_to_angular(lambda_nm: float) -> float:
     return TWO_PI * SPEED_OF_LIGHT / (lambda_nm * 1e-9)
 
 
-def angular_to_wavelength_nm(omega: float) -> float:
-    """Vacuum wavelength (nm) of an angular frequency given in rad/s."""
-    if omega <= 0:
-        raise ValueError(f"angular frequency must be positive, got {omega}")
-    return TWO_PI * SPEED_OF_LIGHT / omega * 1e9
-
-
 def bandwidth_nm_to_angular(fwhm_nm: float, center_nm: float) -> float:
     """First-order conversion of a wavelength FWHM to an angular-frequency FWHM.
 

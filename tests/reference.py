@@ -1,6 +1,6 @@
-"""References the package is checked against: the direct per-angle form
-of the coincidence probability, and the Fourier start rows of a fringe
-fit.
+"""References the package is checked against: the two-photon amplitude,
+the direct per-angle form of the coincidence probability, and the Fourier
+start rows of a fringe fit.
 
 At one analyzer angle it sums the direct, swapped and interference terms of
 the general bilinear form over the whole rotated mesh of the engine's axes,
@@ -22,8 +22,21 @@ from noonfringe.analysis import _HARMONIC_BLOCK, _power_of_two
 from noonfringe.engine import ACCURACY_TOL, _mesh_axes, _thinned
 from noonfringe.spectral import (DispersiveMedium, FilterProfile,
                                  FrequencyGrid, JointSpectrum,
-                                 _check_refinement, filter_transmission,
-                                 jsa_amplitude, medium_phase)
+                                 _check_refinement, _pair_envelope,
+                                 _real_phase, filter_transmission,
+                                 medium_phase)
+
+
+def jsa_amplitude(jsa: JointSpectrum, omega1, omega2):
+    """Two-photon amplitude at (omega1, omega2): _pair_envelope times
+    e^{i chi}, real when there is no spectral phase."""
+    w1 = np.asarray(omega1, dtype=float)
+    w2 = np.asarray(omega2, dtype=float)
+    amp = _pair_envelope(jsa, w1 + w2 - jsa.pump_center, w1 - w2)
+    if jsa.spectral_phase is not None:
+        amp = amp * np.exp(1j * _real_phase(jsa, w1, w2))
+    return complex(amp) if amp.ndim == 0 and np.iscomplexobj(amp) else (
+        float(amp) if amp.ndim == 0 else amp)
 
 
 def _rotated_mesh(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid):

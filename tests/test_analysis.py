@@ -108,6 +108,13 @@ class TestFitResult:
         expected = 1000.0 * (1.0 + 0.5 * np.cos(8.0 * th + 0.3))
         assert np.allclose(r.model(th), expected, rtol=1e-15)
 
+    @pytest.mark.parametrize("field,bad", [
+        ("offset", 0.0), ("offset", -1.0), ("harmonic", 0.0),
+        ("harmonic", -8.0), ("residual_rms", -1e-3)])
+    def test_out_of_range_field_is_refused_by_name(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            self.make(**{field: bad})
+
     def test_visibility_range_enforced(self):
         with pytest.raises(ValueError, match="visibility"):
             self.make(visibility=1.2)
@@ -505,6 +512,18 @@ class TestBootstrap:
         assert not out.flagged_unreliable
         assert out.kappa_mean == pytest.approx(0.14, rel=1e-6)
 
+    def test_no_invertible_resample_leaves_the_spread_undefined(
+            self, calibration, delta_omega):
+        # at a thousandth of the slope the floor is about 1 - 5e-6, above every
+        # resample of a v = 0.568 scan
+        scan = FringeScan(THETAS, 1.0 + 0.568 * np.cos(8.0 * THETAS + 0.244),
+                          normalized=True)
+        out = bootstrap_kappa_uncertainty(scan, 1e-3 * calibration, 0.0,
+                                          delta_omega, n_resamples=100, seed=1)
+        assert math.isnan(out.kappa_std) and math.isnan(out.kappa_mean)
+        assert out.failure_fraction == 1.0
+        assert out.flagged_unreliable
+
     def test_reference_scale_spread(self, calibration, delta_omega):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[11]))
         scan = FringeScan(THETAS, rng.poisson(model_counts()).astype(float))
@@ -722,15 +741,19 @@ class TestBatchedBootstrap:
         assert calls == {"fit_fringe": 1, "_fit_stack": 5}
         assert out.failure_fraction == 0.0
 
-    @pytest.mark.parametrize("phi_prime,delta_omega", [
-        (1.0, 0.0), (1.0, -1.0), (0.0, 1.0)],
-        ids=["zero-width", "negative-width", "zero-slope"])
+    @pytest.mark.parametrize("phi_prime,uncertainty,delta_omega,message", [
+        (1.0, 0.0, 0.0, "phi_prime must be nonzero"),
+        (1.0, 0.0, -1.0, "phi_prime must be nonzero"),
+        (0.0, 0.0, 1.0, "phi_prime must be nonzero"),
+        (1.0, -0.1, 1.0, "phi_prime_uncertainty must be nonnegative")],
+        ids=["zero-width", "negative-width", "zero-slope",
+             "negative-uncertainty"])
     def test_caller_errors_raise_instead_of_counting_failures(
-            self, phi_prime, delta_omega):
+            self, phi_prime, uncertainty, delta_omega, message):
         scan = FringeScan(THETAS, model_counts())
-        with pytest.raises(ValueError, match="phi_prime must be nonzero"):
-            bootstrap_kappa_uncertainty(scan, phi_prime, 0.0, delta_omega,
-                                        n_resamples=100)
+        with pytest.raises(ValueError, match=message):
+            bootstrap_kappa_uncertainty(scan, phi_prime, uncertainty,
+                                        delta_omega, n_resamples=100)
 
 
 TRF_PARITY_SCANS = [f"{name}-{kind}" for name in ("withcrystal.csv",

@@ -22,6 +22,7 @@ import noonfringe.cli
 from noonfringe.cli import (CONFIG_ENV_VAR, EXIT_INPUT, EXIT_IO, EXIT_OK,
                             EXIT_VALIDATION, main, read_fringe_csv)
 from noonfringe.config import ExperimentConfig, merge_config, parse_config_text
+from noonfringe.engine import _mesh_axes
 from noonfringe.spectral import QuadratureAccuracyError
 
 DATA_DIR = os.path.join(os.path.dirname(noonfringe.__file__), "data")
@@ -350,6 +351,39 @@ class TestEstimate:
         assert 0.012 < report["kappa_uncertainty"] < 0.030
         assert report["bootstrap"]["failure_fraction"] == 0.0
 
+    def test_near_floor_scan_flags_the_bootstrap_unreliable(self, tmp_path,
+                                                            capsys):
+        # the scan of test_analysis's near-floor bootstrap, 5% above the
+        # visibility floor of the self-consistent slope
+        t = noonfringe.self_consistent_calibration()
+        floor = math.exp(-t * t / (16.0 * math.log(2.0)))
+        thetas = np.linspace(0.0, math.pi, 100)
+        truth = 300.0 * (1.0 + 1.05 * floor * np.cos(8.0 * thetas + 0.244))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=[5]))
+        rows = [f"{float(theta)!r},{int(count)}"
+                for theta, count in zip(np.degrees(thetas), rng.poisson(truth))]
+        csv = tmp_path / "near-floor.csv"
+        csv.write_text("\n".join(["theta_deg,counts", *rows]) + "\n")
+        code, out, _ = run(capsys, ["estimate", str(csv), "--fix-harmonic", "8",
+                                    "--phi-prime-frac-unc", "0", "--seed", "2"])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["bootstrap"]["failure_fraction"] > 0.10
+        assert "bootstrap unreliable: %.0f%% of resamples failed" % (
+            100 * report["bootstrap"]["failure_fraction"]) in report["warnings"]
+
+    def test_fit_and_estimate_word_a_degenerate_fit_alike(self, capsys):
+        warned = []
+        for command in ("fit", "estimate"):
+            code, out, _ = run(capsys, [command, WITHCRYSTAL_CSV,
+                                        "--fix-harmonic", "1e-20"])
+            assert code == EXIT_OK
+            report = json.loads(out)
+            assert report["fit"]["degenerate"]
+            warned.append([w for w in report["warnings"]
+                           if w.startswith("degenerate-fit")])
+        assert len(warned[0]) == 1 and warned[0] == warned[1]
+
     def test_small_bootstrap_request_is_raised_to_the_floor(self, capsys):
         code, out, _ = run(capsys, ["estimate", WITHCRYSTAL_CSV,
                                     "--bootstrap", "7", "--fix-harmonic", "8"])
@@ -677,6 +711,9 @@ class TestConfigPlumbing:
          "'pump_wavelength_nm'"),
         (["synth", "--pump-wavelength-nm", "390"], "error: config field ",
          "'pump_wavelength_nm'"),
+        # validate asks the no-pairs clause alone, without the engine's mesh
+        (["validate", "--pump-wavelength-nm", "380"], "error: config field ",
+         "'pump_wavelength_nm'"),
         (["estimate", "--visibility", "0.5", "--calibration", "user",
           "--phi-prime-cal", "1e-300"], "error: ", "--phi-prime-cal"),
         (["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
@@ -710,14 +747,20 @@ class TestConfigPlumbing:
          "'pump_fwhm'"),
         (["validate", "--pump-fwhm", "1e-300"], "error: config field ",
          "'pump_fwhm'"),
+        # ... and so does the kappa-derived one of a tiny filter width
+        (["simulate", "--filter-fwhm-nm", "1e-300"], "error: config field ",
+         "'kappa'"),
+        (["synth", "--filter-fwhm-nm", "1e-300"], "error: config field ",
+         "'kappa'"),
     ], ids=["pump-wavelength", "detuned-pump", "off-mesh-pump",
-            "off-mesh-pump-synth", "user-slope", "sellmeier-length",
+            "off-mesh-pump-synth", "validate-detuned-pump", "user-slope", "sellmeier-length",
             "sellmeier-zero-length", "user-slope-overflow",
             "config-medium-slope-overflow", "crystal-phase-overflow",
             "sellmeier-phase-overflow", "simulate-crystal-phase-overflow",
             "synth-slope-phase-overflow", "simulate-curvature-phase-overflow",
             "simulate-pump-square-underflow", "synth-pump-square-underflow",
-            "validate-pump-square-underflow"])
+            "validate-pump-square-underflow", "simulate-kappa-square-underflow",
+            "synth-kappa-square-underflow"])
     def test_numeric_dead_ends_name_their_field(self, capsys, argv, prefix,
                                                 key):
         code, out, err = run(capsys, argv)
@@ -725,6 +768,30 @@ class TestConfigPlumbing:
         assert out == ""
         assert err.startswith(prefix) and key in err
         assert "numeric failure" not in err
+
+    def test_a_named_dead_end_builds_the_mesh_once(self, capsys,
+                                                  monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _mesh_axes(*args)
+
+        monkeypatch.setattr(noonfringe.cli, "_mesh_axes", counted)
+        code, _, err = run(capsys, ["simulate", "--medium", "bbo",
+                                    "--length-mm", "1e300"])
+        assert code == EXIT_INPUT and "'medium_length_mm'" in err
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("flag,value", [("--kappa", "5e-324"),
+                                            ("--pump-fwhm", "1e-160")])
+    def test_smallest_pump_width_with_a_nonzero_square_simulates(
+            self, capsys, flag, value):
+        # the pump width's square, ~2e-297 and ~1e-320 (subnormal), is not
+        # zero: the underflow refusal stops short of it
+        code, out, err = run(capsys, ["simulate", flag, value])
+        assert code == EXIT_OK
+        assert out and err == ""
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     @pytest.mark.parametrize("flag,key", [("--kappa", "'kappa'"),
@@ -755,14 +822,6 @@ class TestConfigPlumbing:
         assert out == ""
         assert err.startswith("error: config field ") and key in err
         assert "underflows" in err
-
-    @pytest.mark.parametrize("command", ["simulate", "synth"])
-    def test_non_finite_model_curve_is_an_input_error(self, capsys, command):
-        with np.errstate(all="ignore"):
-            code, out, err = run(capsys, [command, "--filter-fwhm-nm", "1e-300"])
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert "no finite fringe" in err and "mean_counts" not in err
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "--visibility", "0.5"], ["validate"], ["simulate"],
@@ -828,8 +887,8 @@ class TestConfigPlumbing:
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and err.count("\n") == 1
         if argv[0] == "validate":
-            # the pump width's square underflows in the phase moments
-            assert "pump of width" in err
+            # the kappa-derived pump width's square underflows
+            assert "'kappa'" in err
 
     def test_csv_headers_round_trip_the_config(self, tmp_path, capsys):
         target = tmp_path / "curve.csv"

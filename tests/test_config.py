@@ -199,12 +199,15 @@ class TestValidation:
         (dict(kappa=None, pump_fwhm=1e150, filter_fwhm_nm=1e-20),
          "pump_fwhm", "overflows"),
         (dict(kappa=None, pump_fwhm=1e-200), "pump_fwhm", "underflows"),
+        # the kappa-derived pump width sqrt(kappa)*delta_omega is ~1e-288
+        (dict(filter_fwhm_nm=1e-300), "kappa", "underflows"),
         (dict(theta_start_deg=-1e308, theta_stop_deg=1e308),
          "theta_stop_deg", "overflows"),
     ], ids=["center-square-overflows", "bandwidth-underflows", "pump-overflow",
             "pump-zero-division", "pump-width", "seed", "kappa-overflows",
             "pump-width-square-overflows", "pump-kappa-overflows",
-            "pump-width-square-underflows", "angle-span-overflows"])
+            "pump-width-square-underflows", "kappa-width-square-underflows",
+            "angle-span-overflows"])
     def test_out_of_range_values_name_their_field(self, overrides, key,
                                                   message):
         with pytest.raises(ConfigError, match=message) as info:

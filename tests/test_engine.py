@@ -30,13 +30,13 @@ from noonfringe import (
     filter_transmission,
     fit_fringe,
     fringe_harmonics,
-    jsa_amplitude,
     medium_phase,
     simulate_fringe_scan,
     single_photon_visibility,
 )
 from noonfringe.engine import _harmonics, _mesh_axes, _thinned
-from reference import _rotated_mesh, coincidence_probability_general
+from reference import (_rotated_mesh, coincidence_probability_general,
+                       jsa_amplitude)
 
 LN2 = math.log(2.0)
 

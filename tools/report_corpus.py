@@ -72,6 +72,12 @@ COMMANDS: list[list[str]] = [
       for mm in ("0", "1e200", "1e306")],
     *[["estimate", "--visibility", "0.568", "--filter-order", k]
       for k in ("4", "6")],
+    # a degenerate fit's warning, and the kappa-derived pump width whose
+    # square underflows
+    *[[command, CRYSTAL, "--fix-harmonic", "1e-20"]
+      for command in ("fit", "estimate")],
+    *[[command, "--filter-fwhm-nm", "1e-300"]
+      for command in ("simulate", "validate")],
 ]
 
 
