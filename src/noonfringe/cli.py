@@ -25,15 +25,16 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .analysis import (FringeScan, InfeasibleVisibilityError,
-                       bootstrap_kappa_uncertainty, closed_form_sigma_phi,
-                       fit_fringe, kappa_from_visibility,
-                       self_consistent_calibration, sigma_phi_from_visibility)
+from .analysis import (CorrelationEstimate, FringeScan,
+                       InfeasibleVisibilityError, bootstrap_kappa_uncertainty,
+                       closed_form_sigma_phi, fit_fringe,
+                       kappa_from_visibility, self_consistent_calibration,
+                       sigma_phi_from_visibility)
 from .config import (ConfigError, ExperimentConfig, load_config_file,
                      merge_config)
 from .engine import _mesh_axes, fringe_harmonics
@@ -112,13 +113,16 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 # CSV I/O
 # --------------------------------------------------------------------------
 
-def _config_header_lines(config: ExperimentConfig, command: str) -> list[str]:
+def _config_header_lines(config: ExperimentConfig, command: str,
+                         harmonics) -> list[str]:
     lines = [f"# schema = {CSV_SCHEMA}",
              f"# generated-by = noonfringe {command}",
              "# regenerate by feeding the cfg block below to "
              "`noonfringe %s --config <file>`" % command]
     for f in fields(config):
         lines.append(f"# cfg: {f.name} = {getattr(config, f.name)}")
+    lines.append(f"# visibility_raw = {harmonics.visibility!r}")
+    lines.append(f"# fringe_phase_rad = {harmonics.phase!r}")
     return lines
 
 
@@ -214,17 +218,18 @@ def _fit_block(fit) -> dict:
 
 def _refuse_dead_ends(config: ExperimentConfig,
                       grid: FrequencyGrid | None = None) -> None:
-    """Refuse, naming its field, a configuration on which the engine finds
-    no finite fringe. First a pump at which the filters pass no pairs: the
-    largest pair weight T(s/2)^2*|pump(s)|^2, on the diagonal at a sum
-    frequency s between twice the filter center and the pump center, falls
-    below the normal float range. It is sampled there in log2, so nothing
-    underflows. Given the engine's grid, then a pump whose pair weight peaks
-    outside the sum-frequency window of the engine's mesh, which follows
-    the narrower of the pump and the filters, and last a medium whose phase
-    leaves the float range at the ends of the engine's photon-frequency
-    lattice, the outermost frequencies of its mesh: a crystal names its
-    length, a Taylor medium its largest term there."""
+    """Refuse, naming its field, a configuration on which the engine, or
+    without a grid validate's phase moments, find no finite value. First a
+    pump at which the filters pass no pairs: the largest pair weight
+    T(s/2)^2*|pump(s)|^2, on the diagonal at a sum frequency s between twice
+    the filter center and the pump center, falls below the normal float
+    range (sampled in log2, so nothing underflows). Without a grid, a pump
+    whose moments fail at zero medium phase, else the slope. With it, a pump
+    whose pair weight peaks outside the sum-frequency window of the engine's
+    mesh, then a medium whose phase overflows at the ends of the mesh's
+    photon-frequency lattice: a crystal names its length, a Taylor medium
+    its largest term there. Else it returns, and the caller's re-raise is
+    the last resort for faults no check foresees."""
     filt, jsa = config.filter_profile(), config.joint_spectrum()
     detuning = jsa.pump_center - 2.0 * filt.center
     t = np.linspace(0.0, 1.0, 1001)
@@ -235,7 +240,15 @@ def _refuse_dead_ends(config: ExperimentConfig,
         raise ConfigError("pump_wavelength_nm", "gives no finite fringe: the "
                           "filters pass no pairs at this pump")
     if grid is None:
-        return
+        try:
+            phase_distribution_moments(jsa, filt, TaylorMedium(filt.center))
+        except FloatingPointError:
+            raise ConfigError("kappa" if config.pump_fwhm is None
+                              else "pump_fwhm", "gives a pump too narrow "
+                              "for the float spacing of omega_p: the phase "
+                              "moments' grid about it collapses") from None
+        raise ConfigError(_slope_field(config), "gives a medium phase whose "
+                          "powers overflow in the phase moments")
     mesh = _mesh_axes(jsa, filt, grid)
     peak = 2.0 * filt.center + t[np.argmin(exponent)] * detuning
     if peak < mesh.s[0] or peak > mesh.s[-1]:
@@ -284,9 +297,7 @@ def _default_grid(config: ExperimentConfig) -> FrequencyGrid:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     thetas, values, harmonics = _model_curve(config)
-    lines = _config_header_lines(config, "simulate")
-    lines.append(f"# visibility_raw = {harmonics.visibility!r}")
-    lines.append(f"# fringe_phase_rad = {harmonics.phase!r}")
+    lines = _config_header_lines(config, "simulate", harmonics)
     lines.append("# counts = mean_counts * P(theta) / mean(P), noiseless")
     lines.append("theta_deg,counts")
     for theta, value in zip(np.degrees(thetas), config.mean_counts * values):
@@ -304,9 +315,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:    # numpy caps the Poisson mean near 9.2e18
         raise CliInputError(f"mean_counts {config.mean_counts!r} is too large "
                             f"to sample: {exc}") from exc
-    lines = _config_header_lines(config, "synth")
-    lines.append(f"# visibility_raw = {harmonics.visibility!r}")
-    lines.append(f"# fringe_phase_rad = {harmonics.phase!r}")
+    lines = _config_header_lines(config, "synth", harmonics)
     lines.append("# counts ~ Poisson(mean_counts * P(theta) / mean(P))")
     lines.append("theta_deg,counts,counts_err")
     for theta, count in zip(np.degrees(thetas), counts):
@@ -347,13 +356,17 @@ def _slope_out_of_range(phi_prime: float, delta_omega: float) -> bool:
     return phi_prime != 0 and not sys.float_info.min <= t * t < math.inf
 
 
+def _slope_field(config: ExperimentConfig) -> str:
+    return "medium_length_mm" if config.medium_variant == "bbo" \
+        else "medium_phi_prime"
+
+
 def _medium_slope(config: ExperimentConfig) -> float:
     """Group-delay slope of the configured medium, refused where its
     closed-form strength leaves the normal float range."""
     phi_prime = config.medium_phi_prime_effective()
     if _slope_out_of_range(phi_prime, config.delta_omega()):
-        raise ConfigError("medium_length_mm" if config.medium_variant == "bbo"
-                          else "medium_phi_prime", _SLOPE_OUT_OF_RANGE)
+        raise ConfigError(_slope_field(config), _SLOPE_OUT_OF_RANGE)
     return phi_prime
 
 
@@ -420,9 +433,16 @@ def _validation_block(config: ExperimentConfig) -> dict:
     return block
 
 
-def _infeasibility_block(exc: InfeasibleVisibilityError) -> dict:
-    return {"reason": str(exc), "visibility": exc.visibility,
-            "visibility_floor": exc.floor}
+def _inversion(visibility: float, calibration: dict) -> dict:
+    """kappa_bar for a visibility under a calibration block, or None and why."""
+    try:
+        return {"kappa_bar": kappa_from_visibility(
+            visibility, calibration["phi_prime_s"],
+            calibration["delta_omega_rad_per_s"]).kappa_bar}
+    except InfeasibleVisibilityError as exc:
+        return {"kappa_bar": None, "infeasibility": {
+            "reason": str(exc), "visibility": exc.visibility,
+            "visibility_floor": exc.floor}}
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -480,22 +500,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "warnings": warnings,
     }
 
-    try:
-        estimate = kappa_from_visibility(visibility_used,
-                                         calibration["phi_prime_s"],
-                                         calibration["delta_omega_rad_per_s"])
-    except InfeasibleVisibilityError as exc:
-        report["infeasibility"] = _infeasibility_block(exc)
-        report["kappa_bar"] = None
-        report["sigma_phi_sq_rad2"] = (sigma_phi_from_visibility(
-            visibility_used) if visibility_used > 0 else None)
+    report.update(_inversion(visibility_used, calibration))
+    report["sigma_phi_sq_rad2"] = (sigma_phi_from_visibility(visibility_used)
+                                   if visibility_used > 0 else None)
+    if report["kappa_bar"] is None:
         _emit_report(report, args.output)
         return EXIT_OK
+    report["bound_kind"] = CorrelationEstimate.bound_kind
 
-    report["sigma_phi_sq_rad2"] = estimate.sigma_phi_sq
-    report["kappa_bar"] = estimate.kappa_bar
-    report["bound_kind"] = estimate.bound_kind
-
+    report["kappa_uncertainty"] = None
     if scan is not None and args.bootstrap > 0:
         n = max(args.bootstrap, 100)
         unc = abs(calibration["phi_prime_s"]) \
@@ -505,34 +518,20 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             calibration["delta_omega_rad_per_s"], n_resamples=n,
             seed=config.seed, fix_harmonic=config.fix_harmonic, base=fit)
         report["kappa_uncertainty"] = boot.kappa_std
-        report["bootstrap"] = {
-            "n_resamples": boot.n_resamples,
-            "kappa_std": boot.kappa_std,
-            "kappa_mean": boot.kappa_mean,
-            "failure_fraction": boot.failure_fraction,
+        report["bootstrap"] = asdict(boot) | {
             "phi_prime_fractional_uncertainty":
-                config.phi_prime_fractional_uncertainty,
-        }
+                config.phi_prime_fractional_uncertainty}
         if boot.flagged_unreliable:
             warnings.append("bootstrap unreliable: %.0f%% of resamples "
                             "failed" % (100 * boot.failure_fraction))
-    else:
-        report["kappa_uncertainty"] = None
 
     if args.calibration == "sellmeier":
         alt = _calibration_block(config, "self-consistent", None)
-        alt_entry = {"phi_prime_s": alt["phi_prime_s"]}
-        try:
-            alt_entry["kappa_bar"] = kappa_from_visibility(
-                visibility_used, alt["phi_prime_s"],
-                alt["delta_omega_rad_per_s"]).kappa_bar
-        except InfeasibleVisibilityError as exc:
-            alt_entry.update(kappa_bar=None,
-                             infeasibility=_infeasibility_block(exc))
         report["calibration_comparison"] = {
             "sellmeier": {"phi_prime_s": calibration["phi_prime_s"],
-                          "kappa_bar": estimate.kappa_bar},
-            "self-consistent": alt_entry,
+                          "kappa_bar": report["kappa_bar"]},
+            "self-consistent": {"phi_prime_s": alt["phi_prime_s"],
+                                **_inversion(visibility_used, alt)},
         }
 
     report["validation"] = _validation_block(config)
@@ -620,8 +619,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         rows = [{"check": "quadrature accuracy", "value": str(exc),
                  "target": "converged", "status": "FAIL"}]
     except FloatingPointError:
-        _refuse_dead_ends(config)
-        raise
+        _refuse_dead_ends(config)        # names a field; never returns here
     failed = [r for r in rows if r["status"] == "FAIL"]
     report = {
         "schema": REPORT_SCHEMA,

@@ -752,6 +752,15 @@ class TestConfigPlumbing:
          "'kappa'"),
         (["synth", "--filter-fwhm-nm", "1e-300"], "error: config field ",
          "'kappa'"),
+        # the phase moments' omega_p grid collapses about a pump narrower
+        # than its float spacing, or the medium phase's powers overflow there
+        (["validate", "--kappa", "1e-30"], "error: config field ", "'kappa'"),
+        (["validate", "--pump-fwhm", "1e-3"], "error: config field ",
+         "'pump_fwhm'"),
+        (["validate", "--phi-prime", "1e100"], "error: config field ",
+         "'medium_phi_prime'"),
+        (["validate", "--medium", "bbo", "--length-mm", "1e95"],
+         "error: config field ", "'medium_length_mm'"),
     ], ids=["pump-wavelength", "detuned-pump", "off-mesh-pump",
             "off-mesh-pump-synth", "validate-detuned-pump", "user-slope", "sellmeier-length",
             "sellmeier-zero-length", "user-slope-overflow",
@@ -760,7 +769,9 @@ class TestConfigPlumbing:
             "synth-slope-phase-overflow", "simulate-curvature-phase-overflow",
             "simulate-pump-square-underflow", "synth-pump-square-underflow",
             "validate-pump-square-underflow", "simulate-kappa-square-underflow",
-            "synth-kappa-square-underflow"])
+            "synth-kappa-square-underflow", "validate-kappa-moments-collapse",
+            "validate-pump-moments-collapse", "validate-slope-moments-overflow",
+            "validate-crystal-moments-overflow"])
     def test_numeric_dead_ends_name_their_field(self, capsys, argv, prefix,
                                                 key):
         code, out, err = run(capsys, argv)
@@ -768,6 +779,16 @@ class TestConfigPlumbing:
         assert out == ""
         assert err.startswith(prefix) and key in err
         assert "numeric failure" not in err
+
+    @pytest.mark.parametrize("kappa,exit_code", [("1e-24", EXIT_OK),
+                                                  ("1e-26", EXIT_VALIDATION)])
+    def test_narrow_pumps_the_moments_still_resolve_keep_their_exit_code(
+            self, capsys, kappa, exit_code):
+        # pump widths of ~21 and ~2 rad/s, one float step of omega_p or more:
+        # the moments' grid does not collapse, so no refusal names kappa
+        code, out, err = run(capsys, ["validate", "--kappa", kappa])
+        assert code == exit_code
+        assert out and err == ""
 
     def test_a_named_dead_end_builds_the_mesh_once(self, capsys,
                                                   monkeypatch):

@@ -5,6 +5,7 @@ file's own helpers (dense trapezoid arithmetic on the public curves) and by
 high-resolution runs of the same quantities; they pin regressions, not physics.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -70,6 +71,16 @@ def _unfolded_convolution(order, x, inner_nodes=800):
     with np.errstate(over="ignore"):
         ex = (x[:, None] + s[None, :]) ** order + (x[:, None] - s[None, :]) ** order
     return 0.5 * (np.exp2(-ex) * w[None, :]).sum(axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _unfolded_on_the_default_grid(order, inner_nodes=800):
+    """_unfolded_convolution on default_nu_grid(), once per (order,
+    inner_nodes): the tests that compare several rules with it share it."""
+    full = _unfolded_convolution(order, default_nu_grid() / NU_SCALE,
+                                 inner_nodes)
+    full.flags.writeable = False
+    return full
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +223,7 @@ class TestNumericConvolution:
         # the checked table does not depend on the rule it starts from
         monkeypatch.setattr(noonfringe.sumfreq, "_START_INTERVALS", start)
         x = nu / NU_SCALE
-        full = _unfolded_convolution(order, x)
+        full = _unfolded_on_the_default_grid(order)
         folded = noonfringe.sumfreq._self_convolution.__wrapped__(
             order, x.tobytes())
         assert np.abs(folded - full).max() <= 1e-14 * full.max()
@@ -273,7 +284,7 @@ class TestNumericConvolution:
     def test_order_six_underflows_where_the_full_rule_does(self, nu,
                                                            inner_nodes):
         x = nu / NU_SCALE
-        full = _unfolded_convolution(6, x, inner_nodes)
+        full = _unfolded_on_the_default_grid(6, inner_nodes)
         folded = noonfringe.sumfreq._self_convolution.__wrapped__(
             6, x.tobytes())
         assert np.count_nonzero(full == 0) == 1402

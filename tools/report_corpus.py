@@ -78,6 +78,15 @@ COMMANDS: list[list[str]] = [
       for command in ("fit", "estimate")],
     *[[command, "--filter-fwhm-nm", "1e-300"]
       for command in ("simulate", "validate")],
+    # the phase moments' dead ends: a pump narrower than the float spacing
+    # of omega_p, and a slope whose phase powers overflow
+    ["validate", "--kappa", "1e-30"],
+    ["validate", "--pump-fwhm", "1e-3"],
+    ["validate", "--phi-prime", "1e100"],
+    ["validate", *BBO, "1e95"],
+    # an infeasible visibility, in the estimate and in its comparison entry
+    ["estimate", "--visibility", "0.005"],
+    ["estimate", "--visibility", "0.005", "--calibration", "sellmeier"],
 ]
 
 
