@@ -294,13 +294,25 @@ def _default_grid(config: ExperimentConfig) -> FrequencyGrid:
     return FrequencyGrid(center=wavelength_nm_to_angular(config.filter_center_nm))
 
 
+def _mean_counts(config: ExperimentConfig, values: np.ndarray) -> np.ndarray:
+    """mean_counts * P(theta)/mean(P), refused by name where it overflows."""
+    with np.errstate(over="ignore"):
+        counts = config.mean_counts * values
+    if not np.all(np.isfinite(counts)):
+        raise ConfigError("mean_counts", f"{config.mean_counts!r} is too "
+                          "large: the counts mean_counts * P(theta)/mean(P) "
+                          "overflow")
+    return counts
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     thetas, values, harmonics = _model_curve(config)
+    counts = _mean_counts(config, values)
     lines = _config_header_lines(config, "simulate", harmonics)
     lines.append("# counts = mean_counts * P(theta) / mean(P), noiseless")
     lines.append("theta_deg,counts")
-    for theta, value in zip(np.degrees(thetas), config.mean_counts * values):
+    for theta, value in zip(np.degrees(thetas), counts):
         lines.append(f"{float(theta)!r},{float(value)!r}")
     _write_lines(args.output, lines)
     return EXIT_OK
@@ -309,9 +321,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     thetas, values, harmonics = _model_curve(config)
+    means = _mean_counts(config, values)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.seed]))
     try:
-        counts = rng.poisson(config.mean_counts * values)
+        counts = rng.poisson(means)
     except ValueError as exc:    # numpy caps the Poisson mean near 9.2e18
         raise CliInputError(f"mean_counts {config.mean_counts!r} is too large "
                             f"to sample: {exc}") from exc

@@ -15,7 +15,10 @@ which pass the same filter and medium, and vanishes on the symmetric
 difference-axis rule. One quadrature of N and Z gives the exact visibility
 |Z|/N and a whole scan. On the mesh every pair's |a12|^2 = |a21|^2 is rank
 one and its integrand even in the difference frequency, so one folded pass
-over half the mesh, in row blocks, serves symmetric and asymmetric pairs.
+over half the mesh serves symmetric and asymmetric pairs. It runs in the
+fewest row blocks of at most _MESH_BLOCK elements, balanced to within one
+row, so no remainder block repeats the per-block calls for a few rows and
+the temporaries stay small.
 
 Both integrate in rotated coordinates (sum and difference frequency) on a
 trapezoid-rule mesh whose sum-frequency half-range adapts to the narrower of
@@ -38,7 +41,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .spectral import (DispersiveMedium, FilterProfile, FrequencyGrid,
                        JointSpectrum, _check_refinement, _pair_envelope,
@@ -56,7 +58,10 @@ __all__ = [
 #: relative tolerance for the node-thinning accuracy estimate
 ACCURACY_TOL = 1e-5
 
-#: mesh elements per row block of the harmonic pass: cache-sized temporaries
+#: mesh elements per row block of the harmonic pass, at most (a longer row
+#: is a block alone). The blocks are balanced: a 128-node mesh of 129-256
+#: columns runs as two 64-row blocks, not a full one and a small remainder
+#: that repeats the per-block calls, and with smaller temporaries
 _MESH_BLOCK = 16384
 
 
@@ -105,8 +110,10 @@ class _Mesh(NamedTuple):
         one read-only strided (n, m) view whose [i, j] is
         values[i + stride*j]. The second photon's is its mirror [:, ::-1]."""
         step = values.strides[0]
-        return as_strided(values, (self.s.size, self.um.size),
-                          (step, self.stride * step), writeable=False)
+        view = np.ndarray((self.s.size, self.um.size), values.dtype, values,
+                          0, (step, self.stride * step))
+        view.flags.writeable = False
+        return view
 
 
 def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile,
@@ -199,13 +206,18 @@ def _harmonics(jsa, filt, medium, grid) -> tuple[FringeHarmonics, float]:
     g = T e^{i phi} once per lattice frequency of _mesh_axes. On the mesh
     T T, g1 g2 = T T e^{i(phi1 + phi2)} and Re(g1 g2*) = T T cos(phi1 -
     phi2) are products of the photon view of them and its mirror, in row
-    blocks of _MESH_BLOCK elements. Only chi is evaluated on the mesh, in
-    row blocks of the first photon's frequencies; the second's mirrored.
+    blocks. Only chi is evaluated on the mesh, in row blocks of the first
+    photon's frequencies; the second's mirrored. The blocks are the fewest
+    of at most _MESH_BLOCK elements (or one row), their sizes balanced to
+    differ by at most one row: no remainder block repeats the per-block
+    calls for a few rows, and the temporaries stay small.
     """
     mesh = _mesh_axes(jsa, filt, grid)
     s, wp, um, wm = mesh.s, mesh.wp, mesh.um, mesh.wm
-    m, k = um.size, (um.size + 1) // 2
-    rows, sums = max(1, _MESH_BLOCK // m), np.zeros(4)
+    n, m, k = s.size, um.size, (um.size + 1) // 2
+    blocks = -(-n // max(1, _MESH_BLOCK // m))
+    rows, extra = divmod(n, blocks)     # the first extra blocks take one more
+    sums = np.zeros(3 if jsa.spectral_phase is None else 4)
     # steep filter powers overflow to an exact zero transmission; a phase
     # that overflows ends in NaN, which _check_refinement refuses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -216,21 +228,27 @@ def _harmonics(jsa, filt, medium, grid) -> tuple[FringeHarmonics, float]:
         t = filter_transmission(filt, mesh.omega)
         g = t * np.exp(1j * medium_phase(medium, mesh.omega))
         t, g = mesh.photon(t), mesh.photon(g)
-        for i in range(0, s.size, rows):
-            block = slice(i, i + rows)
-            tt = offset = t[block, :k] * t[block, ::-1][:, :k]
+        for i in range(blocks):
+            start = i * rows + min(i, extra)
+            block = slice(start, start + rows + (i < extra))
+            tt = t[block, :k] * t[block, ::-1][:, :k]
             g1, g2 = g[block, :k], g[block, ::-1][:, :k]
-            z = g1 * g2
+            z, terms = g1 * g2, [tt]
             if jsa.spectral_phase is not None:
                 o1 = np.array(mesh.photon(mesh.omega)[block])
                 chi = np.broadcast_to(_real_phase(jsa, o1, o1[:, ::-1]), o1.shape)
                 bright = (1.0 + np.cos(chi[:, :k] - chi[:, ::-1][:, :k])) / 2.0
-                offset = tt + (1.0 - bright) * np.real(g1 * np.conj(g2))
+                # freed here, the two (rows, m) arrays leave malloc room to
+                # reuse; held to the block's end, they grew the heap past
+                # its trim threshold, and each call faulted it back in
+                del o1, chi
+                terms.append(tt + (1.0 - bright) * np.real(g1 * np.conj(g2)))
                 z = z * bright
             # one stack, so equal terms sum in the same order: without a
             # medium phase |Z| is N to the last bit
-            sums += (np.stack([tt, offset, z.real, z.imag]) @ q) @ p[block]
-    flux, offset, re, im = sums
+            sums += (np.stack([*terms, z.real, z.imag]) @ q) @ p[block]
+    # without a spectral phase N is the flux, the first row
+    flux, (offset, re, im) = sums[0], sums[-3:]
     return FringeHarmonics(float(offset), complex(re, im)), float(flux)
 
 

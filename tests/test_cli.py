@@ -174,6 +174,30 @@ class TestSynth:
         assert run(capsys, ["simulate", "--mean-counts", "1e30"])[0] == EXIT_OK
 
 
+    @pytest.mark.parametrize("command", ["simulate", "synth"])
+    def test_mean_counts_that_overflow_are_refused_by_name(self, capsys,
+                                                           command):
+        # mean_counts * P(theta)/mean(P) overflows at the fringe peak: one
+        # error line naming the field, and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, [command, "--mean-counts", "1e308"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'mean_counts'" in err
+
+    def test_mean_counts_just_below_overflow_give_finite_counts(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, ["simulate", "--mean-counts", "8e307"])
+        assert code == EXIT_OK and err == ""
+        counts = np.array([float(row.split(",")[1])
+                           for row in data_rows(out)[1]])
+        assert counts.size == 100
+        assert np.all(np.isfinite(counts)) and counts.max() > 1e308
+
+
 class TestFit:
     def test_bundled_calibration_sample(self, capsys):
         code, out, _ = run(capsys, ["fit", CALIBRATION_CSV])

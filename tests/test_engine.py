@@ -593,7 +593,8 @@ class TestMirroredMesh:
         mesh = _mesh_axes(jsa, ref_filter, ref_grid)
         n, m, c = mesh.s.size, mesh.um.size, mesh.stride
         assert m > n
-        # 48-row blocks: the last of the three is partial
+        # a budget of 48 rows: the 128 rows take three blocks, balanced to
+        # 43, 43 and 42 rows rather than 48, 48 and a 32-row remainder
         monkeypatch.setattr(noonfringe.engine, "_MESH_BLOCK", 48 * m)
         noonfringe.engine._harmonics(jsa, ref_filter, ref_medium, ref_grid)
         for name in ("filter_transmission", "medium_phase"):
@@ -605,7 +606,7 @@ class TestMirroredMesh:
             assert args["spectral_phase"] == []
         else:
             assert [np.shape(a) for a in args["spectral_phase"]] == [
-                (48, m), (48, m), (32, m)]
+                (43, m), (43, m), (42, m)]
             # the wrapper records the second argument: omega2
             _, o2, _ = _rotated_mesh(jsa, ref_filter, ref_grid)
             assert np.array_equal(np.vstack(args["spectral_phase"]), o2)
@@ -622,6 +623,49 @@ class TestMirroredMesh:
         assert sum(np.size(a) for a in args["spectral_phase"]) == (
             0 if pair == "symmetric"
             else n * m + thin.s.size * thin.um.size)
+
+    @staticmethod
+    def _phase_blocks(jsa, ref_filter, grid):
+        """The row counts of the blocks in which one pass of _harmonics
+        calls the spectral phase, and the mesh's (n, m)."""
+        rows = []
+
+        def phase(omega1, omega2):
+            rows.append(np.shape(omega1)[0])
+            return jsa.spectral_phase(omega1, omega2)
+
+        chirped = dataclasses.replace(jsa, spectral_phase=phase)
+        _harmonics(chirped, ref_filter, TaylorMedium(reference=grid.center),
+                   grid)
+        mesh = _mesh_axes(jsa, ref_filter, grid)
+        return rows, mesh.s.size, mesh.um.size
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.14, 0.3, 0.5])
+    def test_a_128_node_mesh_of_up_to_256_columns_takes_two_equal_blocks(
+            self, ref_filter, omega0, delta_omega, kappa):
+        # at the default budget, 128 rows of 129-256 columns take two
+        # blocks of 64 rows, not one full block and a small remainder
+        jsa = chirped_pair(omega0, delta_omega, kappa, 3.0, 0.7, -0.4)
+        rows, n, m = self._phase_blocks(
+            jsa, ref_filter, FrequencyGrid(center=omega0, nodes_per_axis=128))
+        assert n == 128 and 128 < m <= 256
+        assert rows == [64, 64]
+
+    @pytest.mark.parametrize("budget", [1, 100, 7 * 155, 48 * 155, 16384,
+                                        128 * 155])
+    @pytest.mark.parametrize("nodes", [97, 128])
+    def test_row_blocks_are_the_fewest_within_the_budget_and_balanced(
+            self, monkeypatch, ref_filter, omega0, delta_omega, budget, nodes):
+        jsa = chirped_pair(omega0, delta_omega, 0.3, 3.0, 0.7, -0.4)
+        monkeypatch.setattr(noonfringe.engine, "_MESH_BLOCK", budget)
+        rows, n, m = self._phase_blocks(
+            jsa, ref_filter, FrequencyGrid(center=omega0, nodes_per_axis=nodes))
+        assert sum(rows) == n
+        assert max(rows) - min(rows) <= 1
+        # no block exceeds the budget unless it is a single row, and one
+        # block fewer could not hold every row within it
+        assert all(r * m <= budget or r == 1 for r in rows)
+        assert (len(rows) - 1) * max(1, budget // m) < n
 
     @pytest.mark.parametrize("pair", ["symmetric", "asymmetric", "chirped"])
     def test_no_transcendental_runs_on_the_mesh_without_a_spectral_phase(

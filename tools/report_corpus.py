@@ -12,8 +12,11 @@ paths. It writes each command's argv, exit code, stdout and stderr to OUT.
 The second form prints, for each command, whether its exit code, stdout
 and stderr match byte for byte. Where the two stdouts are JSON reports that
 differ, it prints the relative difference of each float field that
-differs, and the two values of every other field that differs. It exits 1
-when any command differs.
+differs, and the two values of every other field that differs. Where they
+are text (a simulate or synth CSV) whose lines pair up with the same words
+between their numbers, it prints how many lines differ and the largest
+relative difference between their numbers. It exits 1 when any command
+differs.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 CALIBRATION, CRYSTAL = "calibration.csv", "withcrystal.csv"
@@ -87,7 +91,12 @@ COMMANDS: list[list[str]] = [
     # an infeasible visibility, in the estimate and in its comparison entry
     ["estimate", "--visibility", "0.005"],
     ["estimate", "--visibility", "0.005", "--calibration", "sellmeier"],
+    # counts that overflow at the fringe peak
+    *[[command, "--mean-counts", "1e308"] for command in ("simulate", "synth")],
 ]
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                     r"|[-+]?\binf\b|\bnan\b")
 
 
 def run(argv: list[str]) -> dict:
@@ -133,6 +142,16 @@ def _leaves(value, prefix=""):
         yield prefix, value
 
 
+def _relative(x: float, y: float) -> float:
+    """|x - y| relative to the larger magnitude; inf if either is not
+    finite."""
+    if x == y:
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
 def _json_differences(a: str, b: str) -> list[str] | None:
     """The fields in which two JSON reports differ, or None if either is
     not JSON."""
@@ -147,11 +166,31 @@ def _json_differences(a: str, b: str) -> list[str] | None:
             continue
         if isinstance(x, float) and isinstance(y, float) \
                 and math.isfinite(x) and math.isfinite(y):
-            rel = abs(x - y) / max(abs(x), abs(y))
-            lines.append(f"    {key}: relative difference {rel:.3g}")
+            lines.append(f"    {key}: relative difference "
+                         f"{_relative(x, y):.3g}")
         else:
             lines.append(f"    {key}: {x!r} -> {y!r}")
     return lines
+
+
+def _text_differences(a: str, b: str) -> list[str] | None:
+    """How many lines of two text outputs differ and by how much, or None
+    if their lines do not pair up with the same words between numbers."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    if len(lines_a) != len(lines_b):
+        return None
+    differing, worst = 0, 0.0
+    for x, y in zip(lines_a, lines_b):
+        if x == y:
+            continue
+        if _NUMBER.sub("#", x) != _NUMBER.sub("#", y):
+            return None
+        differing += 1
+        worst = max([worst, *(_relative(float(u), float(v)) for u, v in
+                              zip(_NUMBER.findall(x), _NUMBER.findall(y))
+                              if u != v)])
+    return [f"    {differing} of {len(lines_a)} lines differ, the numbers in "
+            f"them by at most {worst:.3g} relative"]
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -173,6 +212,8 @@ def compare(path_a: str, path_b: str) -> int:
         print(f"differs  {name}  ({', '.join(parts)})")
         if "stdout" in parts:
             lines = _json_differences(a["stdout"], b["stdout"])
+            if lines is None:
+                lines = _text_differences(a["stdout"], b["stdout"])
             print("\n".join(lines) if lines is not None
                   else "    stdout is not a JSON report")
     print(f"{len(runs_a) - differing} of {len(runs_a)} commands identical")
