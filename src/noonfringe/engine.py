@@ -23,15 +23,18 @@ the temporaries stay small.
 Both integrate in rotated coordinates (sum and difference frequency) on a
 trapezoid-rule mesh whose sum-frequency half-range adapts to the narrower of
 the pump and filter widths — the pump ridge is the only sharp feature. The
-integrands are smooth and fall to ~1e-70 at the edges of the window, so the
-equally spaced trapezoid rule converges geometrically in the node count
-(Trefethen & Weideman, SIAM Rev. 56:385, 2014). The difference step is b
-sum steps h, b = floor(2*filter_fwhm/sum scale) >= 2, so every photon
-frequency of the mesh lies on one 1-D lattice of step h/2: the harmonic
-pass evaluates the filter, the medium phase and e^{i phi} once per lattice
-frequency it reaches (at most n*m of them, indexed with stride min(b, n))
-and reads both photons' values on the mesh as one strided view of those
-and its mirror. Only a spectral phase is evaluated on the 2-D mesh.
+difference axis ends on its first node where the filter pair T(w1)T(w2)
+has underflowed to an exact zero, or at +-8 filter widths if that is
+nearer. The integrands are smooth and have decayed at both ends of the
+window, so the equally spaced trapezoid rule converges geometrically in the
+node count (Trefethen & Weideman, SIAM Rev. 56:385, 2014). The difference
+step is b sum steps h, b = floor(2*filter_fwhm/sum scale) >= 2, so every
+photon frequency of the mesh lies on one 1-D lattice of step h/2: the
+harmonic pass evaluates the filter, the medium phase and e^{i phi} once per
+lattice frequency it reaches (at most n*m of them, indexed with stride
+min(b, n)) and reads both photons' values on the mesh as one strided view
+of those and its mirror. Only a spectral phase is evaluated on the 2-D
+mesh.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ __all__ = [
 ACCURACY_TOL = 1e-5
 
 #: mesh elements per row block of the harmonic pass, at most (a longer row
-#: is a block alone). The blocks are balanced: a 128-node mesh of 129-256
-#: columns runs as two 64-row blocks, not a full one and a small remainder
+#: is a block alone). The blocks are balanced: a 192-node mesh of 86-170
+#: columns runs as two 96-row blocks, not a full one and a small remainder
 #: that repeats the per-block calls, and with smaller temporaries
 _MESH_BLOCK = 16384
 
@@ -127,15 +130,19 @@ def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile,
     the step b*h, b = floor(2*filter_fwhm/scale) >= 2 for that sum scale,
     and m = 1 + floor((n - 1)*2*filter_fwhm/(scale*b)) nodes at multiples
     of b*h/2: exactly odd, never coarser than n nodes over +-2*half_range
-    filter widths and never wider. So w1 = (s_i + u_j)/2 is the point
-    i + b*j of a lattice of step h/2, and w2 = (s_i - u_j)/2 the point
-    i + b*(m - 1 - j): w1 mirrored along the difference axis. At pump
-    widths >= the filter's, b = 2 and m = n. omega holds the lattice
-    points the mesh reaches, indexed i + c*j with c = min(b, n): a wide
-    lattice skips its unreached gaps, so omega never holds more than n*m
-    points; when c == b they are consecutive. It is built antisymmetric
-    about its centre, so the phases of mirrored points carry no rounding
-    dust of their own.
+    filter widths and never wider (at pump widths >= the filter's, b = 2
+    and m = n). The axis then ends on its first node at or past u_cut =
+    fwhm*540^(1/order), with m's parity and every node position kept:
+    T(w1)T(w2) <= 2^(-2(|u|/fwhm)^order) is 2^-1080 there, past the
+    smallest subnormal, so the end columns and every column dropped are
+    exact zeros. Order 2's u_cut is 23 widths, past +-8, and order 4's 4.8.
+    So w1 = (s_i + u_j)/2 is the point i + b*j of a lattice of step h/2,
+    and w2 = (s_i - u_j)/2 the point i + b*(m - 1 - j): w1 mirrored along
+    the difference axis. omega holds the lattice points the mesh reaches,
+    indexed i + c*j with c = min(b, n): a wide lattice skips its unreached
+    gaps, so omega never holds more than n*m points; when c == b they are
+    consecutive. It is built antisymmetric about its centre, so the phases
+    of mirrored points carry no rounding dust of their own.
     """
     center_p, scale_p = ((jsa.pump_center, jsa.pump_fwhm) if jsa.pump_fwhm
                          <= filt.fwhm else (2.0 * filt.center, filt.fwhm))
@@ -144,6 +151,9 @@ def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile,
     ratio = 2.0 * filt.fwhm / scale_p
     b = max(2, math.floor(ratio))
     m = 1 + math.floor((n - 1) * ratio / b)
+    # end on the first node at or past u_cut, with m's parity
+    reach = math.ceil(filt.fwhm * 540.0 ** (1.0 / filt.order) / (0.5 * b * h))
+    m = min(m, reach + 1 + (reach + 1 - m) % 2)
     um = np.arange(1 - m, m, 2) * (0.5 * b * h)
     wm = np.full(m, b * h)
     wm[[0, -1]] *= 0.5

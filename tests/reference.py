@@ -1,5 +1,6 @@
 """References the package is checked against: the two-photon amplitude,
-the direct per-angle form of the coincidence probability, and the Fourier
+the direct per-angle form of the coincidence probability, the rotated mesh
+with its difference axis over the full +-8 filter widths, and the Fourier
 start rows of a fringe fit.
 
 At one analyzer angle it sums the direct, swapped and interference terms of
@@ -16,10 +17,12 @@ package's own fit starts from a harmonic alone (_start_harmonic). A
 helper module, not a test file: the suites import it.
 """
 
+import math
+
 import numpy as np
 
 from noonfringe.analysis import _HARMONIC_BLOCK, _power_of_two
-from noonfringe.engine import ACCURACY_TOL, _mesh_axes, _thinned
+from noonfringe.engine import ACCURACY_TOL, _Mesh, _mesh_axes, _thinned
 from noonfringe.spectral import (DispersiveMedium, FilterProfile,
                                  FrequencyGrid, JointSpectrum,
                                  _check_refinement, _pair_envelope,
@@ -37,6 +40,35 @@ def jsa_amplitude(jsa: JointSpectrum, omega1, omega2):
         amp = amp * np.exp(1j * _real_phase(jsa, w1, w2))
     return complex(amp) if amp.ndim == 0 and np.iscomplexobj(amp) else (
         float(amp) if amp.ndim == 0 else amp)
+
+
+def untrimmed_mesh(jsa: JointSpectrum, filt: FilterProfile,
+                   grid: FrequencyGrid) -> _Mesh:
+    """The engine's rotated mesh with the difference axis over the full
+    +-8 filter widths at every filter order, written out from its rule
+    rather than taken from _mesh_axes, which ends the axis where the filter
+    pair underflows. The sum axis is the grid's about the narrower of the
+    pump and the filter pair; the difference axis has the step b*h, b =
+    floor(2*fwhm/scale) >= 2, and m = 1 + floor((n - 1)*2*fwhm/(scale*b))
+    nodes at (2j - (m - 1))*b*h/2; photon point a = i + c*j, c = min(b, n),
+    sits 2*(i + b*j) - (n - 1 + b*(m - 1)) steps h/4 from the centre."""
+    narrow = jsa.pump_fwhm <= filt.fwhm
+    center = jsa.pump_center if narrow else 2.0 * filt.center
+    scale = jsa.pump_fwhm if narrow else filt.fwhm
+    up, wp = grid.axis(scale)
+    n, h = up.size, wp[1]
+    ratio = 2.0 * filt.fwhm / scale
+    b = max(2, math.floor(ratio))
+    m = 1 + math.floor((n - 1) * ratio / b)
+    du = b * h
+    um = (2.0 * np.arange(m) - (m - 1)) * (0.5 * du)
+    wm = np.full(m, du)
+    wm[0] = wm[-1] = 0.5 * du
+    c = min(b, n)
+    j, i = np.divmod(np.arange(n + c * (m - 1)), c)
+    quarters = 2.0 * (i + float(b) * j) - (n - 1 + float(b) * (m - 1))
+    omega = 0.5 * center + quarters * (0.25 * h)
+    return _Mesh(center + up, 0.5 * wp, um, wm, omega, c)
 
 
 def _rotated_mesh(jsa: JointSpectrum, filt: FilterProfile, grid: FrequencyGrid):

@@ -735,6 +735,10 @@ class TestConfigPlumbing:
          "'pump_wavelength_nm'"),
         (["synth", "--pump-wavelength-nm", "390"], "error: config field ",
          "'pump_wavelength_nm'"),
+        # filters that pass no pairs of the pump, before any photon of the
+        # mesh reaches outside the crystal's dispersion window
+        (["simulate", "--medium", "bbo", "--filter-center-nm", "500"],
+         "error: config field ", "'pump_wavelength_nm'"),
         # validate asks the no-pairs clause alone, without the engine's mesh
         (["validate", "--pump-wavelength-nm", "380"], "error: config field ",
          "'pump_wavelength_nm'"),
@@ -786,7 +790,8 @@ class TestConfigPlumbing:
         (["validate", "--medium", "bbo", "--length-mm", "1e95"],
          "error: config field ", "'medium_length_mm'"),
     ], ids=["pump-wavelength", "detuned-pump", "off-mesh-pump",
-            "off-mesh-pump-synth", "validate-detuned-pump", "user-slope", "sellmeier-length",
+            "off-mesh-pump-synth", "bbo-filters-pass-no-pairs",
+            "validate-detuned-pump", "user-slope", "sellmeier-length",
             "sellmeier-zero-length", "user-slope-overflow",
             "config-medium-slope-overflow", "crystal-phase-overflow",
             "sellmeier-phase-overflow", "simulate-crystal-phase-overflow",
@@ -891,7 +896,8 @@ class TestConfigPlumbing:
             assert "finite angular bandwidth" in err
 
     @pytest.mark.parametrize("argv", [
-        ["simulate", "--medium", "bbo", "--filter-center-nm", "500"],
+        ["simulate", "--medium", "bbo", "--filter-center-nm", "650",
+         "--pump-wavelength-nm", "325"],
         ["simulate", "--medium", "bbo", "--pump-wavelength-nm", "2"],
         ["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
          "--filter-center-nm", "2"],
@@ -902,6 +908,15 @@ class TestConfigPlumbing:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("error: wavelength") and "validity window" in err
+
+    def test_the_sellmeier_window_is_read_where_the_filters_pass_pairs(
+            self, capsys):
+        # the engine's photon lattice ends where the filter pair underflows,
+        # so every photon 20 nm filters can pass lies inside 700-900 nm
+        code, out, err = run(capsys, ["simulate", "--medium", "bbo",
+                                      "--length-mm", "1",
+                                      "--filter-fwhm-nm", "20"])
+        assert code == 0 and err == "" and out
 
     def test_pump_off_the_filters_is_an_input_error(self, capsys):
         # an 810 nm pump makes pairs about 1620 nm, which never reach the

@@ -36,7 +36,7 @@ from noonfringe import (
 )
 from noonfringe.engine import _harmonics, _mesh_axes, _thinned
 from reference import (_rotated_mesh, coincidence_probability_general,
-                       jsa_amplitude)
+                       jsa_amplitude, untrimmed_mesh)
 
 LN2 = math.log(2.0)
 
@@ -592,7 +592,9 @@ class TestMirroredMesh:
         args["spectral_phase"] = []
         mesh = _mesh_axes(jsa, ref_filter, ref_grid)
         n, m, c = mesh.s.size, mesh.um.size, mesh.stride
-        assert m > n
+        # the difference axis ends where the filter pair underflows, short
+        # of the n columns of +-8 filter widths
+        assert m < n
         # a budget of 48 rows: the 128 rows take three blocks, balanced to
         # 43, 43 and 42 rows rather than 48, 48 and a 32-row remainder
         monkeypatch.setattr(noonfringe.engine, "_MESH_BLOCK", 48 * m)
@@ -640,16 +642,20 @@ class TestMirroredMesh:
         mesh = _mesh_axes(jsa, ref_filter, grid)
         return rows, mesh.s.size, mesh.um.size
 
+    @pytest.mark.parametrize("nodes,blocks", [(128, [128]), (192, [96, 96])],
+                             ids=["128-nodes", "192-nodes"])
     @pytest.mark.parametrize("kappa", [0.05, 0.14, 0.3, 0.5])
-    def test_a_128_node_mesh_of_up_to_256_columns_takes_two_equal_blocks(
-            self, ref_filter, omega0, delta_omega, kappa):
-        # at the default budget, 128 rows of 129-256 columns take two
-        # blocks of 64 rows, not one full block and a small remainder
+    def test_default_budget_takes_128_rows_whole_and_192_in_two_halves(
+            self, ref_filter, omega0, delta_omega, kappa, nodes, blocks):
+        # at the default budget the 78-110 columns of a 128-node mesh fit
+        # one block, and 192 rows of 125-165 columns take two blocks of 96
+        # rows, not one full block and a small remainder
         jsa = chirped_pair(omega0, delta_omega, kappa, 3.0, 0.7, -0.4)
         rows, n, m = self._phase_blocks(
-            jsa, ref_filter, FrequencyGrid(center=omega0, nodes_per_axis=128))
-        assert n == 128 and 128 < m <= 256
-        assert rows == [64, 64]
+            jsa, ref_filter, FrequencyGrid(center=omega0, nodes_per_axis=nodes))
+        assert n == nodes
+        assert n * m <= 16384 if nodes == 128 else 16384 < n * m <= 2 * 16384
+        assert rows == blocks
 
     @pytest.mark.parametrize("budget", [1, 100, 7 * 155, 48 * 155, 16384,
                                         128 * 155])
@@ -744,43 +750,102 @@ class TestLattice:
     """The difference axis puts every photon frequency on one 1-d lattice."""
 
     @pytest.mark.parametrize("nodes", [16, 96, 97, 128, 129, 256])
-    def test_difference_axis_rule(self, ref_filter, omega0, delta_omega,
-                                  nodes):
+    def test_difference_axis_rule(self, omega0, delta_omega, nodes):
         # read off _mesh_axes, nothing evaluated: the step of n nodes over
-        # +-8 filter widths is the axis every kappa had before the lattice
-        fwhm = ref_filter.fwhm
+        # +-8 filter widths is the axis every kappa had before the lattice.
+        # It ends on its first node at or past u_cut = fwhm*540^(1/order),
+        # where the filter pair is below 2^-1080, or at +-8 widths if that
+        # is nearer: order 2's u_cut is 23 widths, order 4's 4.8
         grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
-        uniform, step = np.linspace(-8.0 * fwhm, 8.0 * fwhm, nodes,
-                                    retstep=True)
-        for kappa in np.logspace(-12.0, 4.0, 49):
-            mesh = _mesh_axes(make_jsa(omega0, delta_omega, kappa),
-                              ref_filter, grid)
-            n, m, um = mesh.s.size, mesh.um.size, mesh.um
-            h, du = 2.0 * mesh.wp[1], mesh.wm[1]
-            b = round(du / h)
-            assert b >= 2 and abs(du / h - b) <= 1e-12 * b
-            assert du <= step * (1.0 + 1e-15)
-            assert mesh.stride == min(b, n)
-            assert np.array_equal(um, -um[::-1])
-            assert np.all(np.diff(um) > 0)
-            # no wider than +-8 widths, and short of them by under a step
-            assert 8.0 * fwhm - du / 2.0 <= um[-1] <= 8.0 * fwhm * (1.0 + 1e-15)
-            assert mesh.omega.size == n + mesh.stride * (m - 1) <= n * m
-            if kappa >= 1.0:
-                assert m == n
-                assert np.allclose(um, uniform, rtol=0.0,
-                                   atol=2.0 * np.spacing(8.0 * fwhm))
-            # the lattice itself, point a = i + c*j at 2*(i + b*j) -
-            # (n - 1 + b*(m - 1)) steps h/4 from the centre, counted in
-            # Python integers
-            # (the pump's centre and the filter pair's coincide here)
-            c, center = mesh.stride, 2.0 * omega0
-            quarters = [2 * (i + b * j) - (n - 1 + b * (m - 1))
-                        for j, i in (divmod(a, c)
-                                     for a in range(mesh.omega.size))]
-            assert np.array_equal(mesh.omega, 0.5 * center + np.array(
-                quarters, dtype=float) * (h / 4.0))
+        uniform, step = np.linspace(-8.0 * delta_omega, 8.0 * delta_omega,
+                                    nodes, retstep=True)
+        for order in (2, 4):
+            filt = FilterProfile(center=omega0, fwhm=delta_omega, order=order)
+            u_cut = delta_omega * 540.0 ** (1.0 / order)
+            for kappa in np.logspace(-12.0, 4.0, 49):
+                mesh = _mesh_axes(make_jsa(omega0, delta_omega, kappa), filt,
+                                  grid)
+                n, m, um = mesh.s.size, mesh.um.size, mesh.um
+                h, du = 2.0 * mesh.wp[1], mesh.wm[1]
+                b = round(du / h)
+                assert b >= 2 and abs(du / h - b) <= 1e-12 * b
+                assert du <= step * (1.0 + 1e-15)
+                assert mesh.stride == min(b, n)
+                assert np.array_equal(um, -um[::-1])
+                assert np.all(np.diff(um) > 0)
+                if order == 2:
+                    # no wider than +-8 widths, and short of them by under
+                    # a step
+                    assert (8.0 * delta_omega - du / 2.0 <= um[-1]
+                            <= 8.0 * delta_omega * (1.0 + 1e-15))
+                else:
+                    assert um[-1] - du < u_cut <= um[-1]
+                if kappa >= 1.0:
+                    # the middle m of the n uniform nodes
+                    assert m == n if order == 2 else m < n
+                    assert np.allclose(um, uniform[(n - m) // 2:(n + m) // 2],
+                                       rtol=0.0,
+                                       atol=2.0 * np.spacing(8.0 * delta_omega))
+                assert mesh.omega.size == n + mesh.stride * (m - 1) <= n * m
+                # the lattice itself, point a = i + c*j at 2*(i + b*j) -
+                # (n - 1 + b*(m - 1)) steps h/4 from the centre, counted in
+                # Python integers
+                # (the pump's centre and the filter pair's coincide here)
+                c, center = mesh.stride, 2.0 * omega0
+                quarters = [2 * (i + b * j) - (n - 1 + b * (m - 1))
+                            for j, i in (divmod(a, c)
+                                         for a in range(mesh.omega.size))]
+                assert np.array_equal(mesh.omega, 0.5 * center + np.array(
+                    quarters, dtype=float) * (h / 4.0))
 
+    @pytest.mark.parametrize("pair", ["symmetric", "chirped"])
+    @pytest.mark.parametrize("order", [2, 4, 6, 8, 40])
+    def test_the_difference_axis_ends_where_the_filter_pair_underflows(
+            self, monkeypatch, omega0, delta_omega, order, pair):
+        # against the full +-8-width mesh of tests/reference.py: the engine
+        # keeps a centred run of its columns, every column it drops has an
+        # exact-zero filter pair T(w1)T(w2) on every row, so do the end
+        # columns it keeps, and the harmonics move by summation order only
+        filt = FilterProfile(center=omega0, fwhm=delta_omega, order=order)
+        medium = TaylorMedium(reference=omega0, phi0=1.3,
+                              phi_prime=-2.0 / delta_omega,
+                              phi_double_prime=1.5 / delta_omega ** 2)
+        for kappa in (1e-10, 0.05, 0.14, 1.0, 3.0):
+            jsa = make_jsa(omega0, delta_omega, kappa) if pair == "symmetric" \
+                else chirped_pair(omega0, delta_omega, kappa, 3.0, 0.7, -0.4)
+            for nodes in (16, 96, 128, 256):
+                grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
+                mesh, full = (_mesh_axes(jsa, filt, grid),
+                              untrimmed_mesh(jsa, filt, grid))
+                size, r = full.um.size, (full.um.size - mesh.um.size) // 2
+                kept = slice(r, size - r)
+                assert r >= 0 and mesh.um.size == size - 2 * r
+                assert r == 0 or order > 2
+                assert np.array_equal(mesh.s, full.s)
+                assert np.array_equal(mesh.wp, full.wp)
+                assert np.array_equal(mesh.um, full.um[kept])
+                assert np.array_equal(mesh.wm[1:-1], full.wm[kept][1:-1])
+                assert mesh.stride == full.stride
+                assert np.array_equal(mesh.photon(mesh.omega),
+                                      full.photon(full.omega)[:, kept])
+                t = full.photon(filter_transmission(filt, full.omega))
+                tt = t * t[:, ::-1]
+                dropped = np.ones(size, dtype=bool)
+                dropped[kept] = False
+                assert np.all(tt[:, dropped] == 0.0)
+                if r:
+                    assert np.all(tt[:, [r, size - 1 - r]] == 0.0)
+                h, flux = _harmonics(jsa, filt, medium, grid)
+                with monkeypatch.context() as patch:
+                    patch.setattr(noonfringe.engine, "_mesh_axes",
+                                  untrimmed_mesh)
+                    h_full, flux_full = _harmonics(jsa, filt, medium, grid)
+                if r == 0:      # the same mesh: the same sums, to the bit
+                    assert (h, flux) == (h_full, flux_full)
+                tol = 2e-15 * h_full.offset
+                assert abs(h.offset - h_full.offset) <= tol
+                assert abs(h.amplitude - h_full.amplitude) <= tol
+                assert abs(flux - flux_full) <= tol
 
     @pytest.mark.parametrize("kappa", [1e-10, 0.14, 3.0])
     def test_no_medium_phase_gives_a_perfect_fringe_to_the_bit(

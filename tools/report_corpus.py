@@ -93,6 +93,11 @@ COMMANDS: list[list[str]] = [
     ["estimate", "--visibility", "0.005", "--calibration", "sellmeier"],
     # counts that overflow at the fringe peak
     *[[command, "--mean-counts", "1e308"] for command in ("simulate", "synth")],
+    # the Sellmeier window, read where the filters pass pairs, and a
+    # difference axis that ends at 2.2 filter widths
+    ["simulate", *BBO, "1", "--filter-fwhm-nm", "20"],
+    ["simulate", "--medium", "bbo", "--filter-center-nm", "500"],
+    ["simulate", "--filter-order", "8"],
 ]
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
