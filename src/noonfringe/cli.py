@@ -224,7 +224,8 @@ def _refuse_dead_ends(config: ExperimentConfig,
     T(s/2)^2*|pump(s)|^2, on the diagonal at a sum frequency s between twice
     the filter center and the pump center, falls below the normal float
     range (sampled in log2, so nothing underflows). Without a grid, a pump
-    whose moments fail at zero medium phase, else the slope. With it, a pump
+    too narrow for the float spacing of omega_p: the moments run on one
+    fixed linear medium, so nothing else fails them. With a grid, a pump
     whose pair weight peaks outside the sum-frequency window of the engine's
     mesh, then a medium whose phase overflows at the ends of the mesh's
     photon-frequency lattice: a crystal names its length, a Taylor medium
@@ -240,15 +241,10 @@ def _refuse_dead_ends(config: ExperimentConfig,
         raise ConfigError("pump_wavelength_nm", "gives no finite fringe: the "
                           "filters pass no pairs at this pump")
     if grid is None:
-        try:
-            phase_distribution_moments(jsa, filt, TaylorMedium(filt.center))
-        except FloatingPointError:
-            raise ConfigError("kappa" if config.pump_fwhm is None
-                              else "pump_fwhm", "gives a pump too narrow "
-                              "for the float spacing of omega_p: the phase "
-                              "moments' grid about it collapses") from None
-        raise ConfigError(_slope_field(config), "gives a medium phase whose "
-                          "powers overflow in the phase moments")
+        raise ConfigError("kappa" if config.pump_fwhm is None
+                          else "pump_fwhm", "gives a pump too narrow for the "
+                          "float spacing of omega_p: the phase moments' grid "
+                          "about it collapses")
     mesh = _mesh_axes(jsa, filt, grid)
     peak = 2.0 * filt.center + t[np.argmin(exponent)] * detuning
     if peak < mesh.s[0] or peak > mesh.s[-1]:
@@ -357,60 +353,43 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SLOPE_OUT_OF_RANGE = ("gives a group-delay slope whose squared strength "
-                       "(phi_prime*delta_omega)^2 underflows or overflows")
-
-
-def _slope_out_of_range(phi_prime: float, delta_omega: float) -> bool:
-    """Whether a nonzero slope's closed-form strength (phi_prime*delta_omega)^2,
-    which the law divides by and squares with ``**``, leaves the normal float
-    range."""
-    t = phi_prime * delta_omega
-    return phi_prime != 0 and not sys.float_info.min <= t * t < math.inf
-
-
-def _slope_field(config: ExperimentConfig) -> str:
-    return "medium_length_mm" if config.medium_variant == "bbo" \
-        else "medium_phi_prime"
-
-
-def _medium_slope(config: ExperimentConfig) -> float:
-    """Group-delay slope of the configured medium, refused where its
-    closed-form strength leaves the normal float range."""
-    phi_prime = config.medium_phi_prime_effective()
-    if _slope_out_of_range(phi_prime, config.delta_omega()):
-        raise ConfigError(_slope_field(config), _SLOPE_OUT_OF_RANGE)
-    return phi_prime
-
-
 def _calibration_block(config: ExperimentConfig, source: str,
                        user_phi_prime: float | None) -> dict:
+    """The calibration slope phi_prime from its source: the one place where
+    a slope is read and checked. A slope that is zero, or whose closed-form
+    strength (phi_prime*delta_omega)^2, which the law divides by and squares
+    with ``**``, is not finite or leaves the normal float range, is refused,
+    naming --phi-prime-cal for a user slope and else the medium field that
+    sets it."""
     delta_omega = config.delta_omega()
     if source == "self-consistent":
         phi_prime = self_consistent_calibration() / delta_omega
-    elif source == "sellmeier":
-        phi_prime = _medium_slope(replace(config, medium_variant="bbo"))
-        if phi_prime == 0:
+    elif source == "user":
+        phi_prime = user_phi_prime
+    else:
+        if source == "sellmeier":
+            config = replace(config, medium_variant="bbo")
+        phi_prime = config.medium_phi_prime_effective()
+        if phi_prime == 0 and source == "sellmeier":
             raise ConfigError("medium_length_mm", "gives a Sellmeier slope "
                               "that is zero")
-    elif source == "user":
-        if user_phi_prime is None:
-            raise CliInputError("--calibration user requires --phi-prime-cal")
-        if _slope_out_of_range(user_phi_prime, delta_omega):
-            raise CliInputError(f"--phi-prime-cal {_SLOPE_OUT_OF_RANGE}")
-        phi_prime = user_phi_prime
-    else:  # config-medium
-        phi_prime = _medium_slope(config)
         if phi_prime == 0:
             raise CliInputError(
                 "the configured medium has zero group-delay slope; pick "
                 "--calibration self-consistent, sellmeier, or user")
-    return {
-        "source": source,
-        "phi_prime_s": phi_prime,
-        "delta_omega_rad_per_s": delta_omega,
-        "phi_prime_times_delta_omega": phi_prime * delta_omega,
-    }
+    t = phi_prime * delta_omega
+    if not sys.float_info.min <= t * t < math.inf:
+        if source == "user":
+            raise CliInputError("--phi-prime-cal must be finite and nonzero, "
+                                "and (phi_prime*delta_omega)^2 must neither "
+                                "underflow nor overflow")
+        raise ConfigError("medium_length_mm" if config.medium_variant == "bbo"
+                          else "medium_phi_prime", "gives a group-delay slope "
+                          "whose squared strength (phi_prime*delta_omega)^2 "
+                          "underflows or overflows")
+    return {"source": source, "phi_prime_s": phi_prime,
+            "delta_omega_rad_per_s": delta_omega,
+            "phi_prime_times_delta_omega": t}
 
 
 def _validation_block(config: ExperimentConfig) -> dict:
@@ -460,12 +439,18 @@ def _inversion(visibility: float, calibration: dict) -> dict:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    # each flag is read in its mode alone, and its mode needs it
+    for flag, value, mode, on in (
+            ("--phi-prime-cal", args.phi_prime_cal, "--calibration user",
+             args.calibration == "user"),
+            ("--calibration-visibility", args.calibration_visibility,
+             "normalize_calibration", config.normalize_calibration)):
+        if (value is None) == on:
+            raise CliInputError(f"{mode} requires {flag}" if on
+                                else f"{flag} is read only with {mode}")
     if args.calibration_visibility is not None \
             and not 0.0 < args.calibration_visibility <= 1.0:
         raise CliInputError("--calibration-visibility must lie in (0, 1]")
-    if args.phi_prime_cal is not None \
-            and not (math.isfinite(args.phi_prime_cal) and args.phi_prime_cal):
-        raise CliInputError("--phi-prime-cal must be finite and nonzero")
     if args.bootstrap < 0:
         raise CliInputError("--bootstrap must be nonnegative (0 disables it)")
     warnings: list[str] = []
@@ -488,9 +473,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     visibility_used = visibility_raw
     corrected = None
     if config.normalize_calibration:
-        if args.calibration_visibility is None:
-            raise CliInputError("normalize_calibration requires "
-                                "--calibration-visibility")
         corrected = min(visibility_raw / args.calibration_visibility, 1.0)
         visibility_used = corrected
         warnings.append("visibility divided by the calibration contrast "
@@ -601,15 +583,13 @@ def _validate_rows(config: ExperimentConfig) -> list[dict]:
     if kl_reason is None:
         row("KL drift under grid doubling", kl_drift, kl_drift < 1e-4, "< 1e-4")
 
-    phi_prime = _medium_slope(config)
-    calibration = "config-medium"
-    if phi_prime == 0:
-        phi_prime = self_consistent_calibration() / delta_omega
-        calibration = "self-consistent"
-    medium = TaylorMedium(reference=wavelength_nm_to_angular(config.filter_center_nm),
-                          phi0=0.0, phi_prime=phi_prime)
+    # every row is invariant under a linear medium's slope: one slope serves
+    phi_prime = self_consistent_calibration() / delta_omega
+    medium = TaylorMedium(filt.center, phi_prime=phi_prime)
     moments = phase_distribution_moments(config.joint_spectrum(), filt, medium)
-    row(f"phase-distribution skewness ({calibration} slope)",
+    if moments.variance == 0:   # only omega_p's float spacing zeroes it
+        raise FloatingPointError("the phase variance is rounding dust")
+    row("phase-distribution skewness (self-consistent slope)",
         moments.skewness, abs(moments.skewness) <= 1e-9, "0 +- 1e-9")
     if config.filter_order == 4:
         row("phase-distribution excess kurtosis", moments.excess_kurtosis,

@@ -19,11 +19,12 @@ import pytest
 
 import noonfringe
 import noonfringe.cli
+import noonfringe.config
 from noonfringe.cli import (CONFIG_ENV_VAR, EXIT_INPUT, EXIT_IO, EXIT_OK,
                             EXIT_VALIDATION, main, read_fringe_csv)
 from noonfringe.config import ExperimentConfig, merge_config, parse_config_text
 from noonfringe.engine import _mesh_axes
-from noonfringe.spectral import QuadratureAccuracyError
+from noonfringe.spectral import QuadratureAccuracyError, group_delay_slope
 
 DATA_DIR = os.path.join(os.path.dirname(noonfringe.__file__), "data")
 CALIBRATION_CSV = os.path.join(DATA_DIR, "calibration.csv")
@@ -547,6 +548,22 @@ class TestEstimate:
         assert report["visibility"]["used"] == report["visibility"]["corrected"]
         assert any("0.966" in w for w in report["warnings"])
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--phi-prime-cal", "3e-13"], "--phi-prime-cal"),
+        (["--calibration", "sellmeier", "--phi-prime-cal", "3e-13"],
+         "--phi-prime-cal"),
+        (["--calibration-visibility", "0.9"], "--calibration-visibility"),
+    ], ids=["phi-prime-cal", "phi-prime-cal-sellmeier",
+            "calibration-visibility"])
+    def test_a_flag_outside_its_mode_is_refused(self, capsys, argv, flag):
+        # read only by --calibration user or normalize_calibration, the
+        # flag would otherwise be dropped without a word
+        code, out, err = run(capsys, ["estimate", "--visibility", "0.5",
+                                      *argv])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: {flag} ") and "read only with" in err
+
     def test_deterministic_report(self, capsys):
         argv = ["estimate", "--visibility", "0.568"]
         _, first, _ = run(capsys, argv)
@@ -594,6 +611,60 @@ class TestValidate:
         ratio = next(r["value"] for r in report["rows"]
                      if r["check"] == "phase variance / closed form")
         assert (ratio - 1.0) / kappa == pytest.approx(0.1388, rel=2e-3)
+
+    @pytest.mark.parametrize("medium,rest", [
+        (["--phi-prime", "1e100"], []),
+        (["--phi-prime", "5e-324"], []),
+        (["--phi-prime", "-1e-300"], []),
+        (["--phi-prime", "1e-25"], []),
+        (["--medium", "bbo", "--length-mm", "1e300"], []),
+        (["--medium", "bbo", "--length-mm", "1e95"], []),
+        (["--medium", "bbo", "--length-mm", "1e-300"], []),
+        # a crystal outside its Sellmeier window
+        (["--medium", "bbo"], ["--filter-center-nm", "650",
+                               "--pump-wavelength-nm", "325"]),
+    ], ids=["slope-overflow", "slope-underflow", "negative-slope-underflow",
+            "tiny-slope", "crystal-phase-overflow", "crystal-moments-overflow",
+            "crystal-slope-underflow", "crystal-outside-sellmeier-window"])
+    def test_moment_rows_do_not_depend_on_the_medium(self, capsys, medium,
+                                                     rest):
+        # every phase-moment row is invariant under a linear medium's slope,
+        # so no medium setting, however extreme, reaches the moments
+        code, out, err = run(capsys, ["validate", "--json", *rest, *medium])
+        assert code == EXIT_OK and err == ""
+        code, plain, _ = run(capsys, ["validate", "--json", *rest])
+        assert code == EXIT_OK
+        rows = [r for r in json.loads(out)["rows"]
+                if r["check"].startswith("phase")]
+        expected = [r for r in json.loads(plain)["rows"]
+                    if r["check"].startswith("phase")]
+        assert len(rows) == 3
+        for row, want in zip(rows, expected, strict=True):
+            assert row["check"] == want["check"]
+            assert row["status"] == want["status"] == "pass"
+            if "skewness" in row["check"]:
+                assert abs(row["value"] - want["value"]) <= 1e-9
+            else:
+                assert row["value"] == pytest.approx(want["value"], rel=1e-12)
+
+    def test_never_reads_a_medium_slope(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return group_delay_slope(*args)
+
+        monkeypatch.setattr(noonfringe.config, "group_delay_slope", counted)
+        for argv in ([], ["--phi-prime", "3e-13"],
+                     ["--medium", "bbo", "--length-mm", "3"]):
+            code, _, _ = run(capsys, ["validate", *argv])
+            assert code == EXIT_OK
+        assert calls == []
+        # the counter does see the calibration slope estimate reads
+        code, _, _ = run(capsys, ["estimate", "--visibility", "0.5",
+                                  "--calibration", "sellmeier"])
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_table_to_file(self, tmp_path, capsys):
         target = tmp_path / "checks.txt"
@@ -756,8 +827,6 @@ class TestConfigPlumbing:
           "config-medium", "--phi-prime", "1e200"], "error: config field ",
          "'medium_phi_prime'"),
         # the crystal's phase at the filter center overflows
-        (["validate", "--medium", "bbo", "--length-mm", "1e300"],
-         "error: config field ", "'medium_length_mm'"),
         (["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
           "--length-mm", "1e300"], "error: config field ",
          "'medium_length_mm'"),
@@ -781,26 +850,20 @@ class TestConfigPlumbing:
         (["synth", "--filter-fwhm-nm", "1e-300"], "error: config field ",
          "'kappa'"),
         # the phase moments' omega_p grid collapses about a pump narrower
-        # than its float spacing, or the medium phase's powers overflow there
+        # than its float spacing
         (["validate", "--kappa", "1e-30"], "error: config field ", "'kappa'"),
         (["validate", "--pump-fwhm", "1e-3"], "error: config field ",
          "'pump_fwhm'"),
-        (["validate", "--phi-prime", "1e100"], "error: config field ",
-         "'medium_phi_prime'"),
-        (["validate", "--medium", "bbo", "--length-mm", "1e95"],
-         "error: config field ", "'medium_length_mm'"),
     ], ids=["pump-wavelength", "detuned-pump", "off-mesh-pump",
             "off-mesh-pump-synth", "bbo-filters-pass-no-pairs",
             "validate-detuned-pump", "user-slope", "sellmeier-length",
             "sellmeier-zero-length", "user-slope-overflow",
-            "config-medium-slope-overflow", "crystal-phase-overflow",
-            "sellmeier-phase-overflow", "simulate-crystal-phase-overflow",
+            "config-medium-slope-overflow", "sellmeier-phase-overflow", "simulate-crystal-phase-overflow",
             "synth-slope-phase-overflow", "simulate-curvature-phase-overflow",
             "simulate-pump-square-underflow", "synth-pump-square-underflow",
             "validate-pump-square-underflow", "simulate-kappa-square-underflow",
             "synth-kappa-square-underflow", "validate-kappa-moments-collapse",
-            "validate-pump-moments-collapse", "validate-slope-moments-overflow",
-            "validate-crystal-moments-overflow"])
+            "validate-pump-moments-collapse"])
     def test_numeric_dead_ends_name_their_field(self, capsys, argv, prefix,
                                                 key):
         code, out, err = run(capsys, argv)
@@ -809,15 +872,24 @@ class TestConfigPlumbing:
         assert err.startswith(prefix) and key in err
         assert "numeric failure" not in err
 
-    @pytest.mark.parametrize("kappa,exit_code", [("1e-24", EXIT_OK),
-                                                  ("1e-26", EXIT_VALIDATION)])
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--kappa", "1e-24", None), ("--kappa", "1e-26", "'kappa'"),
+        ("--pump-fwhm", "0.05", "'pump_fwhm'"),
+    ], ids=["1e-24", "1e-26", "pump-fwhm-0.05"])
     def test_narrow_pumps_the_moments_still_resolve_keep_their_exit_code(
-            self, capsys, kappa, exit_code):
-        # pump widths of ~21 and ~2 rad/s, one float step of omega_p or more:
-        # the moments' grid does not collapse, so no refusal names kappa
-        code, out, err = run(capsys, ["validate", "--kappa", kappa])
-        assert code == exit_code
-        assert out and err == ""
+            self, capsys, flag, value, key):
+        # pump widths of ~21, ~2 and 0.05 rad/s, one float step of omega_p
+        # or more, so the moments' grid does not collapse. At ~21 rad/s the
+        # variance resolves; below, omega_p rounds to a few floats and only
+        # rounding dust is left of it, which is refused by name, not failed
+        code, out, err = run(capsys, ["validate", flag, value])
+        if key is None:
+            assert code == EXIT_OK
+            assert out and err == ""
+        else:
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert err.startswith("error: config field ") and key in err
 
     def test_a_named_dead_end_builds_the_mesh_once(self, capsys,
                                                   monkeypatch):
@@ -856,14 +928,9 @@ class TestConfigPlumbing:
         assert "overflows" in err
 
     @pytest.mark.parametrize("argv,key", [
-        (["validate", "--phi-prime", "5e-324"], "'medium_phi_prime'"),
-        (["validate", "--phi-prime", "-1e-300"], "'medium_phi_prime'"),
         (["estimate", "--visibility", "0.5", "--calibration",
           "config-medium", "--phi-prime", "5e-324"], "'medium_phi_prime'"),
-        (["validate", "--medium", "bbo", "--length-mm", "1e-300"],
-         "'medium_length_mm'"),
-    ], ids=["validate", "validate-negative", "estimate-config-medium",
-            "validate-crystal-length"])
+    ], ids=["estimate-config-medium"])
     def test_underflowing_slope_names_its_field(self, capsys, argv, key):
         # (phi_prime*delta_omega)^2 underflows, and the closed-form law
         # divides by it

@@ -83,11 +83,19 @@ COMMANDS: list[list[str]] = [
     *[[command, "--filter-fwhm-nm", "1e-300"]
       for command in ("simulate", "validate")],
     # the phase moments' dead ends: a pump narrower than the float spacing
-    # of omega_p, and a slope whose phase powers overflow
+    # of omega_p, or so narrow that only rounding dust is left of the
+    # variance; and media that the moment rows do not read
     ["validate", "--kappa", "1e-30"],
     ["validate", "--pump-fwhm", "1e-3"],
+    ["validate", "--kappa", "1e-26"],
     ["validate", "--phi-prime", "1e100"],
     ["validate", *BBO, "1e95"],
+    ["validate", "--phi-prime", "1e-25"],
+    ["validate", "--medium", "bbo", "--filter-center-nm", "650",
+     "--pump-wavelength-nm", "325"],
+    # a flag whose mode is not on
+    ["estimate", "--visibility", "0.5", "--phi-prime-cal", "3e-13"],
+    ["estimate", "--visibility", "0.5", "--calibration-visibility", "0.9"],
     # an infeasible visibility, in the estimate and in its comparison entry
     ["estimate", "--visibility", "0.005"],
     ["estimate", "--visibility", "0.005", "--calibration", "sellmeier"],
