@@ -218,16 +218,14 @@ def _fit_block(fit) -> dict:
 
 def _refuse_dead_ends(config: ExperimentConfig,
                       grid: FrequencyGrid | None = None) -> None:
-    """Refuse, naming its field, a configuration on which the engine, or
-    without a grid validate's phase moments, find no finite value. First a
-    pump at which the filters pass no pairs: the largest pair weight
+    """Refuse, naming its field, a configuration on which the engine or
+    validate's phase moments find no finite value: first a pump at which
+    the filters pass no pairs, where the largest pair weight
     T(s/2)^2*|pump(s)|^2, on the diagonal at a sum frequency s between twice
     the filter center and the pump center, falls below the normal float
-    range (sampled in log2, so nothing underflows). Without a grid, a pump
-    too narrow for the float spacing of omega_p: the moments run on one
-    fixed linear medium, so nothing else fails them. With a grid, a pump
-    whose pair weight peaks outside the sum-frequency window of the engine's
-    mesh, then a medium whose phase overflows at the ends of the mesh's
+    range (sampled in log2, so nothing underflows). With the engine's grid,
+    then a pump whose pair weight peaks outside its mesh's sum-frequency
+    window, and a medium whose phase overflows at the ends of the mesh's
     photon-frequency lattice: a crystal names its length, a Taylor medium
     its largest term there. Else it returns, and the caller's re-raise is
     the last resort for faults no check foresees."""
@@ -241,10 +239,7 @@ def _refuse_dead_ends(config: ExperimentConfig,
         raise ConfigError("pump_wavelength_nm", "gives no finite fringe: the "
                           "filters pass no pairs at this pump")
     if grid is None:
-        raise ConfigError("kappa" if config.pump_fwhm is None
-                          else "pump_fwhm", "gives a pump too narrow for the "
-                          "float spacing of omega_p: the phase moments' grid "
-                          "about it collapses")
+        return
     mesh = _mesh_axes(jsa, filt, grid)
     peak = 2.0 * filt.center + t[np.argmin(exponent)] * detuning
     if peak < mesh.s[0] or peak > mesh.s[-1]:
@@ -587,16 +582,18 @@ def _validate_rows(config: ExperimentConfig) -> list[dict]:
     phi_prime = self_consistent_calibration() / delta_omega
     medium = TaylorMedium(filt.center, phi_prime=phi_prime)
     moments = phase_distribution_moments(config.joint_spectrum(), filt, medium)
-    if moments.variance == 0:   # only omega_p's float spacing zeroes it
-        raise FloatingPointError("the phase variance is rounding dust")
     row("phase-distribution skewness (self-consistent slope)",
         moments.skewness, abs(moments.skewness) <= 1e-9, "0 +- 1e-9")
     if config.filter_order == 4:
         row("phase-distribution excess kurtosis", moments.excess_kurtosis,
             abs(moments.excess_kurtosis) <= 0.05, "|.| <= 0.05")
-        kappa = config.effective_kappa()
-        ratio = moments.variance / closed_form_sigma_phi(kappa, phi_prime,
-                                                         delta_omega)
+        closed = closed_form_sigma_phi(config.effective_kappa(), phi_prime,
+                                       delta_omega)
+        if closed < sys.float_info.min:
+            raise ConfigError("kappa" if config.pump_fwhm is None else
+                              "pump_fwhm", "gives a closed-form phase variance "
+                              "below the normal float range")
+        ratio = moments.variance / closed
         # the Gaussian surrogate under-counts the phase variance; the exact
         # density is wider, by up to ~14% at large kappa (see README)
         row("phase variance / closed form", ratio,
@@ -612,7 +609,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         rows = [{"check": "quadrature accuracy", "value": str(exc),
                  "target": "converged", "status": "FAIL"}]
     except FloatingPointError:
-        _refuse_dead_ends(config)        # names a field; never returns here
+        _refuse_dead_ends(config)
+        raise
     failed = [r for r in rows if r["status"] == "FAIL"]
     report = {
         "schema": REPORT_SCHEMA,

@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .besselk import bessel_k_quarter_scaled
 from .spectral import (FilterProfile, JointSpectrum, DispersiveMedium,
-                       QuadratureAccuracyError, _check_refinement, _even_power,
-                       medium_phase)
+                       QuadratureAccuracyError, TaylorMedium, _check_refinement,
+                       _even_power, group_delay_slope, medium_phase)
 
 LN2 = math.log(2.0)
 
@@ -400,61 +400,63 @@ def phase_distribution_moments(jsa: JointSpectrum, filt: FilterProfile,
     linear-dispersion medium this makes the variance exactly
     phi'^2 * Var(omega_p).
 
-    The moments are integrated by trapezoid on the standard nu grid, over the
-    same checked and memoised F table that sum_frequency_density_numeric
-    returns; a resolution-doubling check guards the variance and raises
-    QuadratureAccuracyError on disagreement. A pump narrower than a sixteenth
-    of the filters (kappa < 1/16) sets the step: the grid is then shrunk by
-    4*sqrt(kappa) about the pump, and ends where the pump density
-    2^(-4 x^2/kappa) has fallen below 2^-1024. Wider pumps keep the
-    standard grid.
+    omega_p, whose float spacing is coarse against a narrow pump, is never
+    formed: the moments are trapezoid sums over offsets from an origin of
+    x = (omega_p - 2*center)/fwhm, weighted by 2^(-4(x - x_p)^2/kappa_x) F(x),
+    x_p the pump's x and kappa_x = (pump_fwhm/fwhm)^2. The offsets are the
+    standard nu grid over NU_SCALE, F's own abscissa, about x = 0; for a pump
+    narrower than a sixteenth of the filters (kappa_x < 1/16) they shrink by
+    4*sqrt(kappa_x) about x_p, ending where the pump density falls below
+    2^-1024. A Taylor medium is re-expanded about the origin and evaluated
+    on the offsets; any other medium at the origin plus them, rounded to the
+    float spacing of omega_p/2. Over the phase divided by its span, the
+    powers neither underflow nor overflow, and a constant phase gives exact
+    zeros. A weight or phase out of float range raises FloatingPointError, a
+    variance that moves on a doubled grid QuadratureAccuracyError.
     """
-    scale = min(1.0, 4.0 * jsa.pump_fwhm / filt.fwhm)
+    width = jsa.pump_fwhm / filt.fwhm                       # sqrt(kappa_x)
     pump_x = (jsa.pump_center - 2.0 * filt.center) / filt.fwhm
+    origin, shrink = (pump_x, 4.0 * width) if 4.0 * width < 1.0 else (0.0, 1.0)
+    half, fine = 0.5 * filt.fwhm, 2 * _MOMENT_POINTS - 1
+    at = filt.center + half * origin                        # omega_p/2 there
+    if isinstance(medium, TaylorMedium):
+        medium = replace(medium, reference=0.0, phi0=0.0,
+                         phi_prime=group_delay_slope(medium, at))
+        at = 0.0
 
-    def compute(n_points: int) -> tuple[float, float, float, float]:
-        nu = default_nu_grid(n_points)
-        x = nu / NU_SCALE                                    # (omega_p - 2*center)/fwhm
-        if scale < 1.0:
-            # x read back off the rounded omega_p: the trapezoid then sees
-            # the abscissae the integrand is evaluated at, and the rounding
-            # of omega_p, large against a narrow pump, cancels to first order
-            omega_p = 2.0 * filt.center + (pump_x + scale * x) * filt.fwhm
-            x = (omega_p - 2.0 * filt.center) / filt.fwhm
-        else:
-            omega_p = 2.0 * filt.center + x * filt.fwhm
-        # out-of-range values end as 0, inf or NaN, which the checks below
-        # refuse; keep numpy's warnings off stderr
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            pump = np.exp2(-4.0 * (omega_p - jsa.pump_center) ** 2
-                           / jsa.pump_fwhm ** 2)
-            w = pump * _self_convolution(filt.order, x.tobytes())
-            norm = np.trapezoid(w, x)
-            if not 0.0 < norm < math.inf:
-                raise FloatingPointError(
-                    f"no finite sum-frequency density: the pump of width "
-                    f"{jsa.pump_fwhm!r} rad/s and the filters leave none in "
-                    f"floating-point range")
-            w /= norm
-            delta = 2.0 * medium_phase(medium, omega_p / 2.0)    # total fringe phase
-            mean = float(np.trapezoid(delta * w, x))
-            d = delta - mean
-            m2 = float(np.trapezoid(d ** 2 * w, x))
-            m3 = float(np.trapezoid(d ** 3 * w, x))
-            m4 = float(np.trapezoid(d ** 4 * w, x))
-        return mean, m2, m3, m4
+    def weighted_phase(points):
+        y = shrink * (default_nu_grid(points) / NU_SCALE)   # x - origin
+        # dividing by sqrt(kappa_x), not kappa_x, keeps the exponent finite
+        # where kappa_x underflows
+        w = (np.exp2(-4.0 * ((y + (origin - pump_x)) / width) ** 2)
+             * _self_convolution(filt.order, (origin + y).tobytes()))
+        w *= 1.0 / np.trapezoid(w, y)
+        if not np.all(np.isfinite(w)):
+            raise FloatingPointError(
+                f"no finite sum-frequency density: the pump of width "
+                f"{jsa.pump_fwhm!r} rad/s and the filters leave none in "
+                f"floating-point range")
+        return y, w, 2.0 * medium_phase(medium, at + half * y)
 
-    fine = 2 * _MOMENT_POINTS - 1
-    mean, m2, m3, m4 = compute(_MOMENT_POINTS)
-    _, m2b, _, _ = compute(fine)
-    if not all(map(math.isfinite, (mean, m2, m3, m4, m2b))):
+    def central(y, w, delta, powers):
+        d = delta / span
+        d = d - np.trapezoid(d * w, y)
+        return [float(np.trapezoid(d ** k * w, y)) for k in powers]
+
+    # out-of-range values end as 0, inf or NaN, which the checks refuse;
+    # keep numpy's warnings off stderr
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y, w, delta = weighted_phase(_MOMENT_POINTS)
+        span = float(np.ptp(delta))
+        if span == 0.0:
+            return PhaseMoments(0.0, 0.0, 0.0)
+        m2, m3, m4 = central(y, w, delta, (2, 3, 4))
+        (m2b,) = central(*weighted_phase(fine), (2,))
+        variance = m2 * span * span
+    if not all(map(math.isfinite, (variance, m3, m4, m2b))):
         raise FloatingPointError("phase moments are not finite: the medium "
                                  "phase leaves floating-point range")
-    # a constant phase leaves only rounding dust in the variance; call it zero
-    floor = (1e-12 * (1.0 + abs(mean))) ** 2
-    if m2 <= floor and m2b <= floor:
-        return PhaseMoments(0.0, 0.0, 0.0)
     _check_refinement("phase variance", m2, m2b, m2b, _MOMENT_POINTS, fine,
                       _MOMENT_TOL)
-    return PhaseMoments(variance=m2, skewness=m3 / m2 ** 1.5,
+    return PhaseMoments(variance=variance, skewness=m3 / m2 ** 1.5,
                         excess_kurtosis=m4 / m2 ** 2 - 3.0)

@@ -26,6 +26,7 @@ from noonfringe import (
     closed_form_sigma_phi,
     default_nu_grid,
     gaussian_approximation,
+    group_delay_slope,
     kl_divergence,
     moment_matched_gaussian,
     phase_distribution_moments,
@@ -491,6 +492,23 @@ class TestPhaseMoments:
         assert ratio == pytest.approx(VARIANCE_RATIO[kappa], abs=1e-5)
         assert ratio > 1.0
 
+    @pytest.mark.parametrize("kappa", [1e-20, 1e-40, 1e-200])
+    @pytest.mark.parametrize("pump_x", [0.0, 0.05, -0.3])
+    def test_a_pump_far_below_the_float_spacing_of_omega_p_resolves(
+            self, ref_filter, ref_medium, delta_omega, kappa, pump_x):
+        # a pump thousands of ulp of omega_p wide (kappa 1e-20) or far
+        # narrower, centred on twice the filter center or off it: the
+        # variance is the pump Gaussian's, kappa*fwhm^2/(8 ln 2), to the
+        # relative order kappa of F's curvature
+        jsa = JointSpectrum(
+            pump_center=2.0 * ref_filter.center + pump_x * delta_omega,
+            pump_fwhm=math.sqrt(kappa) * delta_omega)
+        m = phase_distribution_moments(jsa, ref_filter, ref_medium)
+        expected = (ref_medium.phi_prime * delta_omega) ** 2 * kappa / (8.0 * LN2)
+        assert m.variance == pytest.approx(expected, rel=1e-12)
+        assert abs(m.skewness) < 1e-12
+        assert abs(m.excess_kurtosis) < 1e-12
+
     def test_reference_configuration_kurtosis(self, ref_jsa, ref_filter, ref_medium):
         m = phase_distribution_moments(ref_jsa, ref_filter, ref_medium)
         assert m.excess_kurtosis == pytest.approx(0.0108465, abs=2e-5)
@@ -501,6 +519,28 @@ class TestPhaseMoments:
         assert m.variance == pytest.approx(BBO_VARIANCE, rel=1e-6)
         assert m.skewness == pytest.approx(BBO_SKEWNESS, rel=1e-3)
         assert m.excess_kurtosis == pytest.approx(BBO_EXCESS_KURTOSIS, abs=1e-4)
+
+    @pytest.mark.parametrize("kappa,expected", [
+        (1e-10, 1.0), (1e-20, QuadratureAccuracyError), (1e-30, 0.0)])
+    def test_a_crystal_under_a_narrow_pump(self, ref_filter, delta_omega,
+                                           kappa, expected):
+        # a Sellmeier phase, ~3e3 rad here, is taken at absolute
+        # frequencies: under a pump of ~2e3 rad/s (kappa 1e-20) its rounding
+        # moves the variance on the doubled grid, which refuses it; at ~0.02
+        # rad/s (1e-30), below the float spacing of omega_p/2 (0.5 rad/s),
+        # every frequency is one float, so the phase is flat, its moments 0
+        crystal = bbo_crystal(0.003)
+        jsa = JointSpectrum(pump_center=2.0 * ref_filter.center,
+                            pump_fwhm=math.sqrt(kappa) * delta_omega)
+        if expected is QuadratureAccuracyError:
+            with pytest.raises(expected, match="phase variance unconverged"):
+                phase_distribution_moments(jsa, ref_filter, crystal)
+            return
+        m = phase_distribution_moments(jsa, ref_filter, crystal)
+        pump_variance = kappa * delta_omega ** 2 / (8.0 * LN2)
+        slope = group_delay_slope(crystal, ref_filter.center)
+        assert m.variance / (slope ** 2 * pump_variance) == pytest.approx(
+            expected, abs=1e-8)
 
     @pytest.mark.parametrize("pump_fwhm,pump_offset", [
         (1e-300, 0.0),       # the width's square underflows: 0/0 at the center

@@ -82,12 +82,12 @@ COMMANDS: list[list[str]] = [
       for command in ("fit", "estimate")],
     *[[command, "--filter-fwhm-nm", "1e-300"]
       for command in ("simulate", "validate")],
-    # the phase moments' dead ends: a pump narrower than the float spacing
-    # of omega_p, or so narrow that only rounding dust is left of the
-    # variance; and media that the moment rows do not read
-    ["validate", "--kappa", "1e-30"],
-    ["validate", "--pump-fwhm", "1e-3"],
-    ["validate", "--kappa", "1e-26"],
+    # pumps down to and below the float spacing of omega_p (0.5 rad/s),
+    # which the phase moments never form; a kappa that underflows to zero;
+    # and media that the moment rows do not read
+    *[["validate", "--kappa", k] for k in ("1e-14", "1e-20", "1e-26",
+                                           "1e-30", "1e-40")],
+    *[["validate", "--pump-fwhm", w] for w in ("0.05", "1e-3", "1e-160")],
     ["validate", "--phi-prime", "1e100"],
     ["validate", *BBO, "1e95"],
     ["validate", "--phi-prime", "1e-25"],
