@@ -10,6 +10,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -21,7 +22,8 @@ import noonfringe
 import noonfringe.cli
 import noonfringe.config
 from noonfringe.cli import (CONFIG_ENV_VAR, EXIT_INPUT, EXIT_IO, EXIT_OK,
-                            EXIT_VALIDATION, main, read_fringe_csv)
+                            EXIT_VALIDATION, FIELDS_READ, main,
+                            read_fringe_csv)
 from noonfringe.config import ExperimentConfig, merge_config, parse_config_text
 from noonfringe.engine import _mesh_axes
 from noonfringe.spectral import QuadratureAccuracyError, group_delay_slope
@@ -41,7 +43,10 @@ def _isolated_config_env(monkeypatch):
 
 
 def run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:      # argparse refuses the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -78,7 +83,9 @@ class TestSimulate:
     def test_rounding_dust_phase_prints_zero(self, capsys):
         # Im(Z) is rounding dust below zero, whose angle folds to 0, not 2*pi
         config = ExperimentConfig(kappa=0.01, medium_phi_prime=3e-13)
-        harmonics = noonfringe.cli._model_curve(config)[2]
+        harmonics = noonfringe.engine.fringe_harmonics(
+            config.joint_spectrum(), config.filter_profile(), config.medium(),
+            noonfringe.cli._default_grid(config))
         assert -1e-15 * harmonics.offset < harmonics.amplitude.imag < 0.0
         _, out, _ = run(capsys, ["simulate", "--kappa", "0.01",
                                  "--phi-prime", "3e-13"])
@@ -661,8 +668,13 @@ class TestValidate:
     def test_moment_rows_do_not_depend_on_the_medium(self, capsys, medium,
                                                      rest):
         # every phase-moment row is invariant under a linear medium's slope,
-        # so no medium setting, however extreme, reaches the moments
+        # so no medium setting, however extreme, reaches the moments, and
+        # validate offers no slope flag
         code, out, err = run(capsys, ["validate", "--json", *rest, *medium])
+        if medium[0] == "--phi-prime":
+            assert code == EXIT_INPUT and out == ""
+            assert "unrecognized arguments: --phi-prime" in err
+            return
         assert code == EXIT_OK and err == ""
         code, plain, _ = run(capsys, ["validate", "--json", *rest])
         assert code == EXIT_OK
@@ -687,10 +699,12 @@ class TestValidate:
             return group_delay_slope(*args)
 
         monkeypatch.setattr(noonfringe.config, "group_delay_slope", counted)
-        for argv in ([], ["--phi-prime", "3e-13"],
-                     ["--medium", "bbo", "--length-mm", "3"]):
+        for argv in ([], ["--medium", "bbo", "--length-mm", "3"]):
             code, _, _ = run(capsys, ["validate", *argv])
             assert code == EXIT_OK
+        code, _, err = run(capsys, ["validate", "--phi-prime", "3e-13"])
+        assert code == EXIT_INPUT
+        assert "unrecognized arguments: --phi-prime" in err
         assert calls == []
         # the counter does see the calibration slope estimate reads
         code, _, _ = run(capsys, ["estimate", "--visibility", "0.5",
@@ -1045,16 +1059,19 @@ class TestConfigPlumbing:
         assert "# cfg: seed = 3" in text
         assert "# generated-by = noonfringe synth" in text
 
-    @pytest.mark.parametrize("flags,expected", [
-        ([], ExperimentConfig()),
+    @pytest.mark.parametrize("flags,cfg,expected", [
+        ([], "", ExperimentConfig()),
+        # simulate offers a flag for each field it reads; the file, shared
+        # by every subcommand, sets the four it does not
         (["--pump-wavelength-nm", "404", "--filter-center-nm", "808",
           "--filter-fwhm-nm", "7", "--filter-order", "6", "--medium", "bbo",
           "--phi0", "0.25", "--phi-prime", "-3e-13",
           "--phi-double-prime", "1e-27", "--length-mm", "2.5",
-          "--phi-prime-frac-unc", "0.05", "--pump-fwhm", "8e12",
+          "--pump-fwhm", "8e12",
           "--theta-start-deg", "10", "--theta-stop-deg", "100",
-          "--points", "64", "--mean-counts", "500", "--seed", "7",
-          "--fix-harmonic", "8", "--normalize-calibration"],
+          "--points", "64", "--mean-counts", "500"],
+         "phi_prime_fractional_uncertainty = 0.05\nseed = 7\n"
+         "fix_harmonic = 8\nnormalize_calibration = true\n",
          ExperimentConfig(pump_wavelength_nm=404.0, filter_center_nm=808.0,
                           filter_fwhm_nm=7.0, filter_order=6,
                           medium_variant="bbo", medium_phi0=0.25,
@@ -1067,18 +1084,141 @@ class TestConfigPlumbing:
                           seed=7, fix_harmonic=8.0,
                           normalize_calibration=True)),
     ], ids=["defaults", "every-field-off-its-default"])
-    def test_cfg_block_parses_back_to_the_config(self, capsys, flags,
-                                                 expected):
+    def test_cfg_block_parses_back_to_the_config(self, tmp_path, capsys,
+                                                 flags, cfg, expected):
         if flags:
             default = ExperimentConfig()
             assert [f.name for f in dataclasses.fields(expected)
                     if getattr(expected, f.name) == getattr(default, f.name)
                     ] == ["schema"]
-        code, out, _ = run(capsys, ["simulate", *flags])
+        (tmp_path / "rest.cfg").write_text(cfg)
+        code, out, _ = run(capsys, ["simulate", *flags,
+                                    "--config", str(tmp_path / "rest.cfg")])
         assert code == EXIT_OK
         block = "\n".join(line[len("# cfg: "):] for line in out.splitlines()
                           if line.startswith("# cfg: "))
         assert merge_config(parse_config_text(block)) == expected
+
+
+# two valid values of each config field's flag
+FLAG_VALUES = {
+    "pump_wavelength_nm": ("405", "404.9"), "filter_center_nm": ("810", "809.9"),
+    "filter_fwhm_nm": ("7.3", "7"), "filter_order": ("4", "2"),
+    "medium_variant": ("taylor", "bbo"), "medium_phi0": ("0.1", "0.2"),
+    "medium_phi_prime": ("3e-13", "4e-13"),
+    "medium_phi_double_prime": ("1e-27", "2e-27"),
+    "medium_length_mm": ("2", "3"),
+    "phi_prime_fractional_uncertainty": ("0.05", "0.1"),
+    "kappa": ("0.14", "0.2"), "pump_fwhm": ("1e12", "2e12"),
+    "theta_start_deg": ("0", "10"), "theta_stop_deg": ("180", "170"),
+    "points": ("64", "100"), "mean_counts": ("1000", "500"),
+    "seed": ("1", "2"), "fix_harmonic": ("8", "7.9"),
+}
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)
+                 if f.name != "schema"]
+
+
+def given(name, k):
+    """The argv that gives a config field's flag its k-th value (k = 0, 1).
+    The switch normalize_calibration is off, then on with the contrast
+    estimate needs with it."""
+    flag = noonfringe.cli._flag(name)[0]
+    if name == "normalize_calibration":
+        return [flag, "--calibration-visibility", "0.9"] if k else []
+    return [flag, FLAG_VALUES[name][k]]
+
+
+# each subcommand's small fixed set of inputs, on one of which each flag it
+# reads must change what it prints
+INPUTS = {"simulate": [[], ["--medium", "bbo"]],
+          "synth": [[], ["--medium", "bbo"]],
+          "fit": [[WITHCRYSTAL_CSV]],
+          # validate's rows are in filter widths: the filter width shows
+          # through a pump width in rad/s
+          "validate": [[], ["--pump-fwhm", "1e12"]]}
+_RESAMPLING = {"seed", "phi_prime_fractional_uncertainty"}
+_MEDIUM = {"medium_variant", "medium_phi_prime", "medium_length_mm"}
+# each estimate mode: its command line, and the fields it offers a flag for
+# that it does not read, and so refuses (under sellmeier --medium is taken
+# as bbo alone, which exits 0, and refused as taylor)
+ESTIMATE_MODES = {
+    "visibility": (["--visibility", "0.5"],
+                   {"fix_harmonic", *_RESAMPLING, *_MEDIUM}),
+    "sellmeier": (["--visibility", "0.5", "--calibration", "sellmeier"],
+                  {"fix_harmonic", *_RESAMPLING, "medium_phi_prime"}),
+    "user": (["--visibility", "0.5", "--calibration", "user",
+              "--phi-prime-cal", "3e-13"],
+             {"fix_harmonic", *_RESAMPLING, *_MEDIUM}),
+    "config-medium": (["--visibility", "0.5", "--calibration",
+                       "config-medium", "--phi-prime", "3e-13"],
+                      {"fix_harmonic", *_RESAMPLING, "medium_length_mm"}),
+    "config-medium-crystal": (["--visibility", "0.5", "--calibration",
+                               "config-medium", "--medium", "bbo"],
+                              {"fix_harmonic", *_RESAMPLING,
+                               "medium_phi_prime"}),
+    "csv": ([WITHCRYSTAL_CSV, "--bootstrap", "0"], {*_RESAMPLING, *_MEDIUM}),
+    "csv-bootstrap": ([WITHCRYSTAL_CSV, "--bootstrap", "100"], _MEDIUM),
+}
+
+
+def offered_flags(capsys, command):
+    """Every flag a subcommand's help lists."""
+    code, out, _ = run(capsys, [command, "--help"])
+    assert code == EXIT_OK
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", out))
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command", sorted(FIELDS_READ))
+    def test_a_subcommand_offers_the_flags_of_the_fields_it_reads(
+            self, capsys, command):
+        offered = offered_flags(capsys, command)
+        read = {noonfringe.cli._flag(name)[0] for name in FIELDS_READ[command]}
+        unread = {noonfringe.cli._flag(name)[0] for name in CONFIG_FIELDS
+                  if name not in FIELDS_READ[command]}
+        assert read <= offered and not unread & offered
+        # an unread flag given in full must not parse as the abbreviation of
+        # one offered, as --phi-prime would of --phi-prime-cal
+        assert not [(flag, option) for flag in unread for option in offered
+                    if option.startswith(flag)]
+
+    @pytest.mark.parametrize("command", sorted(FIELDS_READ))
+    def test_a_flag_not_offered_is_refused_by_name(self, capsys, command):
+        base = ESTIMATE_MODES["visibility"][0] if command == "estimate" \
+            else INPUTS[command][0]
+        for name in CONFIG_FIELDS:
+            if name in FIELDS_READ[command]:
+                continue
+            code, out, err = run(capsys, [command, *base, *given(name, 1)])
+            assert code == EXIT_INPUT and out == "", name
+            assert "unrecognized arguments: " + given(name, 1)[0] in err
+
+    def test_every_offered_flag_is_read_but_two_of_validate(self, capsys):
+        unread = []
+        for command, inputs in INPUTS.items():
+            for name in FIELDS_READ[command]:
+                if not any(run(capsys, [command, *argv, *given(name, 0)])[:2]
+                           != run(capsys, [command, *argv, *given(name, 1)])[:2]
+                           for argv in inputs):
+                    unread.append((command, noonfringe.cli._flag(name)[0]))
+        # the frozen audit benchmark deck passes these to every validate
+        # operation; they go once that deck no longer does
+        assert unread == [("validate", "--medium"), ("validate", "--length-mm")]
+
+    @pytest.mark.parametrize("mode", sorted(ESTIMATE_MODES))
+    def test_estimate_reads_each_flag_in_its_mode_or_refuses_it(
+            self, capsys, mode):
+        base, refused = ESTIMATE_MODES[mode]
+        for name in FIELDS_READ["estimate"]:
+            flag = noonfringe.cli._flag(name)[0]
+            runs = [run(capsys, ["estimate", *base, *given(name, k)])
+                    for k in (0, 1)]
+            if name in refused:
+                for code, out, err in runs:
+                    assert code == EXIT_INPUT and out == "", name
+                    assert err.startswith(f"error: {flag} is read only with")
+            else:
+                assert runs[0][:2] != runs[1][:2], name
 
 
 class TestIoErrors:
@@ -1210,3 +1350,30 @@ def test_benchmark_library_deck_passes_its_oracles(monkeypatch, workload):
     for op in deck:
         prepared = runner.prepare(op)
         assert runner.check(op, prepared, runner.run(op, prepared)) == [], op
+
+
+class _Reached(Exception):
+    """Raised where a command has parsed and passed its mode rules."""
+
+
+@pytest.mark.parametrize("workload", ["lab-estimate", "audit"])
+def test_benchmark_cli_deck_is_not_refused(monkeypatch, tmp_path, capsys,
+                                           workload):
+    # the CLI workloads pass flags to each operation; a flag the table or
+    # estimate's mode rules refuse would fail every such operation
+    _perfbench_module(monkeypatch, "oracle")
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    deck = workloads.cli_deck(workload, workloads.deck_rng(1, workload))
+
+    def reached(*args):
+        raise _Reached
+
+    for name in ("_fit_csv", "_calibration_block", "_validate_rows"):
+        monkeypatch.setattr(noonfringe.cli, name, reached)
+    for k, op in enumerate(deck):
+        csv = tmp_path / f"scan{k}.csv"
+        if op.scan is not None:
+            workloads.write_scan(csv, op.scan)
+        argv = [str(csv) if arg == "{csv}" else arg for arg in op.argv]
+        with pytest.raises(_Reached):
+            run(capsys, argv)

@@ -19,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noonfringe
-from noonfringe.cli import CONFIG_ENV_VAR, CliInputError, main, read_fringe_csv
+from noonfringe.cli import (CONFIG_ENV_VAR, FIELDS_READ, CliInputError, _flag,
+                            main, read_fringe_csv)
 from noonfringe.config import (MAX_POINTS, ConfigError, ExperimentConfig,
                                merge_config, parse_config_text)
 
@@ -124,17 +125,26 @@ INTEGERS = ["-1", "0", "2", "4", "810", "0.5", "nan"]
 # small scans, or one the config refuses before allocating it
 POINTS = ["-1", "0", "8", "100", "1000", str(MAX_POINTS + 1)]
 
-CONFIG_FLAGS = [
-    "--pump-wavelength-nm", "--filter-center-nm", "--filter-fwhm-nm",
-    "--phi0", "--phi-prime", "--phi-double-prime", "--length-mm",
-    "--phi-prime-frac-unc", "--kappa", "--pump-fwhm", "--theta-start-deg",
-    "--theta-stop-deg", "--mean-counts", "--fix-harmonic",
-]
-CONFIG_SWITCHES = ["--medium=bbo", "--medium=none", "--medium=taylor",
-                   "--normalize-calibration"]
+FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)
+               if f.name != "schema"}
+
+
+def config_option(name):
+    """A config field's flag with a value drawn for its type."""
+    flag = _flag(name)[0]
+    kind = FIELD_TYPES[name]
+    if kind == "bool":
+        return st.just((flag,))
+    if kind == "str":
+        return st.sampled_from(["bbo", "none", "taylor"]).map(
+            lambda value: (f"{flag}={value}",))
+    values = (POINTS if name == "points" else INTEGERS if kind == "int"
+              else NUMBERS)
+    return st.tuples(st.just(flag), st.sampled_from(values))
+
 
 # per subcommand: its own number flags, integer flags, switches and CSV
-# arguments on top of the shared config overrides
+# arguments on top of the config flags the CLI's table gives it
 COMMANDS = {
     "simulate": ([], [], [], [[]]),
     "synth": ([], [], [], [[]]),
@@ -150,18 +160,25 @@ COMMANDS = {
 
 def command_line(command):
     numbers, integers, switches, positional = COMMANDS[command]
-    option = st.one_of(
-        st.tuples(st.sampled_from(CONFIG_FLAGS + numbers),
-                  st.sampled_from(NUMBERS)),
-        st.tuples(st.sampled_from(["--filter-order", "--seed"] + integers),
-                  st.sampled_from(INTEGERS)),
-        st.tuples(st.just("--points"), st.sampled_from(POINTS)),
-        st.tuples(st.sampled_from(CONFIG_SWITCHES + switches)),
-    )
+    options = [st.sampled_from(FIELDS_READ[command]).flatmap(config_option)]
+    if numbers:
+        options.append(st.tuples(st.sampled_from(numbers),
+                                 st.sampled_from(NUMBERS)))
+    if integers:
+        options.append(st.tuples(st.sampled_from(integers),
+                                 st.sampled_from(INTEGERS)))
+    if switches:
+        options.append(st.tuples(st.sampled_from(switches)))
+    # a minority of command lines also give a flag the subcommand refuses
+    refused = st.sampled_from(
+        [name for name in FIELD_TYPES if name not in FIELDS_READ[command]]
+    ).flatmap(config_option)
+    extra = st.integers(0, 9).flatmap(
+        lambda k: refused.map(lambda opt: [opt]) if k == 7 else st.just([]))
     return st.tuples(st.sampled_from(positional),
-                     st.lists(option, max_size=4)).map(
+                     st.lists(st.one_of(options), max_size=4), extra).map(
         lambda parts: [command, *parts[0],
-                       *(arg for opt in parts[1] for arg in opt)])
+                       *(arg for opt in parts[1] + parts[2] for arg in opt)])
 
 
 ARGV = st.sampled_from(sorted(COMMANDS)).flatmap(command_line)
@@ -195,3 +212,12 @@ def test_command_lines_end_in_an_exit_code(argv):
             code = exc.code
     assert code in (0, 1, 2, 3)
     assert "RuntimeWarning" not in err.getvalue()
+    # a config flag the subcommand does not read is refused, by name unless
+    # argparse first refuses another argument's value
+    refused = [arg.split("=")[0] for arg in argv[1:] if arg.split("=")[0] in
+               {_flag(name)[0] for name in FIELD_TYPES
+                if name not in FIELDS_READ[argv[0]]}]
+    if refused:
+        assert code == 2
+        assert "unrecognized arguments" not in err.getvalue() \
+            or all(flag in err.getvalue() for flag in refused)

@@ -106,6 +106,12 @@ COMMANDS: list[list[str]] = [
     ["simulate", *BBO, "1", "--filter-fwhm-nm", "20"],
     ["simulate", "--medium", "bbo", "--filter-center-nm", "500"],
     ["simulate", "--filter-order", "8"],
+    # a flag the subcommand does not read
+    ["fit", CRYSTAL, "--kappa", "3"],
+    ["estimate", "--visibility", "0.5", "--kappa", "3"],
+    ["estimate", "--visibility", "0.5", "--seed", "4"],
+    ["simulate", "--seed", "4"],
+    ["validate", "--mean-counts", "5"],
 ]
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
