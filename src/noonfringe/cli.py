@@ -44,7 +44,6 @@ from .spectral import (DispersionWindowError, FrequencyGrid,
 from .sumfreq import (default_nu_grid, gaussian_approximation, kl_divergence,
                       moment_matched_gaussian, phase_distribution_moments,
                       sum_frequency_density_exact, sum_frequency_density_numeric)
-from .units import wavelength_nm_to_angular
 
 CONFIG_ENV_VAR = "NOONFRINGE_CONFIG"
 CSV_SCHEMA = "fringe-csv/1"
@@ -86,7 +85,7 @@ FIELDS_READ = {
     "validate": (*_PUMP, *_FILTER, "medium_variant", "medium_length_mm"),
 }
 
-#: the flags not spelt after their dest, and the flags' help texts
+#: the flags (and the CSV) not spelt after their dest, and their help texts
 _SPELLING = {
     "medium_variant": ("--medium", None),
     "medium_phi0": ("--phi0", "constant birefringent phase (rad)"),
@@ -96,6 +95,7 @@ _SPELLING = {
     "phi_prime_fractional_uncertainty": ("--phi-prime-frac-unc", None),
     "pump_fwhm": ("--pump-fwhm",
                   "pump density FWHM (rad/s), alternative to --kappa"),
+    "data": ("a fringe CSV", None),
 }
 
 #: the argparse keywords of each annotation an ExperimentConfig field carries
@@ -181,7 +181,8 @@ def _fit_csv(path: str, normalized: bool, fix_harmonic: float | None):
     like bad input."""
     theta_deg, counts = read_fringe_csv(path)
     try:
-        scan = FringeScan(np.radians(theta_deg), counts, normalized=normalized)
+        scan = FringeScan(np.radians(theta_deg), counts,
+                          normalized=bool(normalized))
     except ValueError as exc:
         raise CliInputError(f"{path}: {exc}") from exc
     return scan, fit_fringe(scan, fix_harmonic=fix_harmonic)
@@ -259,21 +260,32 @@ def _refuse_dead_ends(config: ExperimentConfig,
                       "engine's mesh")
 
 
-def _default_grid(config: ExperimentConfig) -> FrequencyGrid:
-    return FrequencyGrid(center=wavelength_nm_to_angular(config.filter_center_nm))
+def _refuse_outside_modes(args: argparse.Namespace, rules) -> None:
+    """Refuse each flag given outside the mode that reads it, and a mode on
+    without a flag it needs: rules are (dests, mode, on, needs them)."""
+    for dests, mode, on, needed in rules:
+        for dest in dests:
+            flag, given = _flag(dest)[0], getattr(args, dest) is not None
+            if given and not on:
+                raise CliInputError(f"{flag} is read only with {mode}")
+            if on and needed and not given:
+                raise CliInputError(f"{mode} requires {flag}")
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     """simulate's noiseless fringe curve, or synth's Poisson draw about it,
     as a fringe CSV whose header's cfg block regenerates it."""
     config = _resolve_config(args)
-    grid = _default_grid(config)
+    _refuse_outside_modes(args, (
+        (["medium_phi0", "medium_phi_prime", "medium_phi_double_prime"],
+         "a taylor medium", config.medium_variant == "taylor", False),
+        (["medium_length_mm"], "a bbo medium", config.medium_variant == "bbo",
+         False)))
     try:
         harmonics = fringe_harmonics(config.joint_spectrum(),
-                                     config.filter_profile(), config.medium(),
-                                     grid)
+                                     config.filter_profile(), config.medium())
     except FloatingPointError:
-        _refuse_dead_ends(config, grid)
+        _refuse_dead_ends(config, FrequencyGrid())
         raise
     thetas = config.thetas_rad()
     values = harmonics.at(thetas)
@@ -423,35 +435,31 @@ def _inversion(visibility: float, calibration: dict) -> dict:
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     csv = args.visibility is None
+    resamples = 200 if args.bootstrap is None else args.bootstrap
     # the medium whose slope the calibration reads, if it reads one
     medium = {"config-medium": config.medium_variant,
               "sellmeier": "bbo"}.get(args.calibration)
-    # (dests of the flags read in one mode alone, the mode, on, needs them)
-    for dests, mode, on, needed in (
-            (["phi_prime_cal"], "--calibration user",
-             args.calibration == "user", True),
-            (["calibration_visibility"], "normalize_calibration",
-             config.normalize_calibration, True),
-            (["fix_harmonic"], "a fringe CSV", csv, False),
-            (["seed", "phi_prime_fractional_uncertainty"], "a fringe CSV "
-             "and --bootstrap > 0", csv and args.bootstrap > 0, False),
-            (["medium_variant"], "--calibration config-medium, or as bbo "
-             "with sellmeier", medium == config.medium_variant, False),
-            (["medium_phi_prime"], "--calibration config-medium and a "
-             "taylor medium", medium == "taylor", False),
-            (["medium_length_mm"], "--calibration sellmeier, or "
-             "config-medium and a bbo medium", medium == "bbo", False)):
-        for dest in dests:
-            flag, given = _flag(dest)[0], getattr(args, dest) is not None
-            if given and not on:
-                raise CliInputError(f"{flag} is read only with {mode}")
-            if on and needed and not given:
-                raise CliInputError(f"{mode} requires {flag}")
+    _refuse_outside_modes(args, (
+        (["phi_prime_cal"], "--calibration user", args.calibration == "user",
+         True),
+        (["calibration_visibility"], "normalize_calibration",
+         config.normalize_calibration, True),
+        (["data"], "no --visibility", csv, False),
+        (["fix_harmonic", "normalized", "bootstrap"], "a fringe CSV", csv,
+         False),
+        (["seed", "phi_prime_fractional_uncertainty"], "a fringe CSV "
+         "and --bootstrap > 0", csv and resamples > 0, False),
+        (["medium_variant"], "--calibration config-medium, or as bbo "
+         "with sellmeier", medium == config.medium_variant, False),
+        (["medium_phi_prime"], "--calibration config-medium and a "
+         "taylor medium", medium == "taylor", False),
+        (["medium_length_mm"], "--calibration sellmeier, or "
+         "config-medium and a bbo medium", medium == "bbo", False)))
     for dest in ("visibility", "calibration_visibility"):
         value = getattr(args, dest)
         if value is not None and not 0.0 < value <= 1.0:
             raise CliInputError(f"{_flag(dest)[0]} must lie in (0, 1]")
-    if args.bootstrap < 0:
+    if resamples < 0:
         raise CliInputError("--bootstrap must be nonnegative (0 disables it)")
     warnings: list[str] = []
     fit = None
@@ -502,8 +510,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     report["bound_kind"] = CorrelationEstimate.bound_kind
 
     report["kappa_uncertainty"] = None
-    if scan is not None and args.bootstrap > 0:
-        n = max(args.bootstrap, 100)
+    if scan is not None and resamples > 0:
+        n = max(resamples, 100)
         unc = abs(calibration["phi_prime_s"]) \
             * config.phi_prime_fractional_uncertainty
         boot = bootstrap_kappa_uncertainty(
@@ -675,8 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         p.add_argument("-o", "--output", default="-", metavar=output)
         if command in ("fit", "estimate"):
-            p.add_argument("--normalized", action="store_true", help="treat "
-                           "counts as normalized rates (unit weights)")
+            p.add_argument("--normalized", action="store_true", default=None,
+                           help="counts are normalized rates: unit weights")
         p.add_argument("--config", metavar="PATH",
                        help=f"config file (default: ${CONFIG_ENV_VAR})")
         grp = p.add_argument_group("experiment overrides")
@@ -698,8 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="group-delay slope for --calibration user")
     p_est.add_argument("--calibration-visibility", type=float,
                        help="no-medium contrast for normalize_calibration")
-    p_est.add_argument("--bootstrap", type=int, default=200, metavar="N",
-                       help="bootstrap resamples (0 disables)")
+    p_est.add_argument("--bootstrap", type=int, metavar="N",
+                       help="bootstrap resamples (default 200; 0 disables)")
     commands["validate"].add_argument(
         "--json", action="store_true",
         help="machine-readable report instead of a table")

@@ -13,28 +13,14 @@ frequency, the bilinear form is P(theta) = (N + Re(Z e^{8i theta}))/2
 for any pair: its 4-theta component is odd under exchange of the photons,
 which pass the same filter and medium, and vanishes on the symmetric
 difference-axis rule. One quadrature of N and Z gives the exact visibility
-|Z|/N and a whole scan. On the mesh every pair's |a12|^2 = |a21|^2 is rank
-one and its integrand even in the difference frequency, so one folded pass
-over half the mesh serves symmetric and asymmetric pairs. It runs in the
-fewest row blocks of at most _MESH_BLOCK elements, balanced to within one
-row, so no remainder block repeats the per-block calls for a few rows and
-the temporaries stay small.
+|Z|/N and a whole scan, of symmetric and asymmetric pairs alike.
 
-Both integrate in rotated coordinates (sum and difference frequency) on a
-trapezoid-rule mesh whose sum-frequency half-range adapts to the narrower of
-the pump and filter widths — the pump ridge is the only sharp feature. The
-difference axis ends on its first node where the filter pair T(w1)T(w2)
-has underflowed to an exact zero, or at +-8 filter widths if that is
-nearer. The integrands are smooth and have decayed at both ends of the
-window, so the equally spaced trapezoid rule converges geometrically in the
-node count (Trefethen & Weideman, SIAM Rev. 56:385, 2014). The difference
-step is b sum steps h, b = floor(2*filter_fwhm/sum scale) >= 2, so every
-photon frequency of the mesh lies on one 1-D lattice of step h/2: the
-harmonic pass evaluates the filter, the medium phase and e^{i phi} once per
-lattice frequency it reaches (at most n*m of them, indexed with stride
-min(b, n)) and reads both photons' values on the mesh as one strided view
-of those and its mirror. Only a spectral phase is evaluated on the 2-D
-mesh.
+The pass runs on the rotated trapezoid mesh of _mesh_axes. Its integrands
+are smooth, and where they have decayed at both ends of the window the rule
+converges geometrically in the node count (Trefethen & Weideman, SIAM Rev.
+56:385, 2014): so the pass refuses a sum-frequency window that cuts off
+pairs, and spectral._refine grows the node count from the grid's until N
+and Z converge, up to MAX_NODES.
 """
 
 from __future__ import annotations
@@ -46,8 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral import (DispersiveMedium, FilterProfile, FrequencyGrid,
-                       JointSpectrum, _check_refinement, _pair_envelope,
-                       _real_phase, filter_transmission, medium_phase)
+                       JointSpectrum, QuadratureAccuracyError, _grid_rungs,
+                       _pair_envelope, _real_phase, _refine,
+                       filter_transmission, medium_phase)
 from .units import _fold_phase
 
 __all__ = [
@@ -58,8 +45,9 @@ __all__ = [
     "single_photon_visibility",
 ]
 
-#: relative tolerance for the node-thinning accuracy estimate
-ACCURACY_TOL = 1e-5
+#: the refinement's tolerance on N and Z in the pair flux, its cap in nodes
+#: per axis, and the largest share of the flux past the sum window's ends
+ACCURACY_TOL, MAX_NODES, WINDOW_TOL = 1e-5, 2048, 3e-6
 
 #: mesh elements per row block of the harmonic pass, at most (a longer row
 #: is a block alone). The blocks are balanced: a 192-node mesh of 86-170
@@ -79,7 +67,6 @@ class ProbabilityCurve:
         th = np.asarray(self.thetas, dtype=float)
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "thetas", th)
-        object.__setattr__(self, "values", v)
         if th.shape != v.shape or th.ndim != 1:
             raise ValueError("thetas and values must be matching 1-d arrays")
         for name, arr in (("thetas", th), ("values", v)):
@@ -89,9 +76,7 @@ class ProbabilityCurve:
         tiny = 1e-12 * float(np.max(np.abs(v), initial=0.0))
         if np.any(v < -tiny):
             raise ValueError("probabilities must be nonnegative")
-        if np.any(v < 0):
-            v = np.where(v < 0, 0.0, v)
-            object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", np.where(v < 0, 0.0, v))
 
 
 # --------------------------------------------------------------------------
@@ -173,11 +158,6 @@ def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile,
 # probability paths
 # --------------------------------------------------------------------------
 
-def _thinned(grid: FrequencyGrid) -> FrequencyGrid:
-    """The thinned rule that estimates the quadrature error of grid's."""
-    return replace(grid, nodes_per_axis=max(16, (3 * grid.nodes_per_axis) // 4))
-
-
 @dataclass(frozen=True)
 class FringeHarmonics:
     """Constant and oscillating fringe components: P = (N + Re(Z e^{8i theta}))/2."""
@@ -195,6 +175,9 @@ class FringeHarmonics:
         z = self.amplitude
         return _fold_phase(math.atan2(
             0.0 if abs(z.imag) <= 2.0 ** -44 * self.offset else z.imag, z.real))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array([self.offset, self.amplitude], dtype)   # [N, Z]
 
     def at(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
@@ -215,12 +198,11 @@ def _harmonics(jsa, filt, medium, grid) -> tuple[FringeHarmonics, float]:
     P and Q are evaluated on the sum and the folded difference axis, T and
     g = T e^{i phi} once per lattice frequency of _mesh_axes. On the mesh
     T T, g1 g2 = T T e^{i(phi1 + phi2)} and Re(g1 g2*) = T T cos(phi1 -
-    phi2) are products of the photon view of them and its mirror, in row
-    blocks. Only chi is evaluated on the mesh, in row blocks of the first
-    photon's frequencies; the second's mirrored. The blocks are the fewest
-    of at most _MESH_BLOCK elements (or one row), their sizes balanced to
-    differ by at most one row: no remainder block repeats the per-block
-    calls for a few rows, and the temporaries stay small.
+    phi2) are products of the photon view of them and its mirror, in the
+    row blocks of _MESH_BLOCK. Only chi is evaluated on the mesh, in row
+    blocks of the first photon's frequencies; the second's mirrored. Raises
+    QuadratureAccuracyError when the pairs past the ends of the sum window
+    carry more than WINDOW_TOL of the flux.
     """
     mesh = _mesh_axes(jsa, filt, grid)
     s, wp, um, wm = mesh.s, mesh.wp, mesh.um, mesh.wm
@@ -228,6 +210,7 @@ def _harmonics(jsa, filt, medium, grid) -> tuple[FringeHarmonics, float]:
     blocks = -(-n // max(1, _MESH_BLOCK // m))
     rows, extra = divmod(n, blocks)     # the first extra blocks take one more
     sums = np.zeros(3 if jsa.spectral_phase is None else 4)
+    edge = np.empty(n)      # each row's pair flux
     # steep filter powers overflow to an exact zero transmission; a phase
     # that overflows ends in NaN, which _check_refinement refuses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -256,65 +239,52 @@ def _harmonics(jsa, filt, medium, grid) -> tuple[FringeHarmonics, float]:
                 z = z * bright
             # one stack, so equal terms sum in the same order: without a
             # medium phase |Z| is N to the last bit
-            sums += (np.stack([*terms, z.real, z.imag]) @ q) @ p[block]
+            per_row = np.stack([*terms, z.real, z.imag]) @ q
+            edge[block] = per_row[0] * p[block]
+            sums += per_row @ p[block]
     # without a spectral phase N is the flux, the first row
     flux, (offset, re, im) = sums[0], sums[-3:]
+    # the flux at and past each end of the sum window: the geometric tail
+    # a/(1 - a/b) of the end rows' fluxes a, b at full weight. Rows rising
+    # outward are a cut window; equal ones, a pump rounded to one frequency
+    tail = 0.0
+    for a, b in ((2.0 * edge[0], edge[1]), (2.0 * edge[-1], edge[-2])):
+        tail += a / (1.0 - a / b) if a < b else math.inf if a > b else 0.0
+    if tail > WINDOW_TOL * flux:
+        raise QuadratureAccuracyError(
+            f"fringe unconverged, sum-frequency window too narrow: the pairs "
+            f"past its ends carry {tail / flux:.1e} of the pair flux "
+            f"(tolerance {WINDOW_TOL:.0e}), which no node count mends")
     return FringeHarmonics(float(offset), complex(re, im)), float(flux)
-
-
-def _checked_harmonics(jsa, filt, medium, grid, thetas=None) -> FringeHarmonics:
-    """_harmonics, re-estimated on a thinned node set.
-
-    The check is on what the call returns. Without angles it is N and Z,
-    whose shift max(|dN|, |dZ|) bounds the move of P(theta) at every angle.
-    A scan is checked on P at its own angles only, so it refuses exactly
-    where the per-angle form would at each of them, for any pair.
-    """
-    h, flux = _harmonics(jsa, filt, medium, grid)
-    thin = _thinned(grid)
-    h_thin, _ = _harmonics(jsa, filt, medium, thin)
-    if thetas is None:
-        value = [h.offset, h.amplitude]
-        check_value = [h_thin.offset, h_thin.amplitude]
-    else:
-        value, check_value = h.at(thetas), h_thin.at(thetas)
-    _check_refinement("fringe", value, check_value, flux, grid.nodes_per_axis,
-                      thin.nodes_per_axis, ACCURACY_TOL)
-    return h
 
 
 def fringe_harmonics(jsa: JointSpectrum, filt: FilterProfile,
                      medium: DispersiveMedium,
-                     grid: FrequencyGrid) -> FringeHarmonics:
+                     grid: FrequencyGrid = FrequencyGrid()) -> FringeHarmonics:
     """Fringe components of any pair: P(theta) = (N + Re(Z e^{8 i theta}))/2.
 
     N is the fringe offset (the filtered pair flux for a symmetric spectrum)
     and Z its phase-weighted counterpart, so visibility |Z|/N is free of
-    theta sampling. Raises QuadratureAccuracyError when thinning the nodes
-    moves N or Z by more than ACCURACY_TOL of the pair flux, and
-    FloatingPointError when the flux, N or Z is not finite or no flux
-    reaches the filters.
+    theta sampling. spectral._refine grows the rule from grid.nodes_per_axis
+    until N and Z move by at most ACCURACY_TOL of the pair flux. Raises
+    QuadratureAccuracyError past MAX_NODES or for a window that _harmonics
+    refuses, and FloatingPointError when the flux, N or Z is not finite or
+    no flux reaches the filters.
     """
-    return _checked_harmonics(jsa, filt, medium, grid)
+    return _refine("fringe", _grid_rungs(grid.nodes_per_axis, MAX_NODES),
+                   lambda n: _harmonics(jsa, filt, medium, replace(
+                       grid, nodes_per_axis=n)), ACCURACY_TOL)
 
 
 def simulate_fringe_scan(jsa: JointSpectrum, filt: FilterProfile,
                          medium: DispersiveMedium, thetas,
-                         grid: FrequencyGrid | None = None) -> ProbabilityCurve:
-    """Evaluate the fringe over a list of analyzer angles.
-
-    One quadrature of the fringe harmonics serves the whole scan of any
-    spectrum. Raises QuadratureAccuracyError when thinning the nodes moves
-    P at one of the requested angles by more than ACCURACY_TOL of the pair
-    flux.
-    """
+                         grid: FrequencyGrid = FrequencyGrid()) -> ProbabilityCurve:
+    """The fringe over a list of analyzer angles: one fringe_harmonics,
+    checked on N and Z, serves the whole scan of any spectrum."""
     th = np.asarray(thetas, dtype=float)
     if th.size == 0:
         raise ValueError("need at least one angle")
-    if grid is None:
-        grid = FrequencyGrid(center=jsa.pump_center / 2.0)
-    return ProbabilityCurve(th, _checked_harmonics(jsa, filt, medium, grid,
-                                                   th).at(th))
+    return ProbabilityCurve(th, fringe_harmonics(jsa, filt, medium, grid).at(th))
 
 
 def single_photon_visibility(filt: FilterProfile,
@@ -324,24 +294,18 @@ def single_photon_visibility(filt: FilterProfile,
     |integral T(w) e^{i phi(w)}| / integral T(w): the single-photon dephasing
     carries the full filter bandwidth, with no pair correlation to cancel it.
 
-    The grid is much denser than the two-photon one: a millimeter-scale
-    crystal wraps the phase through tens of cycles across the filter window,
-    and the quadrature must resolve every one of them. Its 4096 trapezoid
-    nodes pass the thinning check through ~27 cm of BBO.
+    A millimeter-scale crystal wraps the phase through tens of cycles across
+    the filter window, so the rule starts at 4096 trapezoid nodes, which
+    pass through ~27 cm of BBO, and spectral._refine grows it up to 4*4096.
     """
-    grid = FrequencyGrid(center=filt.center, nodes_per_axis=4096)
-
-    def value(rule):
-        x, w = rule.axis(filt.fwhm)
-        # a phase that overflows ends in NaN, which is refused below
+    def value(nodes):
+        x, w = FrequencyGrid(nodes_per_axis=nodes).axis(filt.fwhm)
+        # a phase that overflows ends in NaN, which _refine refuses
         with np.errstate(over="ignore", invalid="ignore"):
             t = filter_transmission(filt, filt.center + x) * w
             phi = medium_phase(medium, filt.center + x)
-            return abs(np.sum(t * np.exp(1j * phi))) / np.sum(t)
+            # v is already relative to the transmitted flux: its scale is 1
+            return abs(np.sum(t * np.exp(1j * phi))) / np.sum(t), 1.0
 
-    v = value(grid)
-    thin = _thinned(grid)
-    # v is already relative to the transmitted flux: its scale is 1
-    _check_refinement("single-photon visibility", v, value(thin), 1.0,
-                      grid.nodes_per_axis, thin.nodes_per_axis, ACCURACY_TOL)
-    return float(v)
+    return float(_refine("single-photon visibility", _grid_rungs(
+        4096, 4 * 4096), value, ACCURACY_TOL))

@@ -66,6 +66,38 @@ def _check_refinement(what: str, value, check_value, scale, nodes: int,
             f"nodes move it by {err:.2e} (tolerance {tol:.1e})")
 
 
+def _refine(what: str, rungs: list[int], evaluate, tol: float):
+    """The one refinement policy: evaluate(n), the value on n nodes and its
+    scale, on each of the increasing node counts rungs, each checked against
+    the rung before by _check_refinement. The first comparison is accepted
+    alone; after a failed one, a rung only if the one before it passed too,
+    since two rules can agree by luck. Returns the accepted value; raises
+    QuadratureAccuracyError naming the cap, the last rung, if none is."""
+    check, _ = evaluate(rungs[0])
+    failed, passed = None, False
+    for coarse, n in zip(rungs, rungs[1:]):
+        value, scale = evaluate(n)
+        try:
+            _check_refinement(what, value, check, scale, n, coarse, tol)
+        except QuadratureAccuracyError as exc:
+            failed, passed, check = exc, False, value
+            continue
+        if failed is None or passed:
+            return value
+        passed, check = True, value
+    raise QuadratureAccuracyError(
+        f"{failed}; no rule up to the cap of {rungs[-1]} nodes converged")
+
+
+def _grid_rungs(start: int, cap: int) -> list[int]:
+    """start's thinned rule 3*start//4 (at least 16), start, then steps of
+    4/3 up to cap, rounded up so that each rung thins to the one before."""
+    rungs = [max(16, 3 * start // 4), start]
+    while (finer := -(-4 * rungs[-1] // 3)) <= cap:
+        rungs.append(finer)
+    return rungs
+
+
 class DispersionWindowError(ValueError):
     """A frequency lies outside the validity window of the embedded
     dispersion coefficients."""
@@ -84,17 +116,14 @@ class FrequencyGrid:
     1e-70. The integrands are smooth and vanish to that level at both ends
     of the window, where the equally spaced trapezoid rule converges
     geometrically in the node count (Trefethen & Weideman, SIAM Rev. 56:385,
-    2014).
-
-    No integral reads center: the fringe engine places its mesh about the
-    narrower of the pump and the filter pair, and the single-photon
-    integral about the filter. The field stays for the callers that pass
-    it.
+    2014). nodes_per_axis is the first rung of the fringe engine's
+    refinement (_refine). No integral reads center, which stays for the
+    callers that pass it.
     """
 
     half_range: ClassVar[float] = 4.0
 
-    center: float
+    center: float = 0.0
     nodes_per_axis: int = 128
 
     def __post_init__(self) -> None:

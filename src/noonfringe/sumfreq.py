@@ -24,11 +24,9 @@ numeric convolution therefore test constancy of the ratio, not its value.
 Its Bessel factor is scipy's ``kve``, through ``besselk``, which loads it on
 first use.
 
-The numeric convolution, for any even order, integrates on the trapezoid
-rule over a span fitted to each abscissa, halving the step from 17 nodes
-until two successive tables agree to 1e-8 of every value, and refuses a
-table that needs more than 1025 nodes. One checked, memoised table per
-(order, grid) serves the density checks and the phase moments alike.
+The numeric convolution, for any even order, is one checked, memoised
+table per (order, grid) (_self_convolution), which serves the density
+checks and the phase moments alike.
 """
 
 from __future__ import annotations
@@ -41,8 +39,8 @@ import numpy as np
 
 from .besselk import bessel_k_quarter_scaled
 from .spectral import (FilterProfile, JointSpectrum, DispersiveMedium,
-                       QuadratureAccuracyError, TaylorMedium, _check_refinement,
-                       _even_power, group_delay_slope, medium_phase)
+                       TaylorMedium, _check_refinement, _even_power, _refine,
+                       group_delay_slope, medium_phase)
 
 LN2 = math.log(2.0)
 
@@ -125,8 +123,8 @@ _CONV_BLOCK = 128
 #: trapezoid intervals of the first F table (17 nodes)
 _START_INTERVALS = 16
 
-#: the finest rule tried (1025 nodes); a table that needs more is refused
-_MAX_INTERVALS = 1024
+#: the cap, the finest rule tried (2049 nodes)
+_MAX_INTERVALS = 2048
 
 #: successive F tables must agree to this fraction of each value
 _CONV_TOL = 1e-8
@@ -168,11 +166,10 @@ def _self_convolution(order: int, x_bytes: bytes) -> np.ndarray:
     which converges geometrically for such an integrand (Trefethen &
     Weideman, SIAM Rev. 56:385, 2014) and, the span following the
     integrand's width, to the same relative accuracy at every x, far tails
-    included. The rule starts at _START_INTERVALS intervals and halves its
-    step until two successive tables agree to _CONV_TOL of every value
-    (of the smallest normal float, below it); each halving keeps every
-    node, so it evaluates only the new midpoints. The finer table is
-    returned. A rule not converged at _MAX_INTERVALS intervals raises
+    included. From _START_INTERVALS intervals, spectral._refine halves the
+    step, each halving evaluating only the new midpoints, until tables
+    agree to _CONV_TOL of every value (or of the smallest normal float). No
+    table accepted by the cap of _MAX_INTERVALS intervals raises
     QuadratureAccuracyError, and a NaN abscissa FloatingPointError.
 
     Memoised on (order, float64 abscissa bytes): the density checks and the
@@ -180,9 +177,6 @@ def _self_convolution(order: int, x_bytes: bytes) -> np.ndarray:
     and read-only.
     """
     x = np.frombuffer(x_bytes)
-    m = _START_INTERVALS
-    w = np.ones(m + 1)
-    w[0] = w[-1] = 0.5
     # x = 0 divides by zero and a huge |x| overflows, each to the right
     # limit; a steep filter's powers overflow to inf, whose exp2(-inf) = 0
     # is exact
@@ -190,20 +184,22 @@ def _self_convolution(order: int, x_bytes: bytes) -> np.ndarray:
         b = np.minimum((_TAIL_BITS / 2.0) ** (1.0 / order),
                        np.sqrt(_TAIL_BITS / (order * (order - 1)
                                              * np.abs(x) ** (order - 2))))
-        total = _node_sum(order, x, b, np.linspace(0.0, 1.0, m + 1), w)
-        table = total * b / m
-        while True:
-            total += _node_sum(order, x, b, (np.arange(m) + 0.5) / m, np.ones(m))
-            m *= 2
-            coarse, table = table, total * b / m
-            try:
-                _check_refinement("sum-frequency convolution", table, coarse,
-                                  np.maximum(table, np.finfo(float).tiny),
-                                  m + 1, m // 2 + 1, _CONV_TOL)
-                break
-            except QuadratureAccuracyError:
-                if m >= _MAX_INTERVALS:
-                    raise
+        w = np.ones(_START_INTERVALS + 1)
+        w[0] = w[-1] = 0.5
+        total = _node_sum(order, x, b, np.linspace(0.0, 1.0, w.size), w)
+
+        def table(nodes):
+            m = nodes - 1
+            if m > _START_INTERVALS:    # the midpoints of the rule before
+                total[:] += _node_sum(order, x, b, (np.arange(m // 2) + 0.5)
+                                      / (m // 2), np.ones(m // 2))
+            value = total * b / m
+            return value, np.maximum(value, np.finfo(float).tiny)
+
+        rungs = [_START_INTERVALS + 1, 2 * _START_INTERVALS + 1]
+        while rungs[-1] <= _MAX_INTERVALS:
+            rungs.append(2 * rungs[-1] - 1)
+        table = _refine("sum-frequency convolution", rungs, table, _CONV_TOL)
     table.flags.writeable = False
     return table
 
@@ -212,12 +208,10 @@ def sum_frequency_density_numeric(filt: FilterProfile,
                                   nu: np.ndarray | None = None) -> DensityCurve:
     """Tabulate F by direct convolution of the filter pair.
 
-    Works for any even filter order. The inner integral runs on the
-    trapezoid rule over a span fitted to each abscissa; its step is halved
-    until two successive tables agree to 1e-8 of every value, from 17 up to
-    1025 nodes, and a table not converged by then raises
-    QuadratureAccuracyError. The tabulation is memoised, so a repeat call
-    costs no convolution; the curve holds its own scaled copy.
+    Works for any even filter order, on _self_convolution's checked table,
+    which raises QuadratureAccuracyError past its cap of 2049 nodes. The
+    tabulation is memoised, so a repeat call costs no convolution; the
+    curve holds its own scaled copy.
     """
     grid = default_nu_grid() if nu is None else np.asarray(nu, dtype=float)
     if grid.max() < 3.0:
@@ -306,9 +300,11 @@ def _fit_gaussian(nu: np.ndarray, rho: np.ndarray, start):
     """Gauss-Newton least squares of a*exp(-((nu-c)/s)^2/2) to rho.
 
     Each step solves the linearized problem on the 3-column Jacobian; a step
-    that would raise the residual sum of squares is halved until it does not.
-    Returns the parameters (a, c, s) and the residual once a step is at most
-    1e-15 of the parameters; ValueError if that takes over 100 steps.
+    that would raise the residual sum of squares is halved until it does
+    not, or taken whole if no halving lowers the sum and it is at most 1e-8
+    of the parameters, below the sum's rounding. Returns (a, c, s) and the
+    residual once a step is at most 1e-15 of the parameters, or a larger
+    one cannot lower the sum; ValueError if that takes over 100 steps.
     """
     def residual(p):
         a, c, s = p
@@ -323,15 +319,18 @@ def _fit_gaussian(nu: np.ndarray, rho: np.ndarray, start):
         a, _, s = p
         jac = np.column_stack([g, a * g * z / s, a * g * z * z / s])
         step = np.linalg.lstsq(jac, -r, rcond=None)[0]
-        tol = 1e-15 * np.linalg.norm(p)
+        tol, full = 1e-15 * np.linalg.norm(p), step
         while np.linalg.norm(step) > tol:
             trial = residual(p + step)
             trial_cost = float(trial[0] @ trial[0])
             if trial_cost <= cost:
                 break
-            step *= 0.5
+            step = 0.5 * step
         else:
-            return p, r
+            if not tol < np.linalg.norm(full) <= 1e-8 * np.linalg.norm(p):
+                return p, r
+            step, trial = full, residual(p + full)
+            trial_cost = float(trial[0] @ trial[0])
         p = p + step
         r, g, z = trial
         cost = trial_cost

@@ -1,7 +1,8 @@
 """References the package is checked against: the two-photon amplitude,
 the direct per-angle form of the coincidence probability, the rotated mesh
-with its difference axis over the full +-8 filter widths, and the Fourier
-start rows of a fringe fit.
+with its difference axis over the full +-8 filter widths, the fringe
+harmonics of a symmetric pair in a linear medium on the sum axis alone,
+and the Fourier start rows of a fringe fit.
 
 At one analyzer angle it sums the direct, swapped and interference terms of
 the general bilinear form over the whole rotated mesh of the engine's axes,
@@ -18,16 +19,21 @@ helper module, not a test file: the suites import it.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from noonfringe.analysis import _HARMONIC_BLOCK, _power_of_two
-from noonfringe.engine import ACCURACY_TOL, _Mesh, _mesh_axes, _thinned
+from noonfringe import engine
+from noonfringe.config import ExperimentConfig
+from noonfringe.engine import ACCURACY_TOL, _Mesh, _mesh_axes
 from noonfringe.spectral import (DispersiveMedium, FilterProfile,
                                  FrequencyGrid, JointSpectrum,
+                                 QuadratureAccuracyError, TaylorMedium,
                                  _check_refinement, _pair_envelope,
                                  _real_phase, filter_transmission,
                                  medium_phase)
+from noonfringe.sumfreq import _self_convolution
 
 
 def jsa_amplitude(jsa: JointSpectrum, omega1, omega2):
@@ -110,11 +116,73 @@ def coincidence_probability_general(jsa: JointSpectrum, filt: FilterProfile,
     non-finite value raises FloatingPointError.
     """
     p, flux = _general_value(jsa, filt, medium, theta, grid)
-    thin = _thinned(grid)
+    thin = replace(grid, nodes_per_axis=max(16, 3 * grid.nodes_per_axis // 4))
     p_thin, _ = _general_value(jsa, filt, medium, theta, thin)
     _check_refinement("fringe", p, p_thin, flux, grid.nodes_per_axis,
                       thin.nodes_per_axis, ACCURACY_TOL)
     return p
+
+
+def linear_pair(order: int, kappa: float, t: float, pump_nm: float):
+    """The pair, filter and linear Taylor medium of strength T = phi' *
+    delta_omega behind the default 810 nm, 7.3 nm filters of the given
+    order, with the pump at pump_nm."""
+    config = ExperimentConfig(filter_order=order, kappa=kappa,
+                              pump_wavelength_nm=pump_nm)
+    config = replace(config, medium_phi_prime=t / config.delta_omega())
+    return config.joint_spectrum(), config.filter_profile(), config.medium()
+
+
+def fixed_rule(jsa: JointSpectrum, filt: FilterProfile,
+               medium: DispersiveMedium):
+    """The fringe rule before the engine refined: the 128-node harmonics,
+    and whether the 96-node rule confirms them within ACCURACY_TOL of the
+    flux, with no window check."""
+    tol, engine.WINDOW_TOL = engine.WINDOW_TOL, math.inf
+    try:        # the window check's inf * 0 on a zero flux is NaN: no check
+        with np.errstate(invalid="ignore"):
+            h, flux = engine._harmonics(jsa, filt, medium, FrequencyGrid())
+            thin, _ = engine._harmonics(jsa, filt, medium,
+                                        FrequencyGrid(nodes_per_axis=96))
+    finally:
+        engine.WINDOW_TOL = tol
+    try:
+        _check_refinement("fringe", h, thin, flux, 128, 96, ACCURACY_TOL)
+    except (QuadratureAccuracyError, FloatingPointError):
+        return h, False
+    return h, True
+
+
+def sum_axis_harmonics(jsa: JointSpectrum, filt: FilterProfile,
+                       medium: TaylorMedium) -> tuple[float, complex]:
+    """N and Z of a symmetric pair without phase matching in a linear
+    medium, on a window that no pair reaches past.
+
+    There phi(w1) + phi(w2) depends on w1 + w2 alone, so the difference
+    integral is the filter pair's self-convolution: with x = (w1 + w2 -
+    2*center)/fwhm, int T(w1)T(w2) d(w1 - w2) = 2*fwhm*F(x), F the table of
+    sumfreq._self_convolution, and N = fwhm^2 int G F dx, Z = fwhm^2 int G
+    F e^{i(phi1 + phi2)} dx, G the pump density. The trapezoid sum runs 8
+    filter widths past both the filter pair and the pump, where G*F is
+    below 2^-128 of its peak, in steps of at most 1/400 filter width and
+    1/40 pump width. It shares with the engine only F, which has its own
+    tests, and none of the mesh.
+    """
+    assert jsa.spectral_phase is None and math.isinf(jsa.phasematch_fwhm)
+    assert medium.phi_double_prime == 0.0
+    pump_x = (jsa.pump_center - 2.0 * filt.center) / filt.fwhm
+    width = jsa.pump_fwhm / filt.fwhm
+    lo, hi = min(pump_x, 0.0) - 8.0, max(pump_x, 0.0) + 8.0
+    step = min(1.0 / 400.0, width / 40.0)
+    x = np.linspace(lo, hi, 1 + math.ceil((hi - lo) / step))
+    weight = (np.exp2(-4.0 * ((x - pump_x) / width) ** 2)
+              * _self_convolution(filt.order, x.tobytes()))
+    phase = (2.0 * medium.phi0
+             + medium.phi_prime * (2.0 * (filt.center - medium.reference)
+                                   + filt.fwhm * x))
+    n = filt.fwhm ** 2 * np.trapezoid(weight, x)
+    z = filt.fwhm ** 2 * np.trapezoid(weight * np.exp(1j * phase), x)
+    return float(n), complex(z)
 
 
 #: harmonic start-point scan: coarse frequencies, taken in blocks, then fine

@@ -26,7 +26,9 @@ from noonfringe.cli import (CONFIG_ENV_VAR, EXIT_INPUT, EXIT_IO, EXIT_OK,
                             read_fringe_csv)
 from noonfringe.config import ExperimentConfig, merge_config, parse_config_text
 from noonfringe.engine import _mesh_axes
-from noonfringe.spectral import QuadratureAccuracyError, group_delay_slope
+from noonfringe.spectral import (FrequencyGrid, QuadratureAccuracyError,
+                                 group_delay_slope)
+from reference import sum_axis_harmonics
 
 DATA_DIR = os.path.join(os.path.dirname(noonfringe.__file__), "data")
 CALIBRATION_CSV = os.path.join(DATA_DIR, "calibration.csv")
@@ -84,8 +86,7 @@ class TestSimulate:
         # Im(Z) is rounding dust below zero, whose angle folds to 0, not 2*pi
         config = ExperimentConfig(kappa=0.01, medium_phi_prime=3e-13)
         harmonics = noonfringe.engine.fringe_harmonics(
-            config.joint_spectrum(), config.filter_profile(), config.medium(),
-            noonfringe.cli._default_grid(config))
+            config.joint_spectrum(), config.filter_profile(), config.medium())
         assert -1e-15 * harmonics.offset < harmonics.amplitude.imag < 0.0
         _, out, _ = run(capsys, ["simulate", "--kappa", "0.01",
                                  "--phi-prime", "3e-13"])
@@ -116,10 +117,10 @@ class TestSimulate:
         assert v == pytest.approx(0.9999999996435456, rel=1e-13)
         config = ExperimentConfig(kappa=1e-10, medium_phi_prime=3e-13)
         mesh = noonfringe.engine._mesh_axes(
-            config.joint_spectrum(), config.filter_profile(),
-            noonfringe.cli._default_grid(config))
+            config.joint_spectrum(), config.filter_profile(), FrequencyGrid())
+        # the 96-node thinned rule, then the 128-node default grid
         assert len(sizes) == 2
-        assert sizes[0] == mesh.omega.size <= mesh.s.size * mesh.um.size
+        assert sizes[1] == mesh.omega.size <= mesh.s.size * mesh.um.size
 
     def test_point_count_flag(self, capsys):
         code, out, _ = run(capsys, ["simulate", "--points", "64"])
@@ -816,11 +817,16 @@ class TestConfigPlumbing:
         assert "'kappa'" in err and "must be positive" in err
 
     @pytest.mark.parametrize("argv,message", [
-        (["simulate", "--filter-order", "40"], "grid too coarse"),
-        (["synth", "--filter-order", "40"], "grid too coarse"),
+        # a phase that wraps too fast for every rung up to the cap
         (["simulate", "--medium", "bbo", "--length-mm", "1e9"],
-         "grid too coarse"),
-        # F converges through order 256; order 512 needs over 1025 nodes
+         "grid too coarse: 1715 vs 1286 nodes"),
+        (["synth", "--medium", "bbo", "--length-mm", "1e9"],
+         "cap of 1715 nodes"),
+        # a detuned pump whose pairs the sum-frequency window cuts off
+        (["simulate", "--filter-order", "2", "--kappa", "3",
+          "--pump-wavelength-nm", "416", "--phi-prime", "3.409e-13"],
+         "window too narrow"),
+        # F converges through order 300; order 512 needs over 2049 nodes
         (["estimate", "--visibility", "0.5", "--filter-order", "512"],
          "convolution unconverged"),
     ])
@@ -830,6 +836,19 @@ class TestConfigPlumbing:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["simulate", "synth"])
+    def test_a_steep_filter_converges_on_a_finer_rung(self, capsys, command):
+        # 128 vs 96 nodes do not agree at filter order 40; the engine grows
+        # its rule until two successive rungs do
+        argv = ["--filter-order", "40", "--phi-prime", "3.409e-13"]
+        code, out, err = run(capsys, [command, *argv])
+        assert code == EXIT_OK and err == ""
+        v = float(out.split("# visibility_raw = ")[1].split()[0])
+        config = ExperimentConfig(filter_order=40, medium_phi_prime=3.409e-13)
+        n, z = sum_axis_harmonics(config.joint_spectrum(),
+                                  config.filter_profile(), config.medium())
+        assert abs(v - abs(z) / n) <= 1e-5
 
     def test_numeric_failure_is_an_input_error(self, capsys, monkeypatch):
         # the last resort for a float fault that no boundary check names
@@ -1061,17 +1080,18 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize("flags,cfg,expected", [
         ([], "", ExperimentConfig()),
-        # simulate offers a flag for each field it reads; the file, shared
-        # by every subcommand, sets the four it does not
+        # simulate offers a flag for each field it reads, and refuses the
+        # taylor terms' flags with a crystal; the file, shared by every
+        # subcommand, sets the four fields it does not read and those three
         (["--pump-wavelength-nm", "404", "--filter-center-nm", "808",
           "--filter-fwhm-nm", "7", "--filter-order", "6", "--medium", "bbo",
-          "--phi0", "0.25", "--phi-prime", "-3e-13",
-          "--phi-double-prime", "1e-27", "--length-mm", "2.5",
-          "--pump-fwhm", "8e12",
+          "--length-mm", "2.5", "--pump-fwhm", "8e12",
           "--theta-start-deg", "10", "--theta-stop-deg", "100",
           "--points", "64", "--mean-counts", "500"],
          "phi_prime_fractional_uncertainty = 0.05\nseed = 7\n"
-         "fix_harmonic = 8\nnormalize_calibration = true\n",
+         "fix_harmonic = 8\nnormalize_calibration = true\n"
+         "medium_phi0 = 0.25\nmedium_phi_prime = -3e-13\n"
+         "medium_phi_double_prime = 1e-27\n",
          ExperimentConfig(pump_wavelength_nm=404.0, filter_center_nm=808.0,
                           filter_fwhm_nm=7.0, filter_order=6,
                           medium_variant="bbo", medium_phi0=0.25,
@@ -1219,6 +1239,47 @@ class TestFlagTable:
                     assert err.startswith(f"error: {flag} is read only with")
             else:
                 assert runs[0][:2] != runs[1][:2], name
+
+    @pytest.mark.parametrize("command", ["simulate", "synth"])
+    def test_a_scan_reads_each_medium_flag_with_its_variant_or_refuses_it(
+            self, capsys, command):
+        # the taylor terms are read with a taylor medium alone and the
+        # length with a crystal alone; a config file sets either for every
+        # variant (test_cfg_block_parses_back_to_the_config)
+        for variant in ("taylor", "bbo", "none"):
+            for name in ("medium_phi0", "medium_phi_prime",
+                         "medium_phi_double_prime", "medium_length_mm"):
+                crystal = name == "medium_length_mm"
+                runs = [run(capsys, [command, "--medium", variant,
+                                     *given(name, k)]) for k in (0, 1)]
+                if variant == ("bbo" if crystal else "taylor"):
+                    assert runs[0][:2] != runs[1][:2], (variant, name)
+                    continue
+                flag = noonfringe.cli._flag(name)[0]
+                mode = "a bbo medium" if crystal else "a taylor medium"
+                for code, out, err in runs:
+                    assert (code, out) == (EXIT_INPUT, ""), (variant, name)
+                    assert err == f"error: {flag} is read only with {mode}\n"
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--normalized"], "--normalized is read only with a fringe CSV"),
+        (["--bootstrap", "200"], "--bootstrap is read only with a fringe CSV"),
+        (["--bootstrap", "0"], "--bootstrap is read only with a fringe CSV"),
+        ([WITHCRYSTAL_CSV], "a fringe CSV is read only with no --visibility"),
+    ], ids=["normalized", "bootstrap", "bootstrap-0", "csv"])
+    def test_estimate_visibility_refuses_the_inputs_of_a_fit(self, capsys,
+                                                             extra, message):
+        code, out, err = run(capsys, ["estimate", "--visibility", "0.5",
+                                      *extra])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: {message}\n"
+
+    def test_bootstrap_defaults_to_200_resamples_of_a_csv(self, capsys):
+        implicit = run(capsys, ["estimate", WITHCRYSTAL_CSV])
+        explicit = run(capsys, ["estimate", WITHCRYSTAL_CSV,
+                                "--bootstrap", "200"])
+        assert implicit == explicit and implicit[0] == EXIT_OK
+        assert json.loads(implicit[1])["bootstrap"]["n_resamples"] == 200
 
 
 class TestIoErrors:

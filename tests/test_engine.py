@@ -34,9 +34,10 @@ from noonfringe import (
     simulate_fringe_scan,
     single_photon_visibility,
 )
-from noonfringe.engine import _harmonics, _mesh_axes, _thinned
+from noonfringe.engine import ACCURACY_TOL, _harmonics, _mesh_axes
 from reference import (_rotated_mesh, coincidence_probability_general,
-                       jsa_amplitude, untrimmed_mesh)
+                       fixed_rule, jsa_amplitude, linear_pair,
+                       sum_axis_harmonics, untrimmed_mesh)
 
 LN2 = math.log(2.0)
 
@@ -247,15 +248,25 @@ class TestGeneralPath:
                                                 theta + math.pi / 4.0, ref_grid)
             assert abs(a - b) / h.offset < 1e-12
 
-    def test_coarse_grid_is_reported(self, ref_filter, omega0, delta_omega):
+    def test_coarse_grid_is_reported(self, ref_filter, omega0, delta_omega,
+                                     monkeypatch):
+        # the engine grows a 20-node rule until it converges; capped at its
+        # start it refuses where the per-angle form does
         jsa = make_jsa(omega0, delta_omega, 5.0)
         medium = make_medium(omega0, delta_omega, 7.0)
         grid = FrequencyGrid(center=omega0, nodes_per_axis=20)
         with pytest.raises(QuadratureAccuracyError, match="coarse"):
             coincidence_probability_general(jsa, ref_filter, medium, 0.3, grid)
         chirped = chirped_pair(omega0, delta_omega, 5.0, 2.0, 0.3, 0.0)
+        fine = FrequencyGrid(center=omega0, nodes_per_axis=512)
         for pair in (jsa, chirped):
-            with pytest.raises(QuadratureAccuracyError, match="coarse"):
+            h, ref = (fringe_harmonics(pair, ref_filter, medium, g)
+                      for g in (grid, fine))
+            assert abs(h.amplitude - ref.amplitude) <= 1e-5 * ref.offset
+        monkeypatch.setattr(noonfringe.engine, "MAX_NODES", 0)
+        for pair in (jsa, chirped):
+            with pytest.raises(QuadratureAccuracyError,
+                               match="coarse: 20 vs 16 nodes.*cap of 20 nodes"):
                 fringe_harmonics(pair, ref_filter, medium, grid)
 
     @pytest.mark.parametrize("phi_prime,pump_offset", [
@@ -304,25 +315,28 @@ class TestSimulateScan:
         with pytest.raises(ValueError, match="angle"):
             simulate_fringe_scan(ref_jsa, ref_filter, ref_medium, [])
 
-    def test_symmetric_scan_is_checked_at_its_angles(self, ref_filter,
-                                                     omega0, delta_omega):
+    def test_a_scan_is_checked_on_n_and_z(self, ref_filter, omega0,
+                                          delta_omega, monkeypatch):
         # at 58 nodes thinning moves Z by ~3e-5 of the flux, and the phase
         # pi/4 turns that shift perpendicular to the fringe at these angles,
-        # so P(theta) there moves by ~6e-7: fringe_harmonics, checked on N
-        # and Z, refuses; the scan, checked on P at its angles, returns the
-        # per-angle values, as it does for an asymmetric pair
+        # so P(theta) there moves by ~6e-7 only; the scan is checked on N
+        # and Z, as fringe_harmonics is: it grows its rule alike, and capped
+        # at its start it refuses alike
         jsa = make_jsa(omega0, delta_omega, 3.0)
         medium = make_medium(omega0, delta_omega, 3.0, phi0=math.pi / 4.0)
         grid = FrequencyGrid(center=omega0, nodes_per_axis=58)
         thetas = np.array([0.0, 0.5, 1.0]) * math.pi / 4.0
-        with pytest.raises(QuadratureAccuracyError, match="coarse"):
-            fringe_harmonics(jsa, ref_filter, medium, grid)
         scan = simulate_fringe_scan(jsa, ref_filter, medium, thetas, grid=grid)
-        direct = [coincidence_probability_general(jsa, ref_filter, medium,
-                                                  theta, grid)
-                  for theta in thetas]
-        flux = pair_flux(jsa, ref_filter, grid, omega0)
-        assert np.max(np.abs(scan.values - direct)) / flux < 1e-12
+        h = fringe_harmonics(jsa, ref_filter, medium, grid)
+        assert np.array_equal(scan.values, h.at(thetas))
+        monkeypatch.setattr(noonfringe.engine, "MAX_NODES", 0)
+        for compute in (
+                lambda: fringe_harmonics(jsa, ref_filter, medium, grid),
+                lambda: simulate_fringe_scan(jsa, ref_filter, medium, thetas,
+                                             grid=grid)):
+            with pytest.raises(QuadratureAccuracyError,
+                               match="58 vs 43 nodes"):
+                compute()
 
     def test_general_fallback_equals_the_symmetric_twin(self, ref_filter,
                                                         ref_medium, ref_grid,
@@ -429,17 +443,15 @@ class TestGeneralScan:
                    for theta in thetas]
         assert np.max(np.abs(np.subtract(shifted, direct))) / flux < 1e-12
 
-    @pytest.mark.parametrize("pair,nodes,expected", [
-        ("chirped", 20, []),
-        ("chirped", 52, [1, 2, 3, 4, 5]),
-        ("symmetric", 20, []),
-        ("symmetric", 58, [0, 4, 5, 7, 8]),
+    @pytest.mark.parametrize("pair,nodes", [
+        ("chirped", 20), ("chirped", 52), ("symmetric", 20),
+        ("symmetric", 58),
     ], ids=["chirped-20", "chirped-52", "symmetric-20", "symmetric-58"])
-    def test_refuses_exactly_where_the_per_angle_check_does(
-            self, ref_filter, omega0, delta_omega, pair, nodes, expected):
-        # at 52 nodes the per-angle check passes at the chirped pair's
-        # angles 1 to 5 only; at 58 at five of the symmetric pair's, whose
-        # N and Z fringe_harmonics refuses
+    def test_refuses_exactly_where_the_harmonics_do(
+            self, ref_filter, omega0, delta_omega, pair, nodes, monkeypatch):
+        # a scan of any pair, at any subset of its angles, is the fringe
+        # harmonics at those angles: it returns their values bit for bit
+        # and, capped at its start rung, refuses with their message
         if pair == "chirped":
             jsa = chirped_pair(omega0, delta_omega, 2.0, 2.0, 0.3, 0.0)
             medium = make_medium(omega0, delta_omega, 3.0, phi0=0.4)
@@ -448,25 +460,19 @@ class TestGeneralScan:
             medium = make_medium(omega0, delta_omega, 3.0, phi0=math.pi / 4.0)
         grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
         thetas = np.linspace(0.0, math.pi / 4.0, 9)
-        per_angle = [refuses(lambda t=t: coincidence_probability_general(
-            jsa, ref_filter, medium, t, grid)) for t in thetas]
-        passing = [i for i, msg in enumerate(per_angle) if msg is None]
-        assert passing == expected
-        refusing = [i for i, msg in enumerate(per_angle) if msg is not None]
-        subsets = [[i] for i in range(len(thetas))] + [
-            list(range(len(thetas))), passing, passing + refusing[:1]]
-        for subset in filter(None, subsets):
-            scan = refuses(lambda: simulate_fringe_scan(
-                jsa, ref_filter, medium, thetas[subset], grid=grid))
-            refused = any(per_angle[i] is not None for i in subset)
-            assert (scan is not None) == refused
-            assert scan is None or "grid too coarse" in scan
-        if nodes == 20:
-            # every angle refuses; the scan reports the largest shift
-            shifts = [float(msg.split(" by ")[1].split()[0]) for msg in per_angle]
-            scan = refuses(lambda: simulate_fringe_scan(jsa, ref_filter, medium,
-                                                        thetas, grid=grid))
-            assert float(scan.split(" by ")[1].split()[0]) == max(shifts)
+        subsets = [[i] for i in range(len(thetas))] + [list(range(9))]
+        h = fringe_harmonics(jsa, ref_filter, medium, grid)
+        for subset in subsets:
+            scan = simulate_fringe_scan(jsa, ref_filter, medium,
+                                        thetas[subset], grid=grid)
+            assert np.array_equal(scan.values, h.at(thetas[subset]))
+        monkeypatch.setattr(noonfringe.engine, "MAX_NODES", 0)
+        refusal = refuses(lambda: fringe_harmonics(jsa, ref_filter, medium,
+                                                   grid))
+        assert refusal is not None and "grid too coarse" in refusal
+        for subset in subsets:
+            assert refuses(lambda: simulate_fringe_scan(
+                jsa, ref_filter, medium, thetas[subset], grid=grid)) == refusal
 
 
 def full_mesh_harmonics(jsa, filt, medium, grid):
@@ -498,7 +504,8 @@ class TestMirroredMesh:
         # kappa 1e-6 has the wide lattice c = n < b, 0.14 and 3.0 have c = b
         jsa = make_jsa(omega0, delta_omega, kappa)
         grid = FrequencyGrid(center=omega0, nodes_per_axis=nodes)
-        for g in (grid, _thinned(grid)):
+        for g in (grid, dataclasses.replace(grid,
+                                            nodes_per_axis=3 * nodes // 4)):
             mesh = _mesh_axes(jsa, ref_filter, g)
             o1, o2, w = _rotated_mesh(jsa, ref_filter, g)
             m, c = mesh.um.size, mesh.stride
@@ -618,10 +625,12 @@ class TestMirroredMesh:
                              grid=ref_grid)
         assert len(args["_harmonics"]) == 2
         assert len(args["_pair_envelope"]) == 4
-        thin = _mesh_axes(jsa, ref_filter, _thinned(ref_grid))
+        # the refinement walks its rungs upward: the thinned rule first
+        thin = _mesh_axes(jsa, ref_filter, dataclasses.replace(
+            ref_grid, nodes_per_axis=96))
         for name in ("filter_transmission", "medium_phase"):
-            assert [np.size(a) for a in args[name]] == [mesh.omega.size,
-                                                        thin.omega.size]
+            assert [np.size(a) for a in args[name]] == [thin.omega.size,
+                                                        mesh.omega.size]
         assert sum(np.size(a) for a in args["spectral_phase"]) == (
             0 if pair == "symmetric"
             else n * m + thin.s.size * thin.um.size)
@@ -858,6 +867,62 @@ class TestLattice:
         assert h.visibility == 1.0
 
 
+#: (filter order, kappa, T = phi' * delta_omega, pump nm) behind the 810 nm
+#: filters: steep filters with a centred pump, where a rule can pass its
+#: check by luck, and detuned pumps, where the sum-frequency window can cut
+#: off pairs
+REFINEMENT_TABLE = [
+    *[(order, kappa, t, 405.0) for order in (4, 6, 8, 12, 20, 40)
+      for t in (1.0, 3.0, 7.147, 15.0) for kappa in (0.05, 0.14, 1.0, 5.0)],
+    # cut windows that 128 vs 96 nodes pass: off by 8e-5 to 2e-4 of the flux
+    (2, 3.0, 3.0, 416.0), (2, 5.0, 1.0, 392.0), (4, 0.5, 3.0, 398.0),
+    # cut windows off by 4.3e-6 and 7.2e-6 of the flux, refused all the same
+    (2, 1.0, 1.0, 392.0), (4, 0.5, 7.147, 412.0),
+    # detuned pumps that need more nodes
+    (4, 0.01, 3.0, 400.0), (4, 0.05, 7.147, 410.0), (6, 0.14, 3.0, 402.0),
+    (6, 1.0, 1.0, 410.0), (40, 0.14, 1.0, 408.0),
+]
+
+
+class TestRefinement:
+    """fringe_harmonics against the window-free sum-axis reference."""
+
+    @pytest.mark.parametrize("order,kappa,t,pump_nm", REFINEMENT_TABLE)
+    def test_a_value_is_right_or_refused(self, order, kappa, t, pump_nm):
+        # every value returned is within ACCURACY_TOL of the flux of the
+        # reference; every value the fixed rule accepts is returned bit for
+        # bit, or refused for its window
+        jsa, filt, medium = linear_pair(order, kappa, t, pump_nm)
+        n, z = sum_axis_harmonics(jsa, filt, medium)
+        fixed, passes = fixed_rule(jsa, filt, medium)
+        try:
+            h = fringe_harmonics(jsa, filt, medium)
+        except QuadratureAccuracyError as exc:
+            assert not passes or "window too narrow" in str(exc)
+            return
+        assert max(abs(h.offset - n), abs(h.amplitude - z)) <= ACCURACY_TOL * n
+        if passes:
+            assert (h.offset, h.amplitude) == (fixed.offset, fixed.amplitude)
+
+    def test_the_table_holds_false_passes_of_the_fixed_rule(self):
+        wrong = []
+        for entry in REFINEMENT_TABLE:
+            jsa, filt, medium = linear_pair(*entry)
+            n, z = sum_axis_harmonics(jsa, filt, medium)
+            fixed, passes = fixed_rule(jsa, filt, medium)
+            if passes and max(abs(fixed.offset - n),
+                              abs(fixed.amplitude - z)) > ACCURACY_TOL * n:
+                wrong.append(entry)
+        assert wrong == REFINEMENT_TABLE[96:99]
+
+    def test_a_cut_window_is_refused_naming_it(self):
+        jsa, filt, medium = linear_pair(2, 3.0, 3.0, 416.0)
+        with pytest.raises(QuadratureAccuracyError,
+                           match="window too narrow: the pairs past its ends "
+                                 "carry 2.8e-04 of the pair flux"):
+            fringe_harmonics(jsa, filt, medium)
+
+
 class TestSinglePhoton:
     def test_no_dispersion_keeps_unit_visibility(self, ref_filter, omega0,
                                                  delta_omega):
@@ -882,14 +947,15 @@ class TestSinglePhoton:
 
     def test_unconverged_thinning_is_reported(self, ref_filter, omega0,
                                               delta_omega, monkeypatch):
-        # thinning 4096 nodes to 3072 moves v by rounding dust only; a
-        # negative tolerance refuses even exact agreement
+        # successive rungs from 3072 nodes move v by rounding dust only; a
+        # negative tolerance refuses even exact agreement, up to the cap
         medium = make_medium(omega0, delta_omega, 3.0)
         monkeypatch.setattr(noonfringe.engine, "ACCURACY_TOL", -1.0)
         with pytest.raises(QuadratureAccuracyError,
                            match="single-photon visibility") as info:
             single_photon_visibility(ref_filter, medium)
-        assert "4096 vs 3072 nodes" in str(info.value)
+        assert "12948 vs 9711 nodes" in str(info.value)
+        assert "cap of 12948 nodes" in str(info.value)
 
     def test_overflowing_phase_is_refused(self, ref_filter, omega0,
                                           delta_omega):

@@ -106,6 +106,13 @@ COMMANDS: list[list[str]] = [
     ["simulate", *BBO, "1", "--filter-fwhm-nm", "20"],
     ["simulate", "--medium", "bbo", "--filter-center-nm", "500"],
     ["simulate", "--filter-order", "8"],
+    # detuned pumps whose pairs the sum-frequency window cuts off, and a
+    # steep filter that needs more than the default 128 nodes
+    ["simulate", "--filter-order", "2", "--kappa", "3",
+     "--pump-wavelength-nm", "416", "--phi-prime", "3.409e-13"],
+    ["simulate", "--filter-order", "4", "--kappa", "0.5",
+     "--pump-wavelength-nm", "398", "--phi-prime", "3.409e-13"],
+    ["simulate", "--filter-order", "40", "--phi-prime", "3.409e-13"],
     # a flag the subcommand does not read
     ["fit", CRYSTAL, "--kappa", "3"],
     ["estimate", "--visibility", "0.5", "--kappa", "3"],
