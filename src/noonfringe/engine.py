@@ -32,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral import (DispersiveMedium, FilterProfile, FrequencyGrid,
-                       JointSpectrum, QuadratureAccuracyError, _grid_rungs,
-                       _pair_envelope, _real_phase, _refine,
+                       JointSpectrum, QuadratureAccuracyError, _TAIL_BITS,
+                       _grid_rungs, _pair_envelope, _real_phase, _refine,
                        filter_transmission, medium_phase)
 from .units import _fold_phase
 
@@ -50,8 +50,8 @@ __all__ = [
 ACCURACY_TOL, MAX_NODES, WINDOW_TOL = 1e-5, 2048, 3e-6
 
 #: mesh elements per row block of the harmonic pass, at most (a longer row
-#: is a block alone). The blocks are balanced: a 192-node mesh of 86-170
-#: columns runs as two 96-row blocks, not a full one and a small remainder
+#: is a block alone). The blocks are balanced: a 256-node mesh of 76-114
+#: columns runs as two 128-row blocks, not a full one and a small remainder
 #: that repeats the per-block calls, and with smaller temporaries
 _MESH_BLOCK = 16384
 
@@ -117,10 +117,12 @@ def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile,
     of b*h/2: exactly odd, never coarser than n nodes over +-2*half_range
     filter widths and never wider (at pump widths >= the filter's, b = 2
     and m = n). The axis then ends on its first node at or past u_cut =
-    fwhm*540^(1/order), with m's parity and every node position kept:
-    T(w1)T(w2) <= 2^(-2(|u|/fwhm)^order) is 2^-1080 there, past the
-    smallest subnormal, so the end columns and every column dropped are
-    exact zeros. Order 2's u_cut is 23 widths, past +-8, and order 4's 4.8.
+    fwhm*(_TAIL_BITS/2)^(1/order), with m's parity and every node position
+    kept. On each row T(w1)T(w2), relative to its value at u = 0, is at
+    most 2^(-2(|u|/fwhm)^order), so every column dropped is below
+    2^-_TAIL_BITS of its row's value and the sums move by their order
+    only. u_cut is 5.5 filter widths at order 2, 2.3 at order 4 and 1.5
+    at order 8.
     So w1 = (s_i + u_j)/2 is the point i + b*j of a lattice of step h/2,
     and w2 = (s_i - u_j)/2 the point i + b*(m - 1 - j): w1 mirrored along
     the difference axis. omega holds the lattice points the mesh reaches,
@@ -137,7 +139,8 @@ def _mesh_axes(jsa: JointSpectrum, filt: FilterProfile,
     b = max(2, math.floor(ratio))
     m = 1 + math.floor((n - 1) * ratio / b)
     # end on the first node at or past u_cut, with m's parity
-    reach = math.ceil(filt.fwhm * 540.0 ** (1.0 / filt.order) / (0.5 * b * h))
+    u_cut = filt.fwhm * (_TAIL_BITS / 2.0) ** (1.0 / filt.order)
+    reach = math.ceil(u_cut / (0.5 * b * h))
     m = min(m, reach + 1 + (reach + 1 - m) % 2)
     um = np.arange(1 - m, m, 2) * (0.5 * b * h)
     wm = np.full(m, b * h)
@@ -297,9 +300,18 @@ def single_photon_visibility(filt: FilterProfile,
     A millimeter-scale crystal wraps the phase through tens of cycles across
     the filter window, so the rule starts at 4096 trapezoid nodes, which
     pass through ~27 cm of BBO, and spectral._refine grows it up to 4*4096.
+    The rule's nodes span +-4 filter widths, and it sums those with T >=
+    2^-_TAIL_BITS, |w - center| <= (fwhm/2)*_TAIL_BITS^(1/order) (+-1.39
+    widths at order 4), at their places: every term past them is below
+    2^-_TAIL_BITS of the central one. Only these frequencies meet the
+    medium. The rungs and messages count the rule's nodes.
     """
+    cut = 0.5 * filt.fwhm * _TAIL_BITS ** (1.0 / filt.order)
+
     def value(nodes):
         x, w = FrequencyGrid(nodes_per_axis=nodes).axis(filt.fwhm)
+        kept = np.abs(x) <= cut
+        x, w = x[kept], w[kept]
         # a phase that overflows ends in NaN, which _refine refuses
         with np.errstate(over="ignore", invalid="ignore"):
             t = filter_transmission(filt, filt.center + x) * w

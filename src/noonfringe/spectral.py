@@ -107,6 +107,13 @@ class DispersionWindowError(ValueError):
 # quadrature grid
 # --------------------------------------------------------------------------
 
+#: the tail level of every truncated rule: F's spans, the fringe mesh's
+#: difference axis and the single-photon window each end where their
+#: integrand has fallen below 2^-_TAIL_BITS of its peak (on the mesh, of
+#: its row's), so the terms they drop lie below the rounding of their sums
+_TAIL_BITS = 60
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Trapezoid-rule specification for frequency integrals.

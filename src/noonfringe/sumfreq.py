@@ -39,8 +39,8 @@ import numpy as np
 
 from .besselk import bessel_k_quarter_scaled
 from .spectral import (FilterProfile, JointSpectrum, DispersiveMedium,
-                       TaylorMedium, _check_refinement, _even_power, _refine,
-                       group_delay_slope, medium_phase)
+                       TaylorMedium, _TAIL_BITS, _check_refinement,
+                       _even_power, _refine, group_delay_slope, medium_phase)
 
 LN2 = math.log(2.0)
 
@@ -129,10 +129,6 @@ _MAX_INTERVALS = 2048
 #: successive F tables must agree to this fraction of each value
 _CONV_TOL = 1e-8
 
-#: at the end of an abscissa's span the integrand has fallen below
-#: 2^-_TAIL_BITS of its value at s = 0
-_TAIL_BITS = 60
-
 #: points of the phase-moment grid; the check doubles its resolution
 _MOMENT_POINTS = 4001
 
@@ -161,12 +157,13 @@ def _self_convolution(order: int, x_bytes: bytes) -> np.ndarray:
     The integrand is even in s and largest at s = 0, so the integral is the
     one over s >= 0. Relative to its value at s = 0 it is 2^-E(s), with
     E(s) = (x+s)^n + (x-s)^n - 2x^n >= max(n(n-1) x^(n-2) s^2, 2 s^n), so
-    past b(x), where that bound reaches _TAIL_BITS, it is negligible. Each
-    abscissa is integrated over its own [0, b(x)] on the trapezoid rule,
-    which converges geometrically for such an integrand (Trefethen &
-    Weideman, SIAM Rev. 56:385, 2014) and, the span following the
-    integrand's width, to the same relative accuracy at every x, far tails
-    included. From _START_INTERVALS intervals, spectral._refine halves the
+    past b(x), where that bound reaches _TAIL_BITS, it is negligible: the
+    tail level of spectral, at which the fringe mesh and the single-photon
+    rule end too. Each abscissa is integrated over its own [0, b(x)] on the
+    trapezoid rule, which converges geometrically for such an integrand
+    (Trefethen & Weideman, SIAM Rev. 56:385, 2014) and, the span following
+    the integrand's width, to the same relative accuracy at every x, far
+    tails included. From _START_INTERVALS intervals, spectral._refine halves the
     step, each halving evaluating only the new midpoints, until tables
     agree to _CONV_TOL of every value (or of the smallest normal float). No
     table accepted by the cap of _MAX_INTERVALS intervals raises

@@ -52,8 +52,8 @@ def untrimmed_mesh(jsa: JointSpectrum, filt: FilterProfile,
                    grid: FrequencyGrid) -> _Mesh:
     """The engine's rotated mesh with the difference axis over the full
     +-8 filter widths at every filter order, written out from its rule
-    rather than taken from _mesh_axes, which ends the axis where the filter
-    pair underflows. The sum axis is the grid's about the narrower of the
+    rather than taken from _mesh_axes, which ends the axis at the filter
+    pair's tail level. The sum axis is the grid's about the narrower of the
     pump and the filter pair; the difference axis has the step b*h, b =
     floor(2*fwhm/scale) >= 2, and m = 1 + floor((n - 1)*2*fwhm/(scale*b))
     nodes at (2j - (m - 1))*b*h/2; photon point a = i + c*j, c = min(b, n),

@@ -1020,7 +1020,10 @@ class TestConfigPlumbing:
         ["simulate", "--medium", "bbo", "--pump-wavelength-nm", "2"],
         ["estimate", "--visibility", "0.5", "--calibration", "sellmeier",
          "--filter-center-nm", "2"],
-    ], ids=["filter", "pump", "sellmeier-calibration"])
+        # pairs 41.5 nm order-4 filters pass reach 900.9 nm
+        ["simulate", "--medium", "bbo", "--length-mm", "1",
+         "--filter-fwhm-nm", "41.5"],
+    ], ids=["filter", "pump", "sellmeier-calibration", "wide-filter"])
     def test_crystal_outside_its_dispersion_window_is_an_input_error(
             self, capsys, argv):
         code, out, err = run(capsys, argv)
@@ -1028,13 +1031,15 @@ class TestConfigPlumbing:
         assert out == ""
         assert err.startswith("error: wavelength") and "validity window" in err
 
+    @pytest.mark.parametrize("fwhm_nm", ["20", "41"])
     def test_the_sellmeier_window_is_read_where_the_filters_pass_pairs(
-            self, capsys):
-        # the engine's photon lattice ends where the filter pair underflows,
-        # so every photon 20 nm filters can pass lies inside 700-900 nm
+            self, capsys, fwhm_nm):
+        # the engine's photon lattice ends at the tail level of the filter
+        # pair, so every photon 20 or 41 nm filters pass lies inside
+        # 700-900 nm; at 41.5 nm one reaches 900.9 nm (refused above)
         code, out, err = run(capsys, ["simulate", "--medium", "bbo",
                                       "--length-mm", "1",
-                                      "--filter-fwhm-nm", "20"])
+                                      "--filter-fwhm-nm", fwhm_nm])
         assert code == 0 and err == "" and out
 
     def test_pump_off_the_filters_is_an_input_error(self, capsys):

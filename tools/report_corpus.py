@@ -101,9 +101,12 @@ COMMANDS: list[list[str]] = [
     ["estimate", "--visibility", "0.005", "--calibration", "sellmeier"],
     # counts that overflow at the fringe peak
     *[[command, "--mean-counts", "1e308"] for command in ("simulate", "synth")],
-    # the Sellmeier window, read where the filters pass pairs, and a
-    # difference axis that ends at 2.2 filter widths
+    # the Sellmeier window, read where the filters pass pairs: through 1 mm
+    # the widest order-4 filters whose pairs stay inside it and the
+    # narrowest past it; and a difference axis that ends at 1.5 filter
+    # widths
     ["simulate", *BBO, "1", "--filter-fwhm-nm", "20"],
+    *[["simulate", *BBO, "1", "--filter-fwhm-nm", w] for w in ("41", "41.5")],
     ["simulate", "--medium", "bbo", "--filter-center-nm", "500"],
     ["simulate", "--filter-order", "8"],
     # detuned pumps whose pairs the sum-frequency window cuts off, and a
