@@ -19,9 +19,10 @@ from .engine import (FringeHarmonics, ProbabilityCurve, fringe_harmonics,
                      simulate_fringe_scan, single_photon_visibility)
 from .spectral import (BBO_ORDINARY, BBO_EXTRAORDINARY, DispersiveMedium,
                        FilterProfile, FrequencyGrid, JointSpectrum,
-                       QuadratureAccuracyError, SellmeierCoefficients,
-                       SellmeierMedium, TaylorMedium, bbo_crystal,
-                       filter_transmission, group_delay_slope, medium_phase)
+                       NoFringeError, QuadratureAccuracyError,
+                       SellmeierCoefficients, SellmeierMedium, TaylorMedium,
+                       bbo_crystal, filter_transmission, group_delay_slope,
+                       medium_phase)
 from .sumfreq import (DensityCurve, F_EXACT_AT_ZERO, GaussianApproximation,
                       KLDivergence, NU_SCALE, PhaseMoments, default_nu_grid,
                       gaussian_approximation, kl_divergence,
@@ -35,8 +36,8 @@ __all__ = [
     # spectral building blocks
     "FrequencyGrid", "FilterProfile", "JointSpectrum", "TaylorMedium",
     "SellmeierCoefficients", "SellmeierMedium", "DispersiveMedium",
-    "QuadratureAccuracyError", "BBO_ORDINARY", "BBO_EXTRAORDINARY",
-    "bbo_crystal", "filter_transmission", "medium_phase",
+    "QuadratureAccuracyError", "NoFringeError", "BBO_ORDINARY",
+    "BBO_EXTRAORDINARY", "bbo_crystal", "filter_transmission", "medium_phase",
     "group_delay_slope",
     # fringe engine
     "ProbabilityCurve", "FringeHarmonics", "simulate_fringe_scan",

@@ -38,9 +38,9 @@ from .analysis import (CorrelationEstimate, FringeScan,
                        sigma_phi_from_visibility)
 from .config import (ConfigError, ExperimentConfig, load_config_file,
                      merge_config)
-from .engine import _mesh_axes, fringe_harmonics
-from .spectral import (DispersionWindowError, FrequencyGrid,
-                       QuadratureAccuracyError, TaylorMedium, medium_phase)
+from .engine import fringe_harmonics
+from .spectral import (DispersionWindowError, NoFringeError,
+                       QuadratureAccuracyError, TaylorMedium)
 from .sumfreq import (default_nu_grid, gaussian_approximation, kl_divergence,
                       moment_matched_gaussian, phase_distribution_moments,
                       sum_frequency_density_exact, sum_frequency_density_numeric)
@@ -215,49 +215,29 @@ def _fit_block(fit) -> dict:
 # subcommands
 # --------------------------------------------------------------------------
 
-def _refuse_dead_ends(config: ExperimentConfig,
-                      grid: FrequencyGrid | None = None) -> None:
-    """Refuse, naming its field, a configuration on which the engine or
-    validate's phase moments find no finite value: first a pump at which
-    the filters pass no pairs, where the largest pair weight
-    T(s/2)^2*|pump(s)|^2, on the diagonal at a sum frequency s between twice
-    the filter center and the pump center, falls below the normal float
-    range (sampled in log2, so nothing underflows). With the engine's grid,
-    then a pump whose pair weight peaks outside its mesh's sum-frequency
-    window, and a medium whose phase overflows at the ends of the mesh's
-    photon-frequency lattice: a crystal names its length, a Taylor medium
-    its largest term there. Else it returns, and the caller's re-raise is
-    the last resort for faults no check foresees."""
-    filt, jsa = config.filter_profile(), config.joint_spectrum()
-    detuning = jsa.pump_center - 2.0 * filt.center
-    t = np.linspace(0.0, 1.0, 1001)
-    with np.errstate(over="ignore"):
-        exponent = (2.0 * (t * detuning / filt.fwhm) ** filt.order
-                    + 4.0 * ((1.0 - t) * detuning / jsa.pump_fwhm) ** 2)
-    if exponent.min() > -math.log2(sys.float_info.min):
-        raise ConfigError("pump_wavelength_nm", "gives no finite fringe: the "
-                          "filters pass no pairs at this pump")
-    if grid is None:
-        return
-    mesh = _mesh_axes(jsa, filt, grid)
-    peak = 2.0 * filt.center + t[np.argmin(exponent)] * detuning
-    if peak < mesh.s[0] or peak > mesh.s[-1]:
-        raise ConfigError("pump_wavelength_nm", "gives no finite fringe: the "
-                          "pairs the filters pass at this pump lie outside "
-                          "the engine's sum-frequency window")
-    medium = config.medium()
-    ends = mesh.omega[[0, -1]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.all(np.isfinite(medium_phase(medium, ends))):
-            return
-        key = "medium_length_mm"
-        if config.medium_variant != "bbo":
-            d = np.max(np.abs(ends - medium.reference))
+def _dead_end_field(config: ExperimentConfig,
+                    exc: NoFringeError) -> ConfigError:
+    """The refusal, naming its field, of a dead end of the engine or the
+    phase moments: the pump's wavelength for the parts "pump" and "window";
+    for "medium", a crystal's length or a Taylor medium's largest term at
+    the frequencies where its phase overflowed."""
+    if exc.part == "pump":
+        return ConfigError("pump_wavelength_nm", "gives no finite fringe: the "
+                           "filters pass no pairs at this pump")
+    if exc.part == "window":
+        return ConfigError("pump_wavelength_nm", "gives no finite fringe: the "
+                           "pairs the filters pass at this pump lie outside "
+                           "the engine's sum-frequency window")
+    key = "medium_length_mm"
+    if config.medium_variant != "bbo":
+        medium = config.medium()
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.max(np.abs(exc.omega - medium.reference))
             key = ("medium_phi0", "medium_phi_prime", "medium_phi_double_prime")[
                 int(np.argmax([abs(medium.phi0), abs(medium.phi_prime) * d,
                                abs(medium.phi_double_prime) * d * d / 2.0]))]
-    raise ConfigError(key, "gives a medium phase that overflows on the "
-                      "engine's mesh")
+    return ConfigError(key, "gives a medium phase that overflows on the "
+                       "engine's mesh")
 
 
 def _refuse_outside_modes(args: argparse.Namespace, rules) -> None:
@@ -284,16 +264,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
     try:
         harmonics = fringe_harmonics(config.joint_spectrum(),
                                      config.filter_profile(), config.medium())
-    except FloatingPointError:
-        _refuse_dead_ends(config, FrequencyGrid())
-        raise
+    except NoFringeError as exc:
+        raise _dead_end_field(config, exc) from exc
     thetas = config.thetas_rad()
     values = harmonics.at(thetas)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = values / values.mean()
-    if not np.all(np.isfinite(values)):
-        raise CliInputError("the configuration gives no finite fringe: the "
-                            "model curve is not finite at every angle")
+    mean = values.mean()     # N and Z are finite: only mean(P) = 0 fails
+    if not mean > 0.0:
+        raise ConfigError("theta_start_deg", "gives a scan whose every angle "
+                          "lies on a null of the fringe: P(theta) is 0 at "
+                          "each, so mean_counts * P(theta)/mean(P) is 0/0")
+    values = values / mean
     with np.errstate(over="ignore"):
         counts = config.mean_counts * values
     if not np.all(np.isfinite(counts)):
@@ -619,9 +599,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except QuadratureAccuracyError as exc:
         rows = [{"check": "quadrature accuracy", "value": str(exc),
                  "target": "converged", "status": "FAIL"}]
-    except FloatingPointError:
-        _refuse_dead_ends(config)
-        raise
+    except NoFringeError as exc:
+        raise _dead_end_field(config, exc) from exc
     failed = [r for r in rows if r["status"] == "FAIL"]
     report = {
         "schema": REPORT_SCHEMA,

@@ -32,9 +32,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral import (DispersiveMedium, FilterProfile, FrequencyGrid,
-                       JointSpectrum, QuadratureAccuracyError, _TAIL_BITS,
-                       _grid_rungs, _pair_envelope, _real_phase, _refine,
-                       filter_transmission, medium_phase)
+                       JointSpectrum, NoFringeError, QuadratureAccuracyError,
+                       _TAIL_BITS, _grid_rungs, _pair_envelope, _pair_peak,
+                       _real_phase, _refine, filter_transmission,
+                       medium_phase)
 from .units import _fold_phase
 
 __all__ = [
@@ -205,7 +206,11 @@ def _harmonics(jsa, filt, medium, grid) -> tuple[FringeHarmonics, float]:
     row blocks of _MESH_BLOCK. Only chi is evaluated on the mesh, in row
     blocks of the first photon's frequencies; the second's mirrored. Raises
     QuadratureAccuracyError when the pairs past the ends of the sum window
-    carry more than WINDOW_TOL of the flux.
+    carry more than WINDOW_TOL of the flux. NoFringeError names a dead
+    end: "pump" or "window" for no flux at a pair-weight peak (_pair_peak)
+    that is not a normal float or lies off the sum axis, "medium" for an N
+    or Z not finite where the phase at the lattice's ends is not either.
+    _refine's check refuses any other pass that is not finite.
     """
     mesh = _mesh_axes(jsa, filt, grid)
     s, wp, um, wm = mesh.s, mesh.wp, mesh.um, mesh.wm
@@ -222,7 +227,8 @@ def _harmonics(jsa, filt, medium, grid) -> tuple[FringeHarmonics, float]:
         q = wm[:k] * _pair_envelope(jsa, 0.0, um[:k]) ** 2
         q[:m // 2] *= 2.0
         t = filter_transmission(filt, mesh.omega)
-        g = t * np.exp(1j * medium_phase(medium, mesh.omega))
+        phi = medium_phase(medium, mesh.omega)
+        g = t * np.exp(1j * phi)
         t, g = mesh.photon(t), mesh.photon(g)
         for i in range(blocks):
             start = i * rows + min(i, extra)
@@ -258,6 +264,19 @@ def _harmonics(jsa, filt, medium, grid) -> tuple[FringeHarmonics, float]:
             f"fringe unconverged, sum-frequency window too narrow: the pairs "
             f"past its ends carry {tail / flux:.1e} of the pair flux "
             f"(tolerance {WINDOW_TOL:.0e}), which no node count mends")
+    if not flux > 0.0:
+        peak, normal = _pair_peak(jsa, filt)
+        if not normal:
+            raise NoFringeError("pump", "no finite fringe: the filters pass "
+                                "no pairs at this pump")
+        if not s[0] <= peak <= s[-1]:
+            raise NoFringeError("window", "no finite fringe: the pairs the "
+                                "filters pass lie outside the sum-frequency "
+                                "window")
+    if (not math.isfinite(offset + abs(complex(re, im)))
+            and not np.all(np.isfinite(phi[[0, -1]]))):
+        raise NoFringeError("medium", "no finite fringe: the medium phase "
+                            "overflows on the mesh", mesh.omega[[0, -1]])
     return FringeHarmonics(float(offset), complex(re, im)), float(flux)
 
 
@@ -272,7 +291,7 @@ def fringe_harmonics(jsa: JointSpectrum, filt: FilterProfile,
     until N and Z move by at most ACCURACY_TOL of the pair flux. Raises
     QuadratureAccuracyError past MAX_NODES or for a window that _harmonics
     refuses, and FloatingPointError when the flux, N or Z is not finite or
-    no flux reaches the filters.
+    no flux reaches the filters: NoFringeError names the part at fault.
     """
     return _refine("fringe", _grid_rungs(grid.nodes_per_axis, MAX_NODES),
                    lambda n: _harmonics(jsa, filt, medium, replace(

@@ -20,6 +20,7 @@ LN2 = math.log(2.0)
 
 __all__ = [
     "QuadratureAccuracyError",
+    "NoFringeError",
     "DispersionWindowError",
     "FrequencyGrid",
     "FilterProfile",
@@ -39,6 +40,17 @@ __all__ = [
 
 class QuadratureAccuracyError(RuntimeError):
     """An integral's estimated quadrature error exceeds the requested tolerance."""
+
+
+class NoFringeError(FloatingPointError):
+    """No finite fringe or phase moments, for the cause part names: "pump"
+    (the filters pass no pairs of the pump in floating-point range),
+    "window" (the pairs they pass lie outside the sum-frequency window) or
+    "medium" (the medium phase overflows at the frequencies omega)."""
+
+    def __init__(self, part: str, message: str, omega=None):
+        super().__init__(message)
+        self.part, self.omega = part, omega
 
 
 def _check_refinement(what: str, value, check_value, scale, nodes: int,
@@ -259,6 +271,21 @@ def _pair_envelope(jsa: JointSpectrum, up, um):
     if math.isfinite(jsa.phasematch_fwhm):
         amp = amp * np.exp2(-2.0 * um * um / jsa.phasematch_fwhm ** 2)
     return amp
+
+
+def _pair_peak(jsa: JointSpectrum, filt: FilterProfile) -> tuple[float, bool]:
+    """The sum frequency s at which the pair weight T(s/2)^2*|pump(s)|^2 on
+    the diagonal peaks, between twice the filter center and the pump
+    center, and whether that weight is a normal float. Sampled in log2 on
+    1001 points, so nothing underflows."""
+    detuning = jsa.pump_center - 2.0 * filt.center
+    t = np.linspace(0.0, 1.0, 1001)
+    with np.errstate(over="ignore"):
+        exponent = (2.0 * (t * detuning / filt.fwhm) ** filt.order
+                    + 4.0 * ((1.0 - t) * detuning / jsa.pump_fwhm) ** 2)
+    i = int(np.argmin(exponent))
+    return (2.0 * filt.center + t[i] * detuning,
+            bool(np.exp2(-exponent[i]) >= np.finfo(float).tiny))
 
 
 # --------------------------------------------------------------------------

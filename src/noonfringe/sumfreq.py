@@ -39,8 +39,9 @@ import numpy as np
 
 from .besselk import bessel_k_quarter_scaled
 from .spectral import (FilterProfile, JointSpectrum, DispersiveMedium,
-                       TaylorMedium, _TAIL_BITS, _check_refinement,
-                       _even_power, _refine, group_delay_slope, medium_phase)
+                       NoFringeError, QuadratureAccuracyError, TaylorMedium,
+                       _TAIL_BITS, _check_refinement, _even_power, _pair_peak,
+                       _refine, group_delay_slope, medium_phase)
 
 LN2 = math.log(2.0)
 
@@ -407,8 +408,10 @@ def phase_distribution_moments(jsa: JointSpectrum, filt: FilterProfile,
     on the offsets; any other medium at the origin plus them, rounded to the
     float spacing of omega_p/2. Over the phase divided by its span, the
     powers neither underflow nor overflow, and a constant phase gives exact
-    zeros. A weight or phase out of float range raises FloatingPointError, a
-    variance that moves on a doubled grid QuadratureAccuracyError.
+    zeros. A weight or phase out of float range raises FloatingPointError,
+    NoFringeError "pump" if the filters pass no pairs of the pump; a variance
+    that moves on a doubled grid QuadratureAccuracyError, as do frequencies
+    that all round to one float where the medium's phase has a slope.
     """
     width = jsa.pump_fwhm / filt.fwhm                       # sqrt(kappa_x)
     pump_x = (jsa.pump_center - 2.0 * filt.center) / filt.fwhm
@@ -428,10 +431,12 @@ def phase_distribution_moments(jsa: JointSpectrum, filt: FilterProfile,
              * _self_convolution(filt.order, (origin + y).tobytes()))
         w *= 1.0 / np.trapezoid(w, y)
         if not np.all(np.isfinite(w)):
-            raise FloatingPointError(
-                f"no finite sum-frequency density: the pump of width "
-                f"{jsa.pump_fwhm!r} rad/s and the filters leave none in "
-                f"floating-point range")
+            message = (f"no finite sum-frequency density: the pump of width "
+                       f"{jsa.pump_fwhm!r} rad/s and the filters leave none "
+                       f"in floating-point range")
+            if not _pair_peak(jsa, filt)[1]:
+                raise NoFringeError("pump", message)
+            raise FloatingPointError(message)
         return y, w, 2.0 * medium_phase(medium, at + half * y)
 
     def central(y, w, delta, powers):
@@ -445,6 +450,11 @@ def phase_distribution_moments(jsa: JointSpectrum, filt: FilterProfile,
         y, w, delta = weighted_phase(_MOMENT_POINTS)
         span = float(np.ptp(delta))
         if span == 0.0:
+            if np.ptp(at + half * y) == 0.0 and group_delay_slope(medium, at):
+                raise QuadratureAccuracyError(
+                    f"phase moments unresolved: the pump of width "
+                    f"{jsa.pump_fwhm!r} rad/s is narrower than the float "
+                    f"spacing of omega_p/2, over which the phase has a slope")
             return PhaseMoments(0.0, 0.0, 0.0)
         m2, m3, m4 = central(y, w, delta, (2, 3, 4))
         (m2b,) = central(*weighted_phase(fine), (2,))

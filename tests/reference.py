@@ -29,10 +29,10 @@ from noonfringe.config import ExperimentConfig
 from noonfringe.engine import ACCURACY_TOL, _Mesh, _mesh_axes
 from noonfringe.spectral import (DispersiveMedium, FilterProfile,
                                  FrequencyGrid, JointSpectrum,
-                                 QuadratureAccuracyError, TaylorMedium,
-                                 _check_refinement, _pair_envelope,
-                                 _real_phase, filter_transmission,
-                                 medium_phase)
+                                 NoFringeError, QuadratureAccuracyError,
+                                 TaylorMedium, _check_refinement,
+                                 _pair_envelope, _real_phase,
+                                 filter_transmission, medium_phase)
 from noonfringe.sumfreq import _self_convolution
 
 
@@ -137,13 +137,16 @@ def fixed_rule(jsa: JointSpectrum, filt: FilterProfile,
                medium: DispersiveMedium):
     """The fringe rule before the engine refined: the 128-node harmonics,
     and whether the 96-node rule confirms them within ACCURACY_TOL of the
-    flux, with no window check."""
+    flux, with no window check. A pass that finds no finite fringe
+    confirms nothing: (None, False)."""
     tol, engine.WINDOW_TOL = engine.WINDOW_TOL, math.inf
     try:        # the window check's inf * 0 on a zero flux is NaN: no check
         with np.errstate(invalid="ignore"):
             h, flux = engine._harmonics(jsa, filt, medium, FrequencyGrid())
             thin, _ = engine._harmonics(jsa, filt, medium,
                                         FrequencyGrid(nodes_per_axis=96))
+    except NoFringeError:
+        return None, False
     finally:
         engine.WINDOW_TOL = tol
     try:

@@ -945,13 +945,15 @@ class TestConfigPlumbing:
 
     def test_a_named_dead_end_builds_the_mesh_once(self, capsys,
                                                   monkeypatch):
+        # the engine's first, 96-node pass names the medium; no later pass
+        # and no replay of the mesh follows
         calls = []
 
         def counted(*args):
             calls.append(args)
             return _mesh_axes(*args)
 
-        monkeypatch.setattr(noonfringe.cli, "_mesh_axes", counted)
+        monkeypatch.setattr(noonfringe.engine, "_mesh_axes", counted)
         code, _, err = run(capsys, ["simulate", "--medium", "bbo",
                                     "--length-mm", "1e300"])
         assert code == EXIT_INPUT and "'medium_length_mm'" in err
@@ -1049,6 +1051,18 @@ class TestConfigPlumbing:
         assert code == EXIT_INPUT
         assert out == ""
         assert "no finite fringe" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "synth"])
+    def test_a_scan_of_fringe_nulls_names_its_angles(self, capsys, command):
+        # without a medium phase v = 1, and P(theta) = (N + N cos 8theta)/2
+        # is 0 at every 22.5 + 45k degrees: the fringe is finite, but
+        # mean_counts * P/mean(P) is 0/0
+        code, out, err = run(capsys, [command, "--theta-start-deg", "22.5",
+                                      "--theta-stop-deg", "337.5",
+                                      "--points", "8"])
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: config field 'theta_start_deg'")
+        assert "null of the fringe" in err and err.count("\n") == 1
 
     def test_oversized_scan_is_an_input_error(self, capsys):
         # numpy refuses this size before allocating anything

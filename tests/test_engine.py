@@ -25,6 +25,7 @@ from noonfringe import (
     FringeHarmonics,
     FringeScan,
     JointSpectrum,
+    NoFringeError,
     ProbabilityCurve,
     QuadratureAccuracyError,
     TaylorMedium,
@@ -36,6 +37,7 @@ from noonfringe import (
     medium_phase,
     simulate_fringe_scan,
     single_photon_visibility,
+    wavelength_nm_to_angular,
 )
 from noonfringe.config import ExperimentConfig
 from noonfringe.engine import ACCURACY_TOL, _harmonics, _mesh_axes
@@ -294,6 +296,24 @@ class TestGeneralPath:
                                                         0.3, ref_grid)):
             with pytest.raises(FloatingPointError, match="no finite fringe"):
                 compute()
+
+    @pytest.mark.parametrize("pump_nm,phi_prime,part", [
+        (810.0, 0.0, "pump"),       # pairs near 1620 nm: the filters pass none
+        (392.0, 0.0, "window"),     # pairs in float range, off the sum axis
+        (405.0, 1e308, "medium"),   # the phase overflows on the lattice
+    ])
+    def test_a_dead_end_names_its_part(self, ref_jsa, ref_filter, omega0,
+                                       delta_omega, pump_nm, phi_prime, part):
+        jsa = JointSpectrum(pump_center=wavelength_nm_to_angular(pump_nm),
+                            pump_fwhm=ref_jsa.pump_fwhm)
+        medium = TaylorMedium(reference=omega0, phi_prime=phi_prime / delta_omega)
+        with pytest.raises(NoFringeError, match="no finite fringe") as info:
+            fringe_harmonics(jsa, ref_filter, medium)
+        assert info.value.part == part
+        if part == "medium":
+            with np.errstate(over="ignore"):
+                assert not np.all(np.isfinite(
+                    medium_phase(medium, info.value.omega)))
 
     @pytest.mark.parametrize("nodes", [96, 97, 128, 129])
     def test_symmetric_wrapper_matches_general(self, ref_jsa, ref_filter,
@@ -966,6 +986,22 @@ class TestRefinement:
             outcomes["returned"] += 1
         assert sum(outcomes.values()) == 62
         assert outcomes["returned"] >= 33
+
+    def test_the_engine_ab_tool_runs_a_tree_against_itself(self):
+        # tools/engine_ab.py imports two copies of one tree under their own
+        # names: every visibility agrees to the bit, every curve is timed
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "engine_ab", os.path.join(root, "tools", "engine_ab.py"))
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        src = os.path.dirname(os.path.dirname(noonfringe.__file__))
+        result = tool.compare(src, src, rounds=1)
+        assert result["max_dv"] == 0.0
+        assert [label for label, *_ in result["curves"]] == [
+            f"{medium} {nodes}" for medium in ("linear", "curved", "bbo")
+            for nodes in (128, 256)]
+        assert all(old > 0.0 and new > 0.0 for _, old, new in result["curves"])
 
     def test_a_cut_window_is_refused_naming_it(self):
         jsa, filt, medium = linear_pair(2, 3.0, 3.0, 416.0)

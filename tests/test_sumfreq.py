@@ -20,6 +20,8 @@ from noonfringe import (
     FilterProfile,
     JointSpectrum,
     NU_SCALE,
+    NoFringeError,
+    PhaseMoments,
     QuadratureAccuracyError,
     TaylorMedium,
     bbo_crystal,
@@ -521,20 +523,35 @@ class TestPhaseMoments:
         assert m.skewness == pytest.approx(BBO_SKEWNESS, rel=1e-3)
         assert m.excess_kurtosis == pytest.approx(BBO_EXCESS_KURTOSIS, abs=1e-4)
 
+    @pytest.mark.parametrize("medium", [
+        bbo_crystal(0.0), TaylorMedium(reference=0.0, phi0=0.4)],
+        ids=["zero-length-crystal", "zero-slope-taylor"])
+    def test_a_flat_medium_under_a_sub_ulp_pump_has_zero_moments(
+            self, ref_filter, delta_omega, medium):
+        # the kappa 1e-30 pump below, whose frequencies round to one float:
+        # a phase with no slope there keeps its exact zeros
+        jsa = JointSpectrum(pump_center=2.0 * ref_filter.center,
+                            pump_fwhm=1e-15 * delta_omega)
+        assert phase_distribution_moments(jsa, ref_filter, medium) == (
+            PhaseMoments(0.0, 0.0, 0.0))
+
     @pytest.mark.parametrize("kappa,expected", [
-        (1e-10, 1.0), (1e-20, QuadratureAccuracyError), (1e-30, 0.0)])
+        (1e-10, 1.0), (1e-20, "phase variance unconverged"),
+        (1e-30, "narrower than the float spacing of omega_p/2")],
+        ids=["1e-10-1.0", "1e-20-unconverged", "1e-30-unresolved"])
     def test_a_crystal_under_a_narrow_pump(self, ref_filter, delta_omega,
                                            kappa, expected):
         # a Sellmeier phase, ~3e3 rad here, is taken at absolute
         # frequencies: under a pump of ~2e3 rad/s (kappa 1e-20) its rounding
         # moves the variance on the doubled grid, which refuses it; at ~0.02
         # rad/s (1e-30), below the float spacing of omega_p/2 (0.5 rad/s),
-        # every frequency is one float, so the phase is flat, its moments 0
+        # every frequency is one float, so the phase reads flat and is
+        # refused, not reported as zero moments
         crystal = bbo_crystal(0.003)
         jsa = JointSpectrum(pump_center=2.0 * ref_filter.center,
                             pump_fwhm=math.sqrt(kappa) * delta_omega)
-        if expected is QuadratureAccuracyError:
-            with pytest.raises(expected, match="phase variance unconverged"):
+        if isinstance(expected, str):
+            with pytest.raises(QuadratureAccuracyError, match=expected):
                 phase_distribution_moments(jsa, ref_filter, crystal)
             return
         m = phase_distribution_moments(jsa, ref_filter, crystal)
@@ -556,6 +573,22 @@ class TestPhaseMoments:
             pump_fwhm=width)
         with pytest.raises(FloatingPointError, match=f"pump of width {width!r}"):
             phase_distribution_moments(jsa, ref_filter, ref_medium)
+
+    @pytest.mark.parametrize("pump_fwhm,pump_offset,part", [
+        (1e-300, 0.0, None), (None, 1e3, "pump")],
+        ids=["underflowing-width", "pump-off-the-filters"])
+    def test_only_a_pump_off_the_filters_is_named(
+            self, ref_jsa, ref_filter, ref_medium, delta_omega, pump_fwhm,
+            pump_offset, part):
+        # the filters pass pairs of the centred pump, whose width alone
+        # leaves float range: that fault names no part
+        jsa = JointSpectrum(
+            pump_center=ref_jsa.pump_center + pump_offset * delta_omega,
+            pump_fwhm=pump_fwhm or ref_jsa.pump_fwhm)
+        with pytest.raises(FloatingPointError) as info:
+            phase_distribution_moments(jsa, ref_filter, ref_medium)
+        assert getattr(info.value, "part", None) == part
+        assert isinstance(info.value, NoFringeError) == (part is not None)
 
     def test_overflowing_phase_is_refused(self, ref_jsa, ref_filter, omega0,
                                           delta_omega):

@@ -81,9 +81,9 @@ def scan(listing: bool) -> dict:
             counts["no pairs pass the filters"] += 1
             continue
         old, old_passes = fixed_rule(jsa, filt, medium)
-        old_wrong = error(old, reference) > engine.ACCURACY_TOL
+        old_wrong = old_passes and error(old, reference) > engine.ACCURACY_TOL
         counts["fixed rule returns"] += old_passes
-        counts["fixed rule returns a wrong value"] += old_passes and old_wrong
+        counts["fixed rule returns a wrong value"] += old_wrong
         sizes = []
 
         def counted(jsa, filt, medium, grid):
